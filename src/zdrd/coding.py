@@ -28,7 +28,7 @@ import numpy as np
 from . import entropy_code, kernels
 from .errors import AlphabetOverflow, DimensionMismatch
 from .linalg import psd_sqrt_factor
-from .quantizers import G4, QuantizerConfig
+from .quantizers import G4, QuantizerConfig, sdusq_dither
 from .realization import RealizationScheme, channel_matrices
 from .source_model import GaussMarkovSource
 
@@ -125,7 +125,7 @@ def run_coding_experiment(
         deltas = np.asarray(qcfg.deltas, float)
         if deltas.size != r:
             raise DimensionMismatch(f"need {r} step sizes, got {deltas.size}")
-        dith = (rng_dith.random((n + 1, r)) - 0.5) * deltas
+        dith = sdusq_dither(rng_dith, deltas, n + 1)
         idx, k, alpha, beta, e = kernels.sdusq_loop(src.A, bw, x0, fe, g, dith, deltas)
     elif qcfg.kind == "d4":
         if r % 4 != 0:

@@ -43,3 +43,10 @@ class ConfigParse(ZdrdError, ValueError):
 
 class AlphabetOverflow(ZdrdError, RuntimeError):
     """The observed joint quantizer alphabet exceeded the configured cap."""
+
+
+def failure_status(exc):
+    """Status of a grid point that raised: ``failed:<Type>: <message>`` on one line."""
+    message = " ".join(str(exc).split())
+    name = type(exc).__name__
+    return f"failed:{name}: {message}" if message else f"failed:{name}"

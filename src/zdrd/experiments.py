@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coding import SeedBundle, run_coding_experiment, theoretical_upper_bound
-from .errors import ConfigParse, ZdrdError
+from .errors import ConfigParse, ZdrdError, failure_status
 from .quantizers import d4_config, sdusq_config
 from .realization import build_realization
 from .solver import nrdf
@@ -235,7 +235,7 @@ def _eval_point(src, d, quantizer, n_steps, seeds, row_index):
     except Exception as exc:  # noqa: BLE001 - sweeps survive isolated failures
         if not isinstance(exc, (ZdrdError, np.linalg.LinAlgError, ArithmeticError)):
             raise
-        return ExperimentRow(float(d), None, None, None, None, None, f"failed:{type(exc).__name__}")
+        return ExperimentRow(float(d), None, None, None, None, None, failure_status(exc))
 
 
 def run_experiment(config: ExperimentConfig, per_dim=False, max_workers=None) -> ExperimentReport:

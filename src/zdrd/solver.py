@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxdet
-from .errors import BadDistortion, InfeasibleModel
+from .errors import BadDistortion, InfeasibleModel, ZdrdError, failure_status
 from .linalg import symmetrize
 from .source_model import GaussMarkovSource, d_max, stationary_covariance
 
@@ -215,11 +215,7 @@ def rd_curve(src: GaussMarkovSource, d_grid) -> RdCurve:
             up_v = coding.theoretical_upper_bound(sol.rate_bits, r, "d4")
             points.append(RdPoint(d, sol.rate_bits, up_s, up_v, r))
         except Exception as exc:  # noqa: BLE001 - sweeps survive isolated failures
-            from .errors import ZdrdError
-
             if not isinstance(exc, (ZdrdError, np.linalg.LinAlgError, ArithmeticError)):
                 raise
-            points.append(
-                RdPoint(d, math.nan, math.nan, math.nan, -1, f"failed:{type(exc).__name__}")
-            )
+            points.append(RdPoint(d, math.nan, math.nan, math.nan, -1, failure_status(exc)))
     return RdCurve(points=tuple(points))

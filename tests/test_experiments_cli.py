@@ -5,7 +5,7 @@ import pytest
 
 import zdrd
 from zdrd import cli, experiments
-from zdrd.errors import ConfigParse
+from zdrd.errors import ConfigParse, InfeasibleModel, failure_status
 
 from conftest import STABLE_4D_A, UNSTABLE_4D_A
 
@@ -119,15 +119,23 @@ class TestRunExperiment:
         with pytest.raises(ConfigParse):
             experiments.run_experiment(cfg)
 
-    def test_failed_rows_flagged(self):
+    def test_failed_rows_flagged(self, tmp_path):
         c, s = np.cos(0.3), np.sin(0.3)
         src = zdrd.new_source([[c, -s], [s, c]], np.zeros((2, 2)), np.eye(2))
+        path = tmp_path / "degenerate.csv"
         cfg = experiments.ExperimentConfig(
-            source=src, d_grid=(0.5, 1.0), quantizer=None, name="degenerate"
+            source=src, d_grid=(0.5, 1.0), quantizer=None, csv_path=str(path), name="degenerate"
         )
         report = experiments.run_experiment(cfg)
         assert report.failed
-        assert all(r.status.startswith("failed:") for r in report.rows)
+        assert all(r.status.startswith("failed:InfeasibleModel: ") for r in report.rows)
+        assert all("degenerate candidate" in r.status for r in report.rows)
+        assert experiments.read_csv(path) == list(report.rows)
+
+    def test_failure_status_is_one_line(self):
+        exc = InfeasibleModel("first line\nsecond,  line\n")
+        assert failure_status(exc) == "failed:InfeasibleModel: first line second, line"
+        assert failure_status(ArithmeticError()) == "failed:ArithmeticError"
 
 
 class TestConfigParsing:

@@ -31,6 +31,30 @@ def rate_of_pi(Pi, A, BBt, D):
     return 0.5 * (np.linalg.slogdet(Lam)[1] - np.log(det)) / np.log(2)
 
 
+def einsum_newton_system(prob, x, t):
+    """Reference Newton system from explicit inverses and trace contractions."""
+    G = prob.fused_C + np.tensordot(x, prob.fused_dA, axes=1)
+    Q = np.tensordot(x, prob.q_dA, axes=1)
+    Gi = np.linalg.inv(G)
+    Qi = np.linalg.inv(Q)
+    w = 1.0 + 0.5 * t
+    g = -np.einsum("ab,jba->j", Gi, prob.fused_dA)
+    g -= w * np.einsum("ab,jba->j", Qi, prob.q_dA)
+    T1 = np.einsum("ab,jbc,cd->jad", Gi, prob.fused_dA, Gi)
+    H = np.einsum("jab,lba->jl", T1, prob.fused_dA)
+    T2 = np.einsum("ab,jbc,cd->jad", Qi, prob.q_dA, Qi)
+    H += w * np.einsum("jab,lba->jl", T2, prob.q_dA)
+    return g, 0.5 * (H + H.T)
+
+
+def random_stable_source(p, seed):
+    """Seeded random source with spectral radius 0.9 and B = I."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, p))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    return zdrd.new_source(A, np.eye(p), np.eye(p))
+
+
 def oracle_rate(A, B, D, samples, seed):
     """Random search over feasible 2x2 covariances plus local refinement."""
     rng = np.random.default_rng(seed)
@@ -118,6 +142,23 @@ class TestFormAgreement:
         assert nrdf(stable4, 1.0).form_used == FORM_B
 
 
+class TestNewtonSystem:
+    @pytest.mark.parametrize("build", [maxdet.form_a_problem, maxdet.form_b_problem])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_einsum_reference(self, build, p):
+        src = random_stable_source(p, seed=10 + p)
+        prob = build(src.A, src.B, 0.3 * zdrd.d_max(src))
+        x = maxdet.phase1_point(prob)
+        for t in (1.0, 25.0, 3125.0, 1e8):
+            g, H = maxdet._newton_system(prob, x, t)
+            g_ref, H_ref = einsum_newton_system(prob, x, t)
+            # small entries come from cancelling sums, so the tolerance is
+            # also taken relative to the largest entry
+            for got, ref in ((g, g_ref), (H, H_ref)):
+                np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+            assert np.array_equal(H, H.T)
+
+
 class TestBruteForceOracle:
     def test_frozen_oracle_value_reproduces(self):
         # reduced re-run of the frozen oracle (1e5 samples): should land close
@@ -154,3 +195,10 @@ class TestPhase1AndErrors:
             src = zdrd.new_source([[alpha]], [[1.0]], [[1.0]])
             nrdf(src, rng.uniform(0.05, 2.0), form=FORM_B)
         assert time.time() - t0 < 5.0
+
+    def test_runtime_budget_p8_point(self):
+        src = random_stable_source(8, seed=3)
+        t0 = time.time()
+        sol = nrdf(src, 0.02 * zdrd.d_max(src), form=FORM_B)
+        assert time.time() - t0 < 10.0
+        assert sol.rate_bits > 0.0

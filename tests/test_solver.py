@@ -152,7 +152,8 @@ class TestRdCurve:
         src = zdrd.new_source([[c, -s], [s, c]], np.zeros((2, 2)), np.eye(2))
         curve = rd_curve(src, [0.5, 1.0])
         assert len(curve.points) == 2
-        assert all(pt.status.startswith("failed:") for pt in curve.points)
+        assert all(pt.status.startswith("failed:InfeasibleModel: ") for pt in curve.points)
+        assert all("degenerate candidate" in pt.status for pt in curve.points)
         assert all(math.isnan(pt.rate_lower_bits) for pt in curve.points)
 
     def test_grid_validation(self, scalar_half):
