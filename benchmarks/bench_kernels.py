@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the numba-compiled kernels against the pure-NumPy fallback.
 
-Runs the three hot loops (state simulation, AWGN feedback loop, dithered
-quantizer loop) on a 4-d source for a 1e5-step horizon under both backends
-and prints the timing ratio.  Results of the two backends are also
-cross-checked for agreement.
+Runs the hot loops (state simulation, AWGN feedback loop, dithered scalar
+and D4 quantizer loops) on a 4-d source for a 1e5-step horizon under both
+backends and prints the timing ratio.  Results of the two backends are also
+cross-checked for agreement.  D4 dither generation has a single vectorized
+implementation; its row gives blocks per second for --n blocks.
 
 Usage: python benchmarks/bench_kernels.py [--n 100000] [--repeat 3]
 """
@@ -89,6 +90,10 @@ def main():
             diff = float(np.max(np.abs(out_np - out_nb)))
             line += f" {t_nb:>12.4f} {t_np / t_nb:>8.1f}x {diff:>12.3e}"
         print(line)
+
+    rng_dith = np.random.default_rng(1)
+    t_dith, _ = timeit(lambda: kernels.d4_dither(rng_dith, scale, args.n), args.repeat)
+    print(f"{'d4_dither':<12} {args.n / t_dith:>12.4g} blocks/s")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ stationary, so rates and distortions remain computable.
 import numpy as np
 
 from ._backend import HAVE_NUMBA, default_backend, njit
+from .quantizers import d4_nearest
 
 
 def _state_loop(A, bw, x0, out):
@@ -89,9 +90,10 @@ def _channel_loop(A, bw, x0, fe, g, noise, deltas, quantized, idx, k, alpha, bet
 def _d4_loop(A, bw, x0, fe, g, dither, scale, idx, k, alpha, beta, e):
     """Feedback loop quantizing each block of four coordinates to scale*D4.
 
-    Nearest-point rule: round every coordinate half away from zero; if the
-    rounded sum is odd, move the coordinate with the largest rounding error
-    to its second-nearest integer.
+    Nearest-point rule, the one of ``quantizers.d4_nearest``: round every
+    coordinate half away from zero; if the rounded sum is odd, move the
+    coordinate with the largest rounding error (lowest index among equal
+    errors) one step toward its input, upward when the two are equal.
     """
     n1, p = k.shape
     r = alpha.shape[1]
@@ -147,39 +149,10 @@ def _d4_loop(A, bw, x0, fe, g, dither, scale, idx, k, alpha, beta, e):
             eprev[i] = acc
 
 
-def _d4_reject_fill(cand, roots, scale, out, start):
-    """Keep candidates lying in the scale*D4 Voronoi cell of the origin.
-
-    The cell is the 24-cell cut out by the minimal lattice vectors: x is
-    accepted iff |<x, m>| < scale for all 24 roots m of squared norm 2.
-    Returns the number of rows of ``out`` filled so far.
-    """
-    lim = scale
-    got = start
-    total = out.shape[0]
-    for m in range(cand.shape[0]):
-        if got >= total:
-            break
-        ok = True
-        for j in range(roots.shape[0]):
-            acc = 0.0
-            for i in range(4):
-                acc += cand[m, i] * roots[j, i]
-            if acc >= lim or acc <= -lim:
-                ok = False
-                break
-        if ok:
-            for i in range(4):
-                out[got, i] = cand[m, i]
-            got += 1
-    return got
-
-
 _PY_IMPLS = {
     "state_loop": _state_loop,
     "channel_loop": _channel_loop,
     "d4_loop": _d4_loop,
-    "d4_reject_fill": _d4_reject_fill,
 }
 
 if HAVE_NUMBA:
@@ -220,9 +193,6 @@ def d4_roots():
                     v[b] = sb
                     roots.append(v)
     return np.array(roots)
-
-
-_D4_ROOTS = d4_roots()
 
 
 def state_loop(A, bw, x0):
@@ -266,11 +236,14 @@ def d4_loop(A, bw, x0, fe, g, dither, scale):
 
 
 def d4_dither(rng, scale, count):
-    """Uniform dither over the scale*D4 Voronoi cell, by seeded rejection."""
-    out = np.empty((count, 4))
-    got = 0
-    fill = _impl("d4_reject_fill")
-    while got < count:
-        cand = rng.uniform(-scale, scale, ((count - got) * 10 + 64, 4))
-        got = fill(cand, _D4_ROOTS, scale, out, got)
-    return out
+    """``count`` rows uniform on the scale*D4 Voronoi cell of the origin.
+
+    u is uniform on the fundamental box [0,1)^3 x [0,2) of D4 and the rows
+    are scale * (u - d4_nearest(u)), which is exactly uniform on the cell
+    (Zamir & Feder 1996).  d4_nearest rounds half away from zero and, on an
+    odd sum, steps the largest-error coordinate (lowest index on equal
+    errors) toward u; ties have probability zero here.
+    """
+    u = rng.random((count, 4))
+    u[:, 3] *= 2.0
+    return scale * (u - d4_nearest(u))

@@ -18,6 +18,11 @@ from . import kernels
 from .errors import DimensionMismatch, NotPSD
 from .linalg import as_matrix, check_psd, psd_sqrt_factor, sorted_eig
 
+# eigenvalues with |mu| >= 1 - MARGINAL_TOL count as on or outside the unit
+# circle: eig returns |mu| = 1 - 1e-16 for a rotation, whose Lyapunov system
+# S = A S A^T + B B^T is singular
+MARGINAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GaussMarkovSource:
@@ -90,12 +95,16 @@ def stability_report(src: GaussMarkovSource) -> StabilityReport:
 
     The floor is sum(log2 |mu|) over eigenvalues with |mu| > 1, in bits per
     vector per step; it lower-bounds every achievable rate for the source.
+    The source is stable when every |mu| < 1 - MARGINAL_TOL, so marginally
+    stable sources (a rotation, say) are not.
     """
     ev = sorted_eig(src.A)
     mags = np.abs(ev)
     floor = float(np.sum(np.log2(mags[mags > 1.0]))) if np.any(mags > 1.0) else 0.0
     return StabilityReport(
-        eigenvalues=ev, is_stable=bool(np.all(mags < 1.0)), rate_floor_bits=floor
+        eigenvalues=ev,
+        is_stable=bool(np.all(mags < 1.0 - MARGINAL_TOL)),
+        rate_floor_bits=floor,
     )
 
 
@@ -137,7 +146,8 @@ def d_max(src: GaussMarkovSource) -> float:
 
     The stationary covariance solves S = A S A^T + B B^T; at D >= trace(S)
     the prediction-only reproduction already meets the target, so the rate
-    is zero.  Unstable sources have no stationary covariance: returns +inf.
+    is zero.  Unstable and marginally stable sources have no stationary
+    covariance: returns +inf.
     """
     if not stability_report(src).is_stable:
         return float("inf")
@@ -146,7 +156,7 @@ def d_max(src: GaussMarkovSource) -> float:
 
 
 def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:
-    """Solution of S = A S A^T + B B^T (stable sources only)."""
+    """Solution of S = A S A^T + B B^T; raises NotPSD unless the source is stable."""
     if not stability_report(src).is_stable:
         raise NotPSD("stationary covariance requires a stable source")
     S = solve_discrete_lyapunov(src.A, src.B @ src.B.T)

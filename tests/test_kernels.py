@@ -65,13 +65,6 @@ def test_d4_loop_parity(loop_inputs):
         assert np.array_equal(a, b)
 
 
-def test_d4_dither_parity():
-    nb, py = both_backends(
-        lambda: kernels.d4_dither(np.random.default_rng(5), 2.0, 300)
-    )
-    assert np.array_equal(nb, py)
-
-
 def test_set_backend_validation():
     with pytest.raises(ValueError):
         kernels.set_backend("cuda")

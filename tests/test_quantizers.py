@@ -10,6 +10,7 @@ from zdrd.quantizers import (
     G4,
     SQRT12,
     d4_config,
+    d4_nearest,
     d4_quantize,
     sdusq_config,
     sdusq_decode,
@@ -107,6 +108,43 @@ class TestD4:
             shifted = x - exact
             assert np.all(np.abs(shifted @ roots.T) <= 1.0 + 1e-9)
 
+    def test_nearest_matches_exact_rule_on_generic_points(self):
+        pts = np.random.default_rng(5).uniform(-4, 4, (2000, 4))
+        fast = d4_nearest(pts)
+        for x, z in zip(pts, fast):
+            assert np.array_equal(z, d4_quantize(x))
+
+    def test_nearest_at_ties_is_a_nearest_point(self):
+        # half-integer inputs are where the two tie rules part ways
+        pts = np.random.default_rng(6).integers(-6, 7, (2000, 4)) / 2.0
+        fast = d4_nearest(pts)
+        exact = np.array([d4_quantize(x) for x in pts])
+        assert np.any(fast != exact)
+        assert np.all(np.remainder(fast.sum(axis=1), 2.0) == 0.0)
+        d_fast, d_exact = (np.sum((pts - z) ** 2, axis=1) for z in (fast, exact))
+        assert np.array_equal(d_fast, d_exact)
+
+    def test_nearest_wrong_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            d4_nearest(np.zeros((5, 3)))
+
+    def test_loop_uses_the_nearest_rule(self):
+        # with fe = 0 the loop quantizes exactly dither/scale (alpha = 0);
+        # scale 2 keeps the half-integer rows exact ties
+        rng = np.random.default_rng(7)
+        scale = 2.0
+        generic = rng.uniform(-4, 4, (1000, 4))
+        ties = rng.integers(-6, 7, (1000, 4)) / 2.0
+        dith = np.vstack([generic, ties]) * scale
+        n = dith.shape[0] - 1
+        A = rng.normal(size=(4, 4)) * 0.4
+        bw = rng.normal(size=(n, 4))
+        g = rng.normal(size=(4, 4))
+        x0 = rng.normal(size=4)
+        idx, _, alpha, _, _ = kernels.d4_loop(A, bw, x0, np.zeros((4, 4)), g, dith, scale)
+        assert np.all(alpha == 0.0)
+        assert np.array_equal(idx, d4_nearest(dith / scale))
+
     def test_config_requires_multiple_of_four(self):
         with pytest.raises(DimensionMismatch):
             d4_config(3, seed_dither=1)
@@ -129,6 +167,16 @@ class TestD4:
         # per-coordinate variance at the unit-noise scale is one
         s2 = kernels.d4_dither(rng, D4_UNIT_SCALE, 200_000)
         assert abs(np.var(s2, axis=0).mean() - 1.0) < 0.02
+
+    def test_dither_fills_every_orthant_equally(self):
+        # the cell is symmetric under coordinate sign flips, so uniform dither
+        # puts 1/16 in each orthant; u on [0,1)^4 instead of the fundamental
+        # box still lands in the cell but misses half of it
+        s = kernels.d4_dither(np.random.default_rng(8), D4_UNIT_SCALE, 100_000)
+        counts = np.bincount((s > 0) @ np.array([1, 2, 4, 8]), minlength=16)
+        expected = s.shape[0] / 16
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi2 < 37.7  # 99.9% point of chi-square with 15 dof
 
     def test_dither_determinism(self):
         a = kernels.d4_dither(np.random.default_rng(9), 2.0, 500)

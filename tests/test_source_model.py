@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_discrete_lyapunov
+from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
 import zdrd
 from zdrd.errors import ConfigParse, DimensionMismatch, NotPSD
@@ -138,6 +140,22 @@ class TestDmax:
             S += term
             term = A @ term @ A.T
         assert abs(zdrd.d_max(stable4) - np.trace(S)) < 1e-10
+
+    def test_rotation_has_no_stationary_covariance(self):
+        # eig reads |mu| = 1 - 1e-16 here; the Lyapunov system is singular
+        from zdrd.experiments import default_grid
+        from zdrd.source_model import stationary_covariance
+
+        c, s = np.cos(0.3), np.sin(0.3)
+        src = zdrd.new_source([[c, -s], [s, c]], np.eye(2), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            assert not zdrd.stability_report(src).is_stable
+            assert zdrd.d_max(src) == np.inf
+            grid = default_grid(src, 5)
+            with pytest.raises(NotPSD):
+                stationary_covariance(src)
+        assert grid == tuple(np.geomspace(0.06, 3.0, 5))
 
     @given(c=st.floats(min_value=1.0, max_value=10.0))
     @settings(max_examples=25, deadline=None)
