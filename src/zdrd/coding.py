@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy_code, kernels
-from .errors import AlphabetOverflow, DimensionMismatch
-from .linalg import psd_sqrt_factor
+from .errors import POINT_ERRORS, AlphabetOverflow, DimensionMismatch
 from .quantizers import G4, QuantizerConfig, sdusq_dither
 from .realization import RealizationScheme, channel_matrices
-from .source_model import GaussMarkovSource
+from .source_model import GaussMarkovSource, source_noise
 
 ALPHABET_CAP = 2**20
 HALF_LOG2_PIE6 = 0.5 * math.log2(math.pi * math.e / 6.0)  # ~0.2546 bits
@@ -98,57 +97,116 @@ def run_coding_experiment(
     Deterministic given ``seeds``: the source path comes from seeds.source,
     the dither stream from qcfg.seed_dither (seeds.dither is used when the
     config carries no seed of its own).  Optionally dumps a per-step CSV
-    trace (t, indices..., codeword_length_bits, squared error).
+    trace (t, indices..., codeword_length_bits, squared error).  This is
+    :func:`run_coding_batch` on one point; its error is raised.
     """
-    p = src.p
-    if scheme.E.shape[0] != p:
+    (res,) = run_coding_batch(src, n, [(scheme, seeds, qcfg)], alphabet_cap, [trace_path])
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _check_point(src, scheme, qcfg):
+    if scheme.E.shape[0] != src.p:
         raise DimensionMismatch("scheme dimension does not match source")
     r = scheme.r
-    rng_src = np.random.default_rng(seeds.source)
-    x0 = psd_sqrt_factor(src.sigma_x0, "sigma_x0") @ rng_src.standard_normal(p)
-    w = rng_src.standard_normal((n, src.q))
-    bw = w @ src.B.T
-
     if r == 0:
-        # nothing is transmitted; the reproduction free-runs on the predictor
-        fe = np.zeros((0, p))
-        g = np.zeros((p, 0))
-        noise = np.zeros((n + 1, 0))
-        _, _, _, e = kernels.awgn_loop(src.A, bw, x0, fe, g, noise)
-        mse = float(np.mean(np.sum(e * e, axis=1)))
-        return CodingResult(0.0, 0.0, mse, n, 0)
-
-    fe, g = channel_matrices(scheme)
-    dither_seed = qcfg.seed_dither if qcfg.seed_dither is not None else seeds.dither
-    rng_dith = np.random.default_rng(dither_seed)
+        return
     if qcfg.kind == "sdusq":
-        deltas = np.asarray(qcfg.deltas, float)
-        if deltas.size != r:
-            raise DimensionMismatch(f"need {r} step sizes, got {deltas.size}")
-        dith = sdusq_dither(rng_dith, deltas, n + 1)
-        idx, k, alpha, beta, e = kernels.sdusq_loop(src.A, bw, x0, fe, g, dith, deltas)
+        size = np.asarray(qcfg.deltas, float).size
+        if size != r:
+            raise DimensionMismatch(f"need {r} step sizes, got {size}")
     elif qcfg.kind == "d4":
         if r % 4 != 0:
             raise DimensionMismatch(f"the D4 quantizer needs r divisible by 4, got r={r}")
-        scale = float(np.asarray(qcfg.deltas, float).flat[0])
-        dith = kernels.d4_dither(rng_dith, scale, (n + 1) * (r // 4)).reshape(n + 1, r)
-        idx, k, alpha, beta, e = kernels.d4_loop(src.A, bw, x0, fe, g, dith, scale)
     else:
         raise ValueError(f"unknown quantizer kind {qcfg.kind!r}")
 
-    counts = entropy_code.histogram_of_rows(idx)
-    if len(counts) > alphabet_cap:
-        raise AlphabetOverflow(
-            f"observed joint alphabet {len(counts)} exceeds cap {alphabet_cap}"
-        )
-    lengths = entropy_code.huffman_lengths(counts)
-    rate = entropy_code.average_code_length(counts, lengths)
-    ent = entropy_code.empirical_entropy_bits(counts)
-    mse = float(np.mean(np.sum(e * e, axis=1)))
 
-    if trace_path is not None:
-        _write_trace(trace_path, idx, lengths, e)
-    return CodingResult(float(rate), float(ent), mse, n, len(counts))
+def run_coding_batch(src, n, points, alphabet_cap=ALPHABET_CAP, trace_paths=None):
+    """Run the quantized loops of several schemes of ``src`` in lockstep.
+
+    ``points`` is a sequence of (scheme, seeds, qcfg).  Every point draws
+    its own source path and dither stream as :func:`run_coding_experiment`
+    describes, its loop runs in one :func:`kernels.feedback_loop` with the
+    others, and its indices get their own histogram and Huffman code, so
+    each result equals that of the point run alone.  Points with r > 0 must
+    share one quantizer kind; a point with r = 0 transmits nothing, and its
+    reproduction free-runs on the predictor.
+
+    Returns one entry per point, in order: its CodingResult, or the error
+    (one of ``errors.POINT_ERRORS``) that failed it.  ``trace_paths``
+    optionally names a per-step CSV trace for each point.
+    """
+    p = src.p
+    out = [None] * len(points)
+    live = []
+    for i, (scheme, _, qcfg) in enumerate(points):
+        try:
+            _check_point(src, scheme, qcfg)
+            live.append(i)
+        except POINT_ERRORS as exc:
+            out[i] = exc
+    kinds = {points[i][2].kind for i in live if points[i][0].r}
+    if len(kinds) > 1:
+        raise ValueError(f"a batch takes one quantizer kind, got {sorted(kinds)}")
+    if not live:
+        return out
+
+    G = len(live)
+    rmax = max(points[i][0].r for i in live)
+    x0 = np.empty((p, G))
+    bw = np.empty((n, p, G))
+    fe = np.zeros((rmax, p, G))
+    g = np.zeros((p, rmax, G))
+    dither = np.zeros((n + 1, rmax, G))
+    deltas = np.ones((rmax, G))  # sdusq step sizes; ones in the padding
+    scale = np.ones(G)  # D4 lattice scales
+    for col, i in enumerate(live):
+        scheme, seeds, qcfg = points[i]
+        x0[:, col], w = source_noise(src, n, seeds.source)
+        bw[:, :, col] = w @ src.B.T
+        r = scheme.r
+        if r == 0:
+            continue
+        fe[:r, :, col], g[:, :r, col] = channel_matrices(scheme)
+        dither_seed = qcfg.seed_dither if qcfg.seed_dither is not None else seeds.dither
+        rng_dith = np.random.default_rng(dither_seed)
+        if qcfg.kind == "sdusq":
+            deltas[:r, col] = qcfg.deltas
+            dither[:, :r, col] = sdusq_dither(rng_dith, deltas[:r, col], n + 1)
+        else:
+            scale[col] = float(np.asarray(qcfg.deltas, float).flat[0])
+            dith = kernels.d4_dither(rng_dith, scale[col], (n + 1) * (r // 4))
+            dither[:, :r, col] = dith.reshape(n + 1, r)
+    if kinds == {"d4"}:
+        step = kernels.d4_step(dither, scale)
+    else:
+        step = kernels.sdusq_step(dither, deltas)
+    idx, e = kernels.feedback_loop(src.A, bw, x0, fe, g, step)
+    del bw, dither
+
+    for col, i in enumerate(live):
+        r = points[i][0].r
+        e_row = np.ascontiguousarray(e[:, :, col])
+        mse = float(np.mean(np.sum(e_row * e_row, axis=1)))
+        if r == 0:
+            out[i] = CodingResult(0.0, 0.0, mse, n, 0)
+            continue
+        idx_row = np.ascontiguousarray(idx[:, :r, col])
+        counts = entropy_code.histogram_of_rows(idx_row)
+        if len(counts) > alphabet_cap:
+            out[i] = AlphabetOverflow(
+                f"observed joint alphabet {len(counts)} exceeds cap {alphabet_cap}"
+            )
+            continue
+        lengths = entropy_code.huffman_lengths(counts)
+        rate = entropy_code.average_code_length(counts, lengths)
+        ent = entropy_code.empirical_entropy_bits(counts)
+        out[i] = CodingResult(float(rate), float(ent), mse, n, len(counts))
+        if trace_paths is not None and trace_paths[i] is not None:
+            _write_trace(trace_paths[i], idx_row, lengths, e_row)
+    return out
 
 
 def _write_trace(path, idx, lengths, e):

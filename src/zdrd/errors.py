@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ZdrdError(Exception):
     """Base class for all zdrd errors."""
@@ -50,3 +52,8 @@ def failure_status(exc):
     message = " ".join(str(exc).split())
     name = type(exc).__name__
     return f"failed:{name}: {message}" if message else f"failed:{name}"
+
+
+# errors that fail one grid point of a sweep (or one row of a coding batch)
+# and leave the others running
+POINT_ERRORS = (ZdrdError, np.linalg.LinAlgError, ArithmeticError)

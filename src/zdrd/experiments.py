@@ -4,11 +4,11 @@ Four presets reproduce the benchmark sources studied with this pipeline:
 two stable (a 4-d state-space source and an augmented scalar AR(2)) and two
 unstable counterparts.  Each grid point solves the rate program, builds the
 realization, and optionally measures an operational rate with the
-configured quantizer.  Rows are evaluated in a small thread pool and always
-reported in grid order, so a fixed seed bundle yields byte-identical CSVs.
+configured quantizer.  The coded points run their feedback loops in
+lockstep, each on its own random streams, and rows are reported in grid
+order, so a fixed seed bundle yields byte-identical CSVs.
 """
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import SeedBundle, run_coding_experiment, theoretical_upper_bound
-from .errors import ConfigParse, ZdrdError, failure_status
+from .coding import SeedBundle, run_coding_batch, theoretical_upper_bound
+from .coding import run_coding_experiment  # noqa: F401  (looked up here by perfbench/spans.py)
+from .errors import POINT_ERRORS, ConfigParse, failure_status
 from .quantizers import d4_config, sdusq_config
 from .realization import build_realization
 from .solver import nrdf
@@ -208,15 +209,15 @@ def _env_seed_override(seeds: SeedBundle) -> SeedBundle:
     return SeedBundle(source=base, dither=base + 1, channel=base + 2)
 
 
-def _eval_point(src, d, quantizer, n_steps, seeds, row_index):
+def _solve_point(src, d, quantizer, seeds, row_index):
+    """Bounds of one grid point, and its coding job (scheme, seeds, qcfg) or None."""
     try:
         sol = nrdf(src, d)
         scheme = build_realization(src, sol)
         r = scheme.r
         bound_kind = quantizer if quantizer is not None else "sdusq"
         upper = theoretical_upper_bound(sol.rate_bits, r, bound_kind)
-        rate_op = None
-        d_emp = None
+        job = None
         if quantizer is not None:
             row_seeds = SeedBundle(
                 source=seeds.source + 1000 * row_index,
@@ -228,38 +229,45 @@ def _eval_point(src, d, quantizer, n_steps, seeds, row_index):
                 if quantizer == "sdusq"
                 else d4_config(r, row_seeds.dither)
             )
-            res = run_coding_experiment(scheme, src, n_steps, row_seeds, qcfg)
-            rate_op = float(res.empirical_rate_bits_per_vector)
-            d_emp = float(res.empirical_mse)
-        return ExperimentRow(float(d), float(sol.rate_bits), float(upper), rate_op, d_emp, r, "ok")
-    except Exception as exc:  # noqa: BLE001 - sweeps survive isolated failures
-        if not isinstance(exc, (ZdrdError, np.linalg.LinAlgError, ArithmeticError)):
-            raise
-        return ExperimentRow(float(d), None, None, None, None, None, failure_status(exc))
+            job = (scheme, row_seeds, qcfg)
+        row = ExperimentRow(float(d), float(sol.rate_bits), float(upper), None, None, r, "ok")
+        return row, job
+    except POINT_ERRORS as exc:  # sweeps survive isolated failures
+        return _failed_row(d, exc), None
 
 
-def run_experiment(config: ExperimentConfig, per_dim=False, max_workers=None) -> ExperimentReport:
+def _failed_row(d, exc):
+    return ExperimentRow(float(d), None, None, None, None, None, failure_status(exc))
+
+
+def run_experiment(config: ExperimentConfig, per_dim=False) -> ExperimentReport:
     """Evaluate every grid point; writes the CSV when the config names one.
 
-    Deterministic for a fixed config and ZDRD_SEED environment; rows keep
-    grid order regardless of worker completion order.
+    The points are solved one after another; the coded ones then run their
+    loops together in one :func:`coding.run_coding_batch`.  Deterministic
+    for a fixed config and ZDRD_SEED environment, rows in grid order.
     """
     t0 = time.perf_counter()
     seeds = _env_seed_override(config.seeds)
     src = config.source
-    workers = max_workers or min(4, len(config.d_grid))
-    if workers <= 1 or len(config.d_grid) == 1:
-        rows = [
-            _eval_point(src, d, config.quantizer, config.n_steps, seeds, i)
-            for i, d in enumerate(config.d_grid)
-        ]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_eval_point, src, d, config.quantizer, config.n_steps, seeds, i)
-                for i, d in enumerate(config.d_grid)
-            ]
-            rows = [f.result() for f in futures]
+    rows = []
+    jobs = {}
+    for i, d in enumerate(config.d_grid):
+        row, job = _solve_point(src, d, config.quantizer, seeds, i)
+        rows.append(row)
+        if job is not None:
+            jobs[i] = job
+    if jobs:
+        results = run_coding_batch(src, config.n_steps, list(jobs.values()))
+        for i, res in zip(jobs, results):
+            if isinstance(res, Exception):
+                rows[i] = _failed_row(rows[i].d_target, res)
+            else:
+                rows[i] = replace(
+                    rows[i],
+                    rate_op_bits=float(res.empirical_rate_bits_per_vector),
+                    d_empirical=float(res.empirical_mse),
+                )
     if per_dim:
         rows = [_normalize_row(row, src.p) for row in rows]
     report = ExperimentReport(

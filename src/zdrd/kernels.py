@@ -1,15 +1,13 @@
-"""Hot sequential loops with numba-compiled and pure-NumPy twins.
+"""The closed-loop feedback recursion, run for a batch of loops in lockstep.
 
 Every closed-loop simulation in this package is a per-step feedback
-recursion that cannot be vectorized over time.  The loop bodies are written
-once, in nopython-compatible Python, and compiled with ``@njit`` when numba
-is available.  The active backend is chosen from ``ZDRD_DISABLE_NUMBA`` at
-import time and can be switched with :func:`set_backend`.
+recursion that cannot be vectorized over time.  It is vectorized over
+loops instead: :func:`feedback_loop` advances G loops of one source (the
+grid points of a sweep) side by side on arrays of shape ``(p, G)`` and
+``(r, G)``, one step at a time.  All randomness is drawn by the callers
+and passed in as arrays, one stream per loop.
 
-All randomness is drawn by the callers and passed in as arrays, so a given
-seed produces the same run regardless of backend.
-
-The feedback loops run in innovations/error coordinates,
+The loops run in innovations/error coordinates,
 
     k_t = A e_{t-1} + bw_{t-1}   (k_0 = x_0,  bw_t = B w_t)
     alpha_t = fe @ k_t
@@ -19,166 +17,170 @@ The feedback loops run in innovations/error coordinates,
 which is an exact rearrangement of the reproduction recursion
 y_t = A y_{t-1} + g beta_t with e_t = x_t - y_t.  Unstable sources push
 x_t itself past float64 range long before 1e5 steps; e_t and k_t stay
-stationary, so rates and distortions remain computable.
+stationary, so rates and distortions remain computable.  With no channel
+(r = 0) the recursion is the source's own state recursion, e_t = x_t.
+
+Each sum is accumulated as a scalar loop over i and j would: every term
+is rounded as its own elementwise product (one multiply forms the terms of
+all sums of a step), and the terms are added one at a time in index order.
+No matrix product is used: BLAS sums in its own order, which would move
+the results in their last bits and make a loop's result depend on which
+other loops share its batch.  ``fe`` and ``g`` are padded with zeros to the
+widest active set of the batch; a padded term adds an exact zero.
+
+The quantizer is a step function ``step(t, alpha) -> (indices or None,
+beta)``; :func:`awgn_step`, :func:`sdusq_step` and :func:`d4_step` build the
+three used here.
 """
 
 import numpy as np
 
-from ._backend import HAVE_NUMBA, default_backend, njit
-from .quantizers import d4_nearest
-
-
-def _state_loop(A, bw, x0, out):
-    """States of x(t+1) = A x(t) + bw(t); bw rows precomputed as B @ w_t."""
-    n1, p = out.shape
-    for i in range(p):
-        out[0, i] = x0[i]
-    for t in range(1, n1):
-        for i in range(p):
-            acc = bw[t - 1, i]
-            for j in range(p):
-                acc += A[i, j] * out[t - 1, j]
-            out[t, i] = acc
-
-
-def _channel_loop(A, bw, x0, fe, g, noise, deltas, quantized, idx, k, alpha, beta, e):
-    """Feedback loop for the AWGN channel and the dithered scalar quantizer.
-
-    ``noise`` holds the channel noise v_t in the AWGN case (quantized=False)
-    and the per-coordinate dither q_t in the quantized case, where the output
-    is beta_i = round-to-cell(alpha_i + q_i) * delta_i - q_i with indices
-    recorded in ``idx`` (cell ties round half away from zero).
-    """
-    n1, p = k.shape
-    r = alpha.shape[1]
-    eprev = np.zeros(p)
-    for t in range(n1):
-        if t == 0:
-            for i in range(p):
-                k[t, i] = x0[i]
-        else:
-            for i in range(p):
-                acc = bw[t - 1, i]
-                for j in range(p):
-                    acc += A[i, j] * eprev[j]
-                k[t, i] = acc
-        for i in range(r):
-            acc = 0.0
-            for j in range(p):
-                acc += fe[i, j] * k[t, j]
-            alpha[t, i] = acc
-        if quantized:
-            for i in range(r):
-                z = (alpha[t, i] + noise[t, i]) / deltas[i]
-                if z >= 0.0:
-                    ji = np.floor(z + 0.5)
-                else:
-                    ji = -np.floor(-z + 0.5)
-                idx[t, i] = np.int64(ji)
-                beta[t, i] = ji * deltas[i] - noise[t, i]
-        else:
-            for i in range(r):
-                beta[t, i] = alpha[t, i] + noise[t, i]
-        for i in range(p):
-            acc = k[t, i]
-            for j in range(r):
-                acc -= g[i, j] * beta[t, j]
-            e[t, i] = acc
-            eprev[i] = acc
-
-
-def _d4_loop(A, bw, x0, fe, g, dither, scale, idx, k, alpha, beta, e):
-    """Feedback loop quantizing each block of four coordinates to scale*D4.
-
-    Nearest-point rule, the one of ``quantizers.d4_nearest``: round every
-    coordinate half away from zero; if the rounded sum is odd, move the
-    coordinate with the largest rounding error (lowest index among equal
-    errors) one step toward its input, upward when the two are equal.
-    """
-    n1, p = k.shape
-    r = alpha.shape[1]
-    nblk = r // 4
-    eprev = np.zeros(p)
-    z = np.zeros(4)
-    for t in range(n1):
-        if t == 0:
-            for i in range(p):
-                k[t, i] = x0[i]
-        else:
-            for i in range(p):
-                acc = bw[t - 1, i]
-                for j in range(p):
-                    acc += A[i, j] * eprev[j]
-                k[t, i] = acc
-        for i in range(r):
-            acc = 0.0
-            for j in range(p):
-                acc += fe[i, j] * k[t, j]
-            alpha[t, i] = acc
-        for b in range(nblk):
-            o = 4 * b
-            ssum = 0.0
-            worst = -1.0
-            wk = 0
-            for i in range(4):
-                xi = (alpha[t, o + i] + dither[t, o + i]) / scale
-                if xi >= 0.0:
-                    fi = np.floor(xi + 0.5)
-                else:
-                    fi = -np.floor(-xi + 0.5)
-                z[i] = fi
-                ssum += fi
-                d = abs(xi - fi)
-                if d > worst:
-                    worst = d
-                    wk = i
-            if np.int64(ssum) % 2 != 0:
-                xk = (alpha[t, o + wk] + dither[t, o + wk]) / scale
-                if xk >= z[wk]:
-                    z[wk] += 1.0
-                else:
-                    z[wk] -= 1.0
-            for i in range(4):
-                idx[t, o + i] = np.int64(z[i])
-                beta[t, o + i] = z[i] * scale - dither[t, o + i]
-        for i in range(p):
-            acc = k[t, i]
-            for j in range(r):
-                acc -= g[i, j] * beta[t, j]
-            e[t, i] = acc
-            eprev[i] = acc
-
-
-_PY_IMPLS = {
-    "state_loop": _state_loop,
-    "channel_loop": _channel_loop,
-    "d4_loop": _d4_loop,
-}
-
-if HAVE_NUMBA:
-    _NB_IMPLS = {name: njit(cache=True)(fn) for name, fn in _PY_IMPLS.items()}
-else:  # pragma: no cover - numba is a declared dependency
-    _NB_IMPLS = {}
-
-_backend = default_backend()
-
-
-def set_backend(name):
-    """Select 'numba' or 'numpy' kernels at runtime (used by the benchmark)."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
+from .quantizers import d4_nearest, sdusq_encode
 
 
 def get_backend():
-    return _backend
+    """Name of the kernel implementation: always ``"numpy"``."""
+    return "numpy"
 
 
-def _impl(name):
-    return (_NB_IMPLS if _backend == "numba" else _PY_IMPLS)[name]
+def feedback_loop(A, bw, x0, fe=None, g=None, step=None):
+    """Run G feedback loops of one source in lockstep.
+
+    A is (p, p); bw (n, p, G) holds B w_t of each loop, x0 (p, G) its
+    initial state; fe (r, p, G) and g (p, r, G) are zero-padded to the
+    widest active set, and ``step`` quantizes alpha (r, G).  Without fe
+    there is no channel.  Returns (idx, e): idx (n+1, r, G) holds the
+    indices ``step`` returned (None when it returned none), e (n+1, p, G)
+    the errors.
+    """
+    n1 = bw.shape[0] + 1
+    p, G = x0.shape
+    if fe is None:
+        fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
+    r = fe.shape[0]
+    # the products of a step, laid out so that term j of each sum is one
+    # view: a_t[j, i] = A[i, j], fe_t[j, i] = fe[i, j], g_t[j, i] = g[i, j]
+    a_t = np.ascontiguousarray(A.T)[:, :, None]
+    fe_t = np.ascontiguousarray(fe.transpose(1, 0, 2))
+    g_t = np.ascontiguousarray(g.transpose(1, 0, 2))
+    a_prod = np.empty((p, p, G))
+    fe_prod = np.empty((p, r, G))
+    g_prod = np.empty((r, p, G))
+    a_terms, fe_terms, g_terms = list(a_prod), list(fe_prod), list(g_prod)
+    e = np.empty((n1, p, G))
+    idx = None
+    alpha = np.empty((r, G))
+    e[0] = x0
+    for t in range(n1):
+        k = e[t]  # holds k_t until the channel output is subtracted
+        if t:
+            np.copyto(k, bw[t - 1])
+            np.multiply(a_t, e[t - 1][:, None], out=a_prod)
+            for term in a_terms:
+                np.add(k, term, out=k)
+        if not r:
+            continue
+        alpha.fill(0.0)
+        np.multiply(fe_t, k[:, None], out=fe_prod)
+        for term in fe_terms:
+            np.add(alpha, term, out=alpha)
+        q, beta = step(t, alpha)
+        if q is not None:
+            if idx is None:
+                idx = np.empty((n1, r, G), dtype=np.int64)
+            idx[t] = q
+        np.multiply(g_t, beta[:, None], out=g_prod)
+        for term in g_terms:
+            np.subtract(k, term, out=k)
+    return idx, e
+
+
+def awgn_step(noise):
+    """Channel step beta_t = alpha_t + v_t, with noise (n+1, r, G)."""
+    beta = np.empty(noise.shape[1:])
+
+    def step(t, alpha):
+        np.add(alpha, noise[t], out=beta)
+        return None, beta
+
+    return step
+
+
+def sdusq_step(dither, deltas):
+    """Dithered scalar quantizer step; dither (n+1, r, G), deltas (r, G).
+
+    beta = j * delta - q with j the cell index of alpha + q
+    (``quantizers.sdusq_encode``: ties round half away from zero).
+    """
+
+    def step(t, alpha):
+        q = sdusq_encode(alpha, dither[t], deltas)
+        return q, q * deltas - dither[t]
+
+    return step
+
+
+def d4_step(dither, scale):
+    """Dithered scale*D4 step on blocks of four; dither (n+1, r, G), scale (G,).
+
+    Each block of alpha + q is quantized by ``quantizers.d4_nearest``.
+    """
+    r, G = dither.shape[1:]
+
+    def step(t, alpha):
+        x = ((alpha + dither[t]) / scale).T.reshape(G, r // 4, 4)
+        z = d4_nearest(x).reshape(G, r).T
+        return z.astype(np.int64), z * scale - dither[t]
+
+    return step
+
+
+def innovations(A, bw, x0, fe, e):
+    """k_t and alpha_t of one finished loop, recomputed from its errors e.
+
+    Vectorized over time with the loop's arithmetic and order, so the
+    results equal the values the loop used.
+    """
+    p = A.shape[0]
+    k = np.empty_like(e)
+    k[0] = x0
+    k[1:] = bw
+    for j in range(p):
+        k[1:] += A[:, j] * e[:-1, j : j + 1]
+    alpha = np.zeros((e.shape[0], fe.shape[0]))
+    for j in range(p):
+        alpha += fe[:, j] * k[:, j : j + 1]
+    return k, alpha
+
+
+def _single(A, bw, x0, fe, g, step):
+    """One loop through :func:`feedback_loop`: G = 1, results as (n+1, .) arrays."""
+    idx, e = feedback_loop(A, bw[..., None], x0[:, None], fe[..., None], g[..., None], step)
+    if idx is None:  # no indices, or no channel to index
+        return np.empty((e.shape[0], 0), dtype=np.int64), e[..., 0]
+    return idx[..., 0], e[..., 0]
+
+
+def awgn_loop(A, bw, x0, fe, g, noise):
+    """One loop over the unit Gaussian channel; returns (k, alpha, beta, e)."""
+    _, e = _single(A, bw, x0, fe, g, awgn_step(noise[..., None]))
+    k, alpha = innovations(A, bw, x0, fe, e)
+    return k, alpha, alpha + noise, e
+
+
+def sdusq_loop(A, bw, x0, fe, g, dither, deltas):
+    """One loop with the dithered scalar quantizer; returns (idx, k, alpha, beta, e)."""
+    deltas = np.asarray(deltas, float)
+    idx, e = _single(A, bw, x0, fe, g, sdusq_step(dither[..., None], deltas[:, None]))
+    k, alpha = innovations(A, bw, x0, fe, e)
+    return idx, k, alpha, idx * deltas - dither, e
+
+
+def d4_loop(A, bw, x0, fe, g, dither, scale):
+    """One loop with the dithered scale*D4 quantizer; returns (idx, k, alpha, beta, e)."""
+    idx, e = _single(A, bw, x0, fe, g, d4_step(dither[..., None], np.array([scale], float)))
+    k, alpha = innovations(A, bw, x0, fe, e)
+    return idx, k, alpha, idx * scale - dither, e
 
 
 def d4_roots():
@@ -193,46 +195,6 @@ def d4_roots():
                     v[b] = sb
                     roots.append(v)
     return np.array(roots)
-
-
-def state_loop(A, bw, x0):
-    out = np.empty((bw.shape[0] + 1, A.shape[0]))
-    _impl("state_loop")(A, bw, x0, out)
-    return out
-
-
-def _alloc(n1, p, r):
-    return (
-        np.empty((n1, p)),
-        np.empty((n1, r)),
-        np.empty((n1, r)),
-        np.empty((n1, p)),
-    )
-
-
-def awgn_loop(A, bw, x0, fe, g, noise):
-    n1 = bw.shape[0] + 1
-    k, alpha, beta, e = _alloc(n1, A.shape[0], fe.shape[0])
-    idx = np.empty((0, fe.shape[0]), dtype=np.int64)
-    deltas = np.ones(fe.shape[0])
-    _impl("channel_loop")(A, bw, x0, fe, g, noise, deltas, False, idx, k, alpha, beta, e)
-    return k, alpha, beta, e
-
-
-def sdusq_loop(A, bw, x0, fe, g, dither, deltas):
-    n1 = bw.shape[0] + 1
-    k, alpha, beta, e = _alloc(n1, A.shape[0], fe.shape[0])
-    idx = np.empty((n1, fe.shape[0]), dtype=np.int64)
-    _impl("channel_loop")(A, bw, x0, fe, g, dither, deltas, True, idx, k, alpha, beta, e)
-    return idx, k, alpha, beta, e
-
-
-def d4_loop(A, bw, x0, fe, g, dither, scale):
-    n1 = bw.shape[0] + 1
-    k, alpha, beta, e = _alloc(n1, A.shape[0], fe.shape[0])
-    idx = np.empty((n1, fe.shape[0]), dtype=np.int64)
-    _impl("d4_loop")(A, bw, x0, fe, g, dither, scale, idx, k, alpha, beta, e)
-    return idx, k, alpha, beta, e
 
 
 def d4_dither(rng, scale, count):

@@ -15,8 +15,8 @@ G4 = 0.076603 gives the smaller space-filling loss.
 
 Nearest points of D4 follow one rule (Conway & Sloane 1982, "Fast
 quantizing and decoding algorithms for lattice quantizers and codes"),
-implemented by :func:`d4_nearest` and by the D4 feedback loop in
-``kernels``: round every coordinate half away from zero; if the sum is
+implemented once by :func:`d4_nearest`, which the D4 feedback loop in
+``kernels`` calls: round every coordinate half away from zero; if the sum is
 odd, move the coordinate with the largest rounding error one step toward
 x (among equal errors the lowest index; when x equals the rounded value,
 step up).  :func:`d4_quantize` is the exhaustive reference; it agrees

@@ -163,6 +163,15 @@ def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def source_noise(src: GaussMarkovSource, n: int, seed: int):
+    """(x0, w) of a run from ``seed``: x0 = F N(0, I), F F^T = sigma_x0, then
+    the (n, q) driving noise w, drawn in that order from one PCG64 stream."""
+    rng = np.random.default_rng(seed)
+    x0 = psd_sqrt_factor(src.sigma_x0, "sigma_x0") @ rng.standard_normal(src.p)
+    w = rng.standard_normal((n, src.q))
+    return x0, w
+
+
 def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
     """Simulate n steps (n+1 samples); deterministic given seed.
 
@@ -172,14 +181,12 @@ def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
     """
     if n < 0:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
-    F = psd_sqrt_factor(src.sigma_x0, "sigma_x0")
-    x0 = F @ rng.standard_normal(src.p)
-    w = rng.standard_normal((n, src.q))
+    x0, w = source_noise(src, n, seed)
     bw = w @ src.B.T
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = kernels.state_loop(src.A, bw, x0)
-    return Trajectory(samples=samples, seed=int(seed), noise=w, x0=x0, source=src)
+        # the feedback loop without a channel is the state recursion
+        _, samples = kernels.feedback_loop(src.A, bw[..., None], x0[:, None])
+    return Trajectory(samples=samples[..., 0], seed=int(seed), noise=w, x0=x0, source=src)
 
 
 def source_from_dict(doc) -> GaussMarkovSource:

@@ -12,6 +12,7 @@ from zdrd import entropy_code, kernels
 from zdrd.coding import (
     HALF_LOG2_PIE6,
     SeedBundle,
+    run_coding_batch,
     run_coding_experiment,
     theoretical_upper_bound,
 )
@@ -114,6 +115,23 @@ class TestCodingRuns:
             run_coding_experiment(
                 scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4, 2), alphabet_cap=8
             )
+
+    def test_batch_rows_equal_single_runs(self, stable4):
+        # r = 4, 2 and 0 in one batch, plus a point that fails alone
+        schemes = [build_realization(stable4, nrdf(stable4, d)) for d in (0.2, 3.98, 10.0)]
+        assert [s.r for s in schemes] == [4, 2, 0]
+        points = [
+            (sch, SeedBundle(10 + i, 20 + i), sdusq_config(sch.r, 20 + i))
+            for i, sch in enumerate(schemes)
+        ]
+        points.insert(1, (schemes[0], SeedBundle(5, 6), sdusq_config(3, 6)))
+        got = run_coding_batch(stable4, 3000, points)
+        assert isinstance(got[1], DimensionMismatch)
+        for res, (sch, seeds, qcfg) in zip(got[:1] + got[2:], points[:1] + points[2:]):
+            assert res == run_coding_experiment(sch, stable4, 3000, seeds, qcfg)
+        capped = run_coding_batch(stable4, 3000, points, alphabet_cap=8)
+        assert isinstance(capped[0], AlphabetOverflow)
+        assert capped[2:] == got[2:]
 
     def test_d4_needs_four_active_dims(self, stable_ar2):
         scheme = build_realization(stable_ar2, nrdf(stable_ar2, 0.5))  # r = 1

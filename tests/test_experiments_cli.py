@@ -132,6 +132,37 @@ class TestRunExperiment:
         assert all("degenerate candidate" in r.status for r in report.rows)
         assert experiments.read_csv(path) == list(report.rows)
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            (
+                "example1",  # sdusq; the top point is d_max, r = 0
+                [
+                    ("10.39080459770115", "0.08106578852382115"),
+                    ("6.920539730134933", "0.5717712521367103"),
+                    ("0.0", "4.049072449711452"),
+                ],
+            ),
+            (
+                "example3",  # D4
+                [
+                    ("10.577211394302848", "0.060024946387569424"),
+                    ("7.710644677661169", "0.4280255753178093"),
+                    ("4.303848075962019", "2.951694713322956"),
+                ],
+            ),
+        ],
+    )
+    def test_operational_rates_pinned(self, name, expected, monkeypatch):
+        # exact values of the per-point scalar loops the lockstep kernel
+        # replaced; any change to the loop's arithmetic order shows here
+        monkeypatch.delenv("ZDRD_SEED", raising=False)
+        report = experiments.run_experiment(
+            experiments.preset_config(name, n_steps=2000, points=3)
+        )
+        got = [(repr(r.rate_op_bits), repr(r.d_empirical)) for r in report.rows]
+        assert got == expected
+
     def test_failure_status_is_one_line(self):
         exc = InfeasibleModel("first line\nsecond,  line\n")
         assert failure_status(exc) == "failed:InfeasibleModel: first line second, line"
