@@ -48,7 +48,7 @@ from .realization import (
     run_awgn_channel,
     waterfill_factors,
 )
-from .solver import NrdfSolution, RdCurve, nrdf, rd_curve, scalar_ar1_nrdf
+from .solver import NrdfSolution, nrdf, scalar_ar1_nrdf
 from .source_model import (
     GaussMarkovSource,
     StabilityReport,
@@ -80,7 +80,6 @@ __all__ = [
     "NrdfSolution",
     "OrderViolation",
     "QuantizerConfig",
-    "RdCurve",
     "RealizationScheme",
     "SeedBundle",
     "SolverDivergence",
@@ -97,7 +96,6 @@ __all__ = [
     "new_source",
     "nrdf",
     "preset_config",
-    "rd_curve",
     "run_awgn_channel",
     "run_coding_experiment",
     "run_experiment",

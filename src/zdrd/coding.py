@@ -10,7 +10,7 @@ mean squared error.
 For r active dimensions the measured rate is bracketed by
 
     R(D_emp)  <=  rate  <=  R(D_emp) + (r/2) log2(pi e / 6) + 1      (scalar)
-    R(D_emp)  <=  rate  <=  R(D_emp) + (r/2) log2(2 pi e G_r) + 1    (lattice)
+    R(D_emp)  <=  rate  <=  R(D_emp) + (r/2) log2(2 pi e G4) + 1     (D4 lattice)
 
 up to Monte-Carlo noise and the gap between dither-conditioned and
 unconditioned coding (the implemented coder does not condition on the
@@ -64,11 +64,11 @@ class CodingResult:
             json.dump(self.to_dict(), fh, indent=2)
 
 
-def theoretical_upper_bound(rate_na_bits, r, kind, g_r=None):
+def theoretical_upper_bound(rate_na_bits, r, kind):
     """Additive achievability bound on the operational rate, bits per vector.
 
-    kind 'sdusq' adds (r/2) log2(pi e/6) + 1; kind 'd4' (or any lattice with
-    normalized second moment g_r) adds (r/2) log2(2 pi e g_r) + 1.  With
+    kind 'sdusq' adds (r/2) log2(pi e/6) + 1; kind 'd4' adds
+    (r/2) log2(2 pi e G4) + 1, G4 the normalized second moment of D4.  With
     r = 0 nothing is transmitted and the bound is the rate itself.
     """
     if r < 0:
@@ -78,8 +78,7 @@ def theoretical_upper_bound(rate_na_bits, r, kind, g_r=None):
     if kind == "sdusq":
         return float(rate_na_bits + r * HALF_LOG2_PIE6 + 1.0)
     if kind == "d4":
-        g = G4 if g_r is None else g_r
-        return float(rate_na_bits + 0.5 * r * math.log2(2.0 * math.pi * math.e * g) + 1.0)
+        return float(rate_na_bits + 0.5 * r * math.log2(2.0 * math.pi * math.e * G4) + 1.0)
     raise ValueError(f"unknown quantizer kind {kind!r}")
 
 
@@ -95,8 +94,7 @@ def run_coding_experiment(
     """Simulate the quantized loop for n steps and entropy code the indices.
 
     Deterministic given ``seeds``: the source path comes from seeds.source,
-    the dither stream from qcfg.seed_dither (seeds.dither is used when the
-    config carries no seed of its own).  Optionally dumps a per-step CSV
+    the dither stream from seeds.dither.  Optionally dumps a per-step CSV
     trace (t, indices..., codeword_length_bits, squared error).  This is
     :func:`run_coding_batch` on one point; its error is raised.
     """
@@ -170,8 +168,7 @@ def run_coding_batch(src, n, points, alphabet_cap=ALPHABET_CAP, trace_paths=None
         if r == 0:
             continue
         fe[:r, :, col], g[:, :r, col] = channel_matrices(scheme)
-        dither_seed = qcfg.seed_dither if qcfg.seed_dither is not None else seeds.dither
-        rng_dith = np.random.default_rng(dither_seed)
+        rng_dith = np.random.default_rng(seeds.dither)
         if qcfg.kind == "sdusq":
             deltas[:r, col] = qcfg.deltas
             dither[:, :r, col] = sdusq_dither(rng_dith, deltas[:r, col], n + 1)

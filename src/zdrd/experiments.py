@@ -224,11 +224,7 @@ def _solve_point(src, d, quantizer, seeds, row_index):
                 dither=seeds.dither + 1000 * row_index,
                 channel=seeds.channel + 1000 * row_index,
             )
-            qcfg = (
-                sdusq_config(r, row_seeds.dither)
-                if quantizer == "sdusq"
-                else d4_config(r, row_seeds.dither)
-            )
+            qcfg = sdusq_config(r) if quantizer == "sdusq" else d4_config(r)
             job = (scheme, row_seeds, qcfg)
         row = ExperimentRow(float(d), float(sol.rate_bits), float(upper), None, None, r, "ok")
         return row, job

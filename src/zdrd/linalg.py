@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenFailure, NotPD, NotPSD
+from .errors import DimensionMismatch, EigenFailure, NotPSD
 
 PSD_EIG_TOL = -1e-10
 SYM_TOL = 1e-12
@@ -21,18 +21,18 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
-def check_psd(M, name="matrix", sym_tol=SYM_TOL, eig_tol=PSD_EIG_TOL):
+def check_psd(M, name="matrix"):
     """Validate symmetry and eigenvalue nonnegativity; returns the symmetrized matrix."""
     M = as_matrix(M, name)
     if M.shape[0] != M.shape[1]:
         raise NotPSD(f"{name} must be square, got {M.shape}")
     scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.T).max() > sym_tol * scale:
-        raise NotPSD(f"{name} is not symmetric (residual > {sym_tol})")
+    if np.abs(M - M.T).max() > SYM_TOL * scale:
+        raise NotPSD(f"{name} is not symmetric (residual > {SYM_TOL})")
     S = symmetrize(M)
     w = eigvalsh_checked(S, name)
-    if w.min() < eig_tol:
-        raise NotPSD(f"{name} has eigenvalue {w.min():.3e} < {eig_tol}")
+    if w.min() < PSD_EIG_TOL:
+        raise NotPSD(f"{name} has eigenvalue {w.min():.3e} < {PSD_EIG_TOL}")
     return S
 
 
@@ -59,16 +59,6 @@ def psd_sqrt_factor(M, name="matrix"):
     w, V = np.linalg.eigh(S)
     w = np.clip(w, 0.0, None)
     return V * np.sqrt(w)
-
-
-def inv_pd(M, name="matrix"):
-    """Inverse of a symmetric positive-definite matrix via Cholesky."""
-    try:
-        L = np.linalg.cholesky(symmetrize(M))
-    except np.linalg.LinAlgError as exc:
-        raise NotPD(f"{name} is not positive definite") from exc
-    Linv = np.linalg.solve(L, np.eye(M.shape[0]))
-    return Linv.T @ Linv
 
 
 def fix_eigvec_signs(V):

@@ -296,7 +296,7 @@ def _newton_system(prob: MaxdetProblem, x, t):
     return g, H
 
 
-def solve_maxdet(prob: MaxdetProblem, gap_target=GAP_TARGET):
+def solve_maxdet(prob: MaxdetProblem):
     """Run the barrier path follower; returns (Pi, Q, kkt_residual_nats).
 
     The residual is the duality-gap bound nu/t at the final stage plus the
@@ -309,7 +309,7 @@ def solve_maxdet(prob: MaxdetProblem, gap_target=GAP_TARGET):
     t = 1.0
     last_lam2 = np.inf
     for _ in range(MAX_OUTER):
-        final = nu / t <= gap_target
+        final = nu / t <= GAP_TARGET
         tol = INNER_TOL_FINAL if final else INNER_TOL
         for _ in range(MAX_INNER):
             g, H = _newton_system(prob, x, t)
@@ -347,5 +347,5 @@ def solve_maxdet(prob: MaxdetProblem, gap_target=GAP_TARGET):
             return Pi, Qm, nu / t + slack
         t *= T_GROWTH
     raise SolverDivergence(
-        f"barrier path following exceeded {MAX_OUTER} stages (gap target {gap_target})"
+        f"barrier path following exceeded {MAX_OUTER} stages (gap target {GAP_TARGET})"
     )

@@ -47,18 +47,16 @@ D4_UNIT_SCALE = float(1.0 / np.sqrt(G4 * np.sqrt(D4_VOL)))
 class QuantizerConfig:
     kind: str  # "sdusq" or "d4"
     deltas: np.ndarray  # step sizes (sdusq) or per-coordinate lattice scale (d4)
-    seed_dither: int
-    g_r: float | None = None  # normalized second moment, lattice kinds only
 
 
-def sdusq_config(r: int, seed_dither: int) -> QuantizerConfig:
-    return QuantizerConfig("sdusq", np.full(r, SQRT12), int(seed_dither))
+def sdusq_config(r: int) -> QuantizerConfig:
+    return QuantizerConfig("sdusq", np.full(r, SQRT12))
 
 
-def d4_config(r: int, seed_dither: int) -> QuantizerConfig:
+def d4_config(r: int) -> QuantizerConfig:
     if r % 4 != 0:
         raise DimensionMismatch(f"the D4 quantizer needs r divisible by 4, got r={r}")
-    return QuantizerConfig("d4", np.full(r, D4_UNIT_SCALE), int(seed_dither), g_r=G4)
+    return QuantizerConfig("d4", np.full(r, D4_UNIT_SCALE))
 
 
 def sdusq_encode(alpha, dither, deltas):

@@ -110,33 +110,33 @@ def joint_diagonalize(pi, lam):
     return E, w.copy(), w * s
 
 
-def waterfill_factors(pi_tilde, lambda_tilde, tol=ACTIVE_TOL):
+def waterfill_factors(pi_tilde, lambda_tilde):
     """Per-coordinate gains from the diagonal profiles.
 
-    Requires descending profiles with pi_tilde <= lambda_tilde + tol
-    elementwise.  Coordinates with gain below tol are inactive and carry
-    exact zeros in h_tilde, theta, phi.
+    Requires descending profiles with pi_tilde <= lambda_tilde + ACTIVE_TOL
+    elementwise.  Coordinates with gain below ACTIVE_TOL are inactive and
+    carry exact zeros in h_tilde, theta, phi.
     """
     pi_tilde = np.asarray(pi_tilde, float)
     lambda_tilde = np.asarray(lambda_tilde, float)
     if pi_tilde.shape != lambda_tilde.shape:
         raise DimensionMismatch("profile lengths differ")
-    if np.any(pi_tilde > lambda_tilde + tol):
+    if np.any(pi_tilde > lambda_tilde + ACTIVE_TOL):
         raise OrderViolation("pi_tilde exceeds lambda_tilde beyond tolerance")
     if np.any(pi_tilde <= 0) or np.any(lambda_tilde <= 0):
         raise NotPD("profiles must be strictly positive")
     h = 1.0 - pi_tilde / lambda_tilde
-    active = h > tol
+    active = h > ACTIVE_TOL
     h = np.where(active, h, 0.0)
     theta = np.where(active, np.sqrt(pi_tilde * h), 0.0)
     phi = np.where(active, np.sqrt(h / np.where(active, pi_tilde, 1.0)), 0.0)
     return h, theta, phi, active, int(active.sum())
 
 
-def build_realization(src: GaussMarkovSource, sol, tol=ACTIVE_TOL) -> RealizationScheme:
+def build_realization(src: GaussMarkovSource, sol) -> RealizationScheme:
     """Assemble the full scheme from a solved (pi, lam) pair."""
     E, pi_t, lam_t = joint_diagonalize(sol.pi, sol.lam)
-    h, theta, phi, active, r = waterfill_factors(pi_t, lam_t, tol)
+    h, theta, phi, active, r = waterfill_factors(pi_t, lam_t)
     E_inv = np.linalg.inv(E)
     H = E_inv @ np.diag(h) @ E
     sigma_v = symmetrize(sol.pi @ H.T)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxdet
-from .errors import BadDistortion, InfeasibleModel, ZdrdError, failure_status
+from .errors import BadDistortion, InfeasibleModel
 from .linalg import symmetrize
 from .source_model import GaussMarkovSource, d_max, stationary_covariance
 
@@ -47,21 +47,6 @@ class NrdfSolution:
             "kkt_residual": self.kkt_residual,
             "form_used": self.form_used,
         }
-
-
-@dataclass(frozen=True)
-class RdPoint:
-    d: float
-    rate_lower_bits: float
-    rate_upper_scalar_bits: float
-    rate_upper_vector_bits: float
-    active_dims: int
-    status: str = "ok"
-
-
-@dataclass(frozen=True)
-class RdCurve:
-    points: tuple
 
 
 def scalar_ar1_nrdf(alpha: float, sigma2: float, D: float) -> float:
@@ -135,14 +120,13 @@ def dispatch_form(src: GaussMarkovSource) -> str:
     )
 
 
-def nrdf(src: GaussMarkovSource, D: float, form: str | None = None,
-         gap_target: float = maxdet.GAP_TARGET) -> NrdfSolution:
+def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolution:
     """Rate (bits/vector/step) and optimizing pair at distortion target D.
 
-    ``form`` forces a representation ("form_b", "form_a",
-    "scalar_closed_form"); by default scalar sources use the closed form and
-    vector sources dispatch on the rank conditions.  Stable sources at
-    D >= d_max return the exact zero-rate stationary solution.
+    ``form`` forces a representation ("form_b" or "form_a"); by default
+    scalar sources use the closed form and vector sources dispatch on the
+    rank conditions.  Stable sources at D >= d_max return the exact
+    zero-rate stationary solution.
     """
     try:
         D = float(D)
@@ -150,14 +134,11 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None,
         raise BadDistortion(f"D must be a positive real, got {D!r}") from exc
     if not (np.isfinite(D) and D > 0):
         raise BadDistortion(f"D must be a positive real, got {D!r}")
-    if form is None:
+    forced = form is not None
+    if not forced:
         if src.p == 1:
             return _scalar_solution(src, D)
-        form = dispatch_form(src)
-    elif form == SCALAR_CLOSED_FORM:
-        if src.p != 1:
-            raise InfeasibleModel("scalar closed form needs p = 1")
-        return _scalar_solution(src, D)
+        form = dispatch_form(src)  # checks the rank conditions
     elif form not in (FORM_B, FORM_A):
         raise ValueError(f"unknown form {form!r}")
 
@@ -169,14 +150,14 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None,
             pass  # degenerate stationarity; let the barrier's phase 1 decide
 
     if form == FORM_B:
-        if _rank(src.B @ src.B.T) != src.p:
+        if forced and _rank(src.B @ src.B.T) != src.p:
             raise InfeasibleModel("form_b requires BB^T to be nonsingular")
         prob = maxdet.form_b_problem(src.A, src.B, D)
     else:
-        if _rank(src.A) != src.p:
+        if forced and _rank(src.A) != src.p:
             raise InfeasibleModel("form_a requires A to be nonsingular")
         prob = maxdet.form_a_problem(src.A, src.B, D)
-    pi, _, kkt = maxdet.solve_maxdet(prob, gap_target=gap_target)
+    pi, _, kkt = maxdet.solve_maxdet(prob)
     pi = symmetrize(pi)
     lam = symmetrize(src.A @ pi @ src.A.T + src.B @ src.B.T)
     return NrdfSolution(
@@ -188,34 +169,3 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None,
         form_used=form,
     )
 
-
-def rd_curve(src: GaussMarkovSource, d_grid) -> RdCurve:
-    """Lower bound and both quantizer upper bounds over a distortion grid.
-
-    Failed grid points are flagged in their status and carry NaN rates; the
-    curve is still emitted.  The vector upper bound uses the implemented
-    4-dimensional lattice constant at every point.
-    """
-    from . import coding, realization
-
-    d_grid = [float(d) for d in d_grid]
-    if not d_grid:
-        raise BadDistortion("distortion grid must be nonempty")
-    if any(not (np.isfinite(d) and d > 0) for d in d_grid):
-        raise BadDistortion("distortion grid entries must be positive reals")
-    if any(b <= a for a, b in zip(d_grid, d_grid[1:])):
-        raise BadDistortion("distortion grid must be strictly increasing")
-    points = []
-    for d in d_grid:
-        try:
-            sol = nrdf(src, d)
-            scheme = realization.build_realization(src, sol)
-            r = scheme.r
-            up_s = coding.theoretical_upper_bound(sol.rate_bits, r, "sdusq")
-            up_v = coding.theoretical_upper_bound(sol.rate_bits, r, "d4")
-            points.append(RdPoint(d, sol.rate_bits, up_s, up_v, r))
-        except Exception as exc:  # noqa: BLE001 - sweeps survive isolated failures
-            if not isinstance(exc, (ZdrdError, np.linalg.LinAlgError, ArithmeticError)):
-                raise
-            points.append(RdPoint(d, math.nan, math.nan, math.nan, -1, failure_status(exc)))
-    return RdCurve(points=tuple(points))

@@ -149,10 +149,10 @@ def d_max(src: GaussMarkovSource) -> float:
     is zero.  Unstable and marginally stable sources have no stationary
     covariance: returns +inf.
     """
-    if not stability_report(src).is_stable:
+    try:
+        return float(np.trace(stationary_covariance(src)))
+    except NotPSD:
         return float("inf")
-    S = solve_discrete_lyapunov(src.A, src.B @ src.B.T)
-    return float(np.trace(S))
 
 
 def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:

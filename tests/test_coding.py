@@ -72,7 +72,7 @@ class TestCodingRuns:
         sol = nrdf(scalar_half, 0.5)
         scheme = build_realization(scalar_half, sol)
         res = run_coding_experiment(
-            scheme, scalar_half, 100_000, SeedBundle(21, 22), sdusq_config(1, 22)
+            scheme, scalar_half, 100_000, SeedBundle(21, 22), sdusq_config(1)
         )
         assert abs(res.empirical_mse - 0.5) / 0.5 < 0.05
         assert res.empirical_rate_bits_per_vector <= theoretical_upper_bound(
@@ -84,7 +84,7 @@ class TestCodingRuns:
         for src, d in [(scalar_half, 0.5), (stable4, 1.0)]:
             scheme = build_realization(src, nrdf(src, d))
             res = run_coding_experiment(
-                scheme, src, 20_000, SeedBundle(31, 32), sdusq_config(scheme.r, 32)
+                scheme, src, 20_000, SeedBundle(31, 32), sdusq_config(scheme.r)
             )
             assert (
                 res.empirical_entropy_bits - 1e-9
@@ -97,7 +97,7 @@ class TestCodingRuns:
         dmax = zdrd.d_max(src)
         scheme = build_realization(src, nrdf(src, 2 * dmax))
         res = run_coding_experiment(
-            scheme, src, 100_000, SeedBundle(41, 42), sdusq_config(0, 42)
+            scheme, src, 100_000, SeedBundle(41, 42), sdusq_config(0)
         )
         assert res.empirical_rate_bits_per_vector == 0.0
         assert res.alphabet_size_observed == 0
@@ -105,15 +105,15 @@ class TestCodingRuns:
 
     def test_determinism(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
-        a = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4, 2))
-        b = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4, 2))
+        a = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4))
+        b = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4))
         assert a == b
 
     def test_alphabet_overflow_guard(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 0.1))
         with pytest.raises(AlphabetOverflow):
             run_coding_experiment(
-                scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4, 2), alphabet_cap=8
+                scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4), alphabet_cap=8
             )
 
     def test_batch_rows_equal_single_runs(self, stable4):
@@ -121,10 +121,10 @@ class TestCodingRuns:
         schemes = [build_realization(stable4, nrdf(stable4, d)) for d in (0.2, 3.98, 10.0)]
         assert [s.r for s in schemes] == [4, 2, 0]
         points = [
-            (sch, SeedBundle(10 + i, 20 + i), sdusq_config(sch.r, 20 + i))
+            (sch, SeedBundle(10 + i, 20 + i), sdusq_config(sch.r))
             for i, sch in enumerate(schemes)
         ]
-        points.insert(1, (schemes[0], SeedBundle(5, 6), sdusq_config(3, 6)))
+        points.insert(1, (schemes[0], SeedBundle(5, 6), sdusq_config(3)))
         got = run_coding_batch(stable4, 3000, points)
         assert isinstance(got[1], DimensionMismatch)
         for res, (sch, seeds, qcfg) in zip(got[:1] + got[2:], points[:1] + points[2:]):
@@ -137,14 +137,14 @@ class TestCodingRuns:
         scheme = build_realization(stable_ar2, nrdf(stable_ar2, 0.5))  # r = 1
         with pytest.raises(DimensionMismatch):
             run_coding_experiment(
-                scheme, stable_ar2, 1000, SeedBundle(1, 2), d4_config(4, 2)
+                scheme, stable_ar2, 1000, SeedBundle(1, 2), d4_config(4)
             )
 
     def test_d4_run_meets_vector_bound(self, unstable4):
         sol = nrdf(unstable4, 1.0)
         scheme = build_realization(unstable4, sol)
         res = run_coding_experiment(
-            scheme, unstable4, 50_000, SeedBundle(51, 52), d4_config(4, 52)
+            scheme, unstable4, 50_000, SeedBundle(51, 52), d4_config(4)
         )
         assert abs(res.empirical_mse - 1.0) < 0.05
         sol_emp = nrdf(unstable4, res.empirical_mse)
@@ -174,7 +174,7 @@ class TestCodingRuns:
         scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
         path = tmp_path / "trace.csv"
         res = run_coding_experiment(
-            scheme, scalar_half, 500, SeedBundle(71, 72), sdusq_config(1, 72),
+            scheme, scalar_half, 500, SeedBundle(71, 72), sdusq_config(1),
             trace_path=path,
         )
         with open(path) as fh:
@@ -187,7 +187,7 @@ class TestCodingRuns:
     def test_result_json(self, tmp_path, scalar_half):
         scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
         res = run_coding_experiment(
-            scheme, scalar_half, 500, SeedBundle(81, 82), sdusq_config(1, 82)
+            scheme, scalar_half, 500, SeedBundle(81, 82), sdusq_config(1)
         )
         path = tmp_path / "res.json"
         res.to_json(path)

@@ -59,7 +59,7 @@ class TestSdusq:
         assert abs(corr) <= 0.01
 
     def test_config_steps_match_unit_noise(self):
-        cfg = sdusq_config(3, seed_dither=1)
+        cfg = sdusq_config(3)
         assert np.all(np.abs(cfg.deltas**2 / 12 - 1.0) <= 1e-12)
 
 
@@ -147,9 +147,12 @@ class TestD4:
 
     def test_config_requires_multiple_of_four(self):
         with pytest.raises(DimensionMismatch):
-            d4_config(3, seed_dither=1)
-        cfg = d4_config(8, seed_dither=1)
-        assert cfg.g_r == G4
+            d4_config(3)
+        cfg = d4_config(8)
+        assert cfg.kind == "d4"
+        assert np.array_equal(cfg.deltas, np.full(8, D4_UNIT_SCALE))
+        # per-coordinate noise variance of the scaled cell, c^2 G4 vol^(1/2), is one
+        assert abs(cfg.deltas[0] ** 2 * G4 * np.sqrt(2.0) - 1.0) <= 1e-12
 
     def test_dither_samples_live_in_voronoi_cell(self):
         rng = np.random.default_rng(3)

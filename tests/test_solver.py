@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import zdrd
-from zdrd.errors import BadDistortion, InfeasibleModel
-from zdrd.solver import nrdf, rd_curve, scalar_ar1_nrdf
+from zdrd.coding import theoretical_upper_bound
+from zdrd.errors import BadDistortion, ConfigParse, InfeasibleModel
+from zdrd.experiments import ExperimentConfig, run_experiment
+from zdrd.solver import nrdf, scalar_ar1_nrdf
 
 
 def assert_solution_invariants(src, sol):
@@ -120,46 +122,50 @@ class TestNrdf:
 
 
 class TestRdCurve:
+    """The rate-distortion curve of a bounds-only ``run_experiment`` sweep."""
+
+    @staticmethod
+    def sweep(src, grid):
+        return run_experiment(ExperimentConfig(src, grid, quantizer=None)).rows
+
     def test_scalar_curve_shape(self, scalar_half):
         grid = list(np.round(np.arange(0.1, 1.31, 0.1), 10))
-        curve = rd_curve(scalar_half, grid)
-        lows = [pt.rate_lower_bits for pt in curve.points]
+        rows = self.sweep(scalar_half, grid)
+        lows = [row.rate_lower_bits for row in rows]
         assert all(b <= a + 1e-12 for a, b in zip(lows, lows[1:]))
-        assert all(pt.status == "ok" for pt in curve.points)
+        assert all(row.status == "ok" for row in rows)
         # closed form hits zero at D >= 4/3
-        curve2 = rd_curve(scalar_half, [4.0 / 3.0 + 1e-9, 2.0])
-        assert all(pt.rate_lower_bits == 0.0 for pt in curve2.points)
+        rows2 = self.sweep(scalar_half, [4.0 / 3.0 + 1e-9, 2.0])
+        assert all(row.rate_lower_bits == 0.0 for row in rows2)
 
     def test_upper_bounds_dominate(self, unstable4):
-        curve = rd_curve(unstable4, [0.3, 1.0, 3.0])
-        for pt in curve.points:
-            assert pt.rate_upper_scalar_bits >= pt.rate_lower_bits
-            assert pt.rate_upper_vector_bits >= pt.rate_lower_bits
-            assert pt.active_dims == 4
+        for row in self.sweep(unstable4, [0.3, 1.0, 3.0]):
+            d4 = theoretical_upper_bound(row.rate_lower_bits, row.r_active, "d4")
+            assert row.rate_upper_bits >= row.rate_lower_bits
+            assert d4 >= row.rate_lower_bits
+            assert row.r_active == 4
 
     def test_unstable_curve_respects_floor(self, unstable4):
         floor = zdrd.stability_report(unstable4).rate_floor_bits
-        curve = rd_curve(unstable4, list(np.geomspace(0.06, 3.0, 8)))
-        assert all(pt.rate_lower_bits >= floor - 1e-6 for pt in curve.points)
+        rows = self.sweep(unstable4, list(np.geomspace(0.06, 3.0, 8)))
+        assert all(row.rate_lower_bits >= floor - 1e-6 for row in rows)
 
     def test_single_point(self, scalar_half):
-        curve = rd_curve(scalar_half, [0.5])
-        assert len(curve.points) == 1
-        assert curve.points[0].rate_lower_bits == pytest.approx(0.585, abs=1e-3)
+        rows = self.sweep(scalar_half, [0.5])
+        assert len(rows) == 1
+        assert rows[0].rate_lower_bits == pytest.approx(0.585, abs=1e-3)
 
     def test_failed_points_flagged_not_fatal(self):
         c, s = np.cos(0.3), np.sin(0.3)
         src = zdrd.new_source([[c, -s], [s, c]], np.zeros((2, 2)), np.eye(2))
-        curve = rd_curve(src, [0.5, 1.0])
-        assert len(curve.points) == 2
-        assert all(pt.status.startswith("failed:InfeasibleModel: ") for pt in curve.points)
-        assert all("degenerate candidate" in pt.status for pt in curve.points)
-        assert all(math.isnan(pt.rate_lower_bits) for pt in curve.points)
+        rows = self.sweep(src, [0.5, 1.0])
+        assert len(rows) == 2
+        assert all(row.status.startswith("failed:InfeasibleModel: ") for row in rows)
+        assert all("degenerate candidate" in row.status for row in rows)
+        assert all(row.rate_lower_bits is None and row.rate_upper_bits is None for row in rows)
+        assert all(row.r_active is None for row in rows)
 
     def test_grid_validation(self, scalar_half):
-        with pytest.raises(BadDistortion):
-            rd_curve(scalar_half, [])
-        with pytest.raises(BadDistortion):
-            rd_curve(scalar_half, [0.5, 0.4])
-        with pytest.raises(BadDistortion):
-            rd_curve(scalar_half, [-0.1, 0.5])
+        for grid in ([], [0.5, 0.4], [-0.1, 0.5]):
+            with pytest.raises(ConfigParse):
+                self.sweep(scalar_half, grid)
