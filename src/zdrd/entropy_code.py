@@ -1,12 +1,14 @@
 """Two-pass empirical Huffman coding of joint quantizer indices.
 
 Pass one tallies the observed joint symbols; pass two builds a Huffman code
-on that histogram and charges each step its codeword length.  Ties in the
-heap are broken by insertion order over symbols pre-sorted ascending, so
-the code lengths are deterministic for a given histogram.
+on that histogram and charges each step its codeword length.  The code is
+built by the two-queue method: leaves sorted by (count, symbol), merged
+nodes appended in creation order.  At equal counts a leaf merges before a
+merged node and earlier nodes before later ones, which is the order of a
+heap keyed by (count, insertion order) over symbols pre-sorted ascending.
+So the code lengths are deterministic for a given histogram, and equal per
+symbol to those of that heap construction.
 """
-
-import heapq
 
 import numpy as np
 
@@ -18,30 +20,41 @@ def huffman_lengths(counts):
     if len(counts) == 1:
         (sym,) = counts
         return {sym: 1}
-    heap = []
-    for order, (sym, c) in enumerate(sorted(counts.items())):
-        heap.append((c, order, (sym,)))
-    heapq.heapify(heap)
-    lengths = dict.fromkeys(counts, 0)
-    nxt = len(heap)
-    while len(heap) > 1:
-        c1, _, g1 = heapq.heappop(heap)
-        c2, _, g2 = heapq.heappop(heap)
-        for sym in g1:
-            lengths[sym] += 1
-        for sym in g2:
-            lengths[sym] += 1
-        heapq.heappush(heap, (c1 + c2, nxt, g1 + g2))
-        nxt += 1
-    return lengths
+    syms = sorted(counts)
+    n = len(syms)
+    weight = [counts[s] for s in syms] + [0] * (n - 1)
+    leaves = sorted(range(n), key=weight.__getitem__)  # stable: ties by symbol
+    parent = [0] * (2 * n - 1)
+    i, j = 0, n  # heads of the leaf queue and of the merged-node queue
+    for node in range(n, 2 * n - 1):
+        for _ in range(2):
+            if i < n and (j == node or weight[leaves[i]] <= weight[j]):
+                child = leaves[i]
+                i += 1
+            else:
+                child = j
+                j += 1
+            parent[child] = node
+            weight[node] += weight[child]
+    depth = [0] * (2 * n - 1)  # the root, node 2n-2, has depth 0
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return dict(zip(syms, depth))
 
 
 def histogram_of_rows(idx):
-    """Counts of distinct rows of an integer (n, r) array, keyed by tuple."""
+    """Counts of distinct rows of an integer (n, r) array, keyed by tuple.
+
+    Keys come in ascending lexicographic order, as from ``np.unique(axis=0)``;
+    zero-width rows all share the key ().
+    """
     if idx.shape[0] == 0:
         return {}
-    uniq, counts = np.unique(idx, axis=0, return_counts=True)
-    return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)}
+    rows = idx[np.lexsort(idx.T[::-1])] if idx.shape[1] else idx
+    starts = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
+    bounds = np.concatenate(([0], starts, [rows.shape[0]]))
+    keys = map(tuple, rows[bounds[:-1]].tolist())
+    return dict(zip(keys, np.diff(bounds).tolist()))
 
 
 def empirical_entropy_bits(counts):

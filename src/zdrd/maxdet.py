@@ -30,14 +30,23 @@ geometrically (factor 5, i.e. the barrier parameter shrinks by 0.2) until
 nu / t falls below the duality-gap target, nu being the total barrier
 degree.  Suboptimality of the returned point is at most the reported gap.
 
+Each visited point is assembled and Cholesky-factored once (``_factors``);
+a point outside the cone has no factors.  The factors give psi_t (twice
+the log-diagonal sums), so the line search tests a candidate with one
+factorization, and the accepted candidate's factors are those of the next
+iterate: its potential and Newton system reuse them.  Phase 1 hands over the
+factors of the starting point the same way.
+
 Newton system (Vandenberghe, Boyd & Wu 1998): with the Cholesky factor
-G = L L^T each basis block is whitened, W_j = L^-1 F_j L^-T, and flattened
-to a row; then g_j = -tr W_j and H = W W^T, and likewise for the Q block
-with weight 1 + t/2.  This costs O(n S^3 + n^2 S^2) per step instead of the
-O(n S^4) of contracting explicit inverses, and H is exactly symmetric.
+G = L L^T of the current iterate each basis block is whitened,
+W_j = L^-1 F_j L^-T, and flattened to a row; then g_j = -tr W_j and
+H = W W^T, and likewise for the Q block with weight 1 + t/2.  This costs
+O(n S^3 + n^2 S^2) per step instead of the O(n S^4) of contracting explicit
+inverses, and H is exactly symmetric.
 
 Every BLAS/LAPACK call inside the Newton loop goes through numpy (``@`` and
-``np.linalg``), never scipy.linalg.  numpy and scipy wheels may link two
+``np.linalg``), never scipy.linalg, which supplies only phase 1's
+Lyapunov solve outside the loop.  numpy and scipy wheels may link two
 separate OpenBLAS builds, each with its own thread pool; interleaving them
 lets the idle pool's spinning threads starve the busy one on small hosts
 (measured on 2 cores, numpy 2.4 / scipy 1.17: a p=6 solve took 1.1-1.3 s
@@ -206,16 +215,32 @@ def form_a_problem(A, B, D) -> MaxdetProblem:
     return MaxdetProblem("form_a", A, B, D, const_bits, C, dA, q_dA, nb_pi, nb_q, p, q)
 
 
-def _chol_logdet(G):
+def _factors(prob: MaxdetProblem, x):
+    """Cholesky factors (Lg, Lq) of G(x) and Q(x), or None outside the cone.
+
+    The affine maps are the one BLAS product ``np.tensordot(x, dA, 1)``
+    makes, without its argument handling; another product (matmul, einsum)
+    would round differently.
+    """
+    n, S = prob.n, prob.fused_C.shape[0]
+    G = prob.fused_C + np.dot(x[None], prob.fused_dA.reshape(n, -1)).reshape(S, S)
+    Q = np.dot(x[None], prob.q_dA.reshape(n, -1)).reshape(prob.m, prob.m)
     try:
-        L = np.linalg.cholesky(G)
+        return np.linalg.cholesky(G), np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def _potential(factors, t):
+    """Barrier potential psi_t from the factors of a strictly feasible point."""
+    Lg, Lq = factors
+    ld_f = 2.0 * float(np.sum(np.log(np.diag(Lg))))
+    ld_q = 2.0 * float(np.sum(np.log(np.diag(Lq))))
+    return -ld_f - (1.0 + 0.5 * t) * ld_q
 
 
 def phase1_point(prob: MaxdetProblem):
-    """A strictly feasible (Pi, Q).
+    """A strictly feasible x with its factors: (x, (Lg, Lq)).
 
     Pi0 is a scaled solution of the contracted stationarity equation
     P = s A P A^T + s BB^T with s = 1/(2 max(1, rho(A))^2): such P
@@ -250,21 +275,11 @@ def phase1_point(prob: MaxdetProblem):
             continue
         Q0 = 0.99 * symmetrize(Sb)
         x = np.concatenate([vech(Pi0), vech(Q0)])
-        if _psi(prob, x, 1.0) is not None:
-            return x
+        factors = _factors(prob, x)
+        if factors is not None:
+            return x, factors
         c *= 0.5
     raise InfeasibleModel("phase-1 cannot find a strictly feasible point")
-
-
-def _psi(prob, x, t):
-    """Barrier potential, or None when x is not strictly feasible."""
-    ld_f = _chol_logdet(prob.fused_C + np.tensordot(x, prob.fused_dA, axes=1))
-    if ld_f is None:
-        return None
-    ld_q = _chol_logdet(np.tensordot(x, prob.q_dA, axes=1))
-    if ld_q is None:
-        return None
-    return -ld_f - (1.0 + 0.5 * t) * ld_q
 
 
 def _whitened(L, dA):
@@ -273,21 +288,15 @@ def _whitened(L, dA):
     return (Li @ dA @ Li.T).reshape(dA.shape[0], -1)
 
 
-def _newton_system(prob: MaxdetProblem, x, t):
-    """Gradient and Hessian of psi_t at x, from the whitened basis blocks.
+def _newton_system(prob: MaxdetProblem, factors, t):
+    """Gradient and Hessian of psi_t at the point with Cholesky factors (Lg, Lq).
 
     With G = L L^T and W_j = L^-1 F_j L^-T, the barrier -logdet G has
     gradient -tr W_j and Hessian <W_j, W_l>, so H is one Gram product and
-    exactly symmetric.  Raises SolverDivergence when x left the cone.
+    exactly symmetric.
     """
-    G = prob.fused_C + np.tensordot(x, prob.fused_dA, axes=1)
-    Q = np.tensordot(x, prob.q_dA, axes=1)
-    try:
-        Lg = np.linalg.cholesky(G)
-        Lq = np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError as exc:
-        raise SolverDivergence(f"barrier iterate left the cone: {exc}") from exc
-    S, m = G.shape[0], prob.m
+    Lg, Lq = factors
+    S, m = Lg.shape[0], prob.m
     w = 1.0 + 0.5 * t
     Wg = _whitened(Lg, prob.fused_dA)
     Wq = _whitened(Lq, prob.q_dA)
@@ -303,7 +312,7 @@ def solve_maxdet(prob: MaxdetProblem):
     centering slack; all LMI blocks of the returned point are strictly
     positive definite.
     """
-    x = phase1_point(prob)
+    x, factors = phase1_point(prob)
     n = prob.n
     nu = float(prob.nu)
     t = 1.0
@@ -312,7 +321,7 @@ def solve_maxdet(prob: MaxdetProblem):
         final = nu / t <= GAP_TARGET
         tol = INNER_TOL_FINAL if final else INNER_TOL
         for _ in range(MAX_INNER):
-            g, H = _newton_system(prob, x, t)
+            g, H = _newton_system(prob, factors, t)
             try:
                 L = np.linalg.cholesky(H)
                 dx = -np.linalg.solve(L.T, np.linalg.solve(L, g))
@@ -325,19 +334,20 @@ def solve_maxdet(prob: MaxdetProblem):
             last_lam2 = lam2
             if 0.5 * lam2 <= tol:
                 break
-            base = _psi(prob, x, t)
+            base = _potential(factors, t)
             gdx = float(g @ dx)
             step = 1.0
-            moved = False
             while step > 1e-16:
-                cand = _psi(prob, x + step * dx, t)
-                if cand is not None and cand <= base + 0.25 * step * gdx:
-                    moved = True
-                    break
+                x_cand = x + step * dx
+                f_cand = _factors(prob, x_cand)
+                if f_cand is not None:
+                    cand = _potential(f_cand, t)
+                    if cand <= base + 0.25 * step * gdx:
+                        break
                 step *= 0.5
-            if not moved:
+            else:
                 break
-            x = x + step * dx
+            x, factors = x_cand, f_cand
             if base - cand < 1e-13 * (1.0 + abs(base)):
                 break
         if final:

@@ -10,6 +10,7 @@ across runs of the same build.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -55,6 +56,17 @@ class GaussMarkovSource:
         self.A.setflags(write=False)
         self.B.setflags(write=False)
         self.sigma_x0.setflags(write=False)
+
+    @cached_property
+    def _stationary(self):
+        """Read-only stationary covariance, or None when the source is not
+        stable; solved once per source."""
+        if not stability_report(self).is_stable:
+            return None
+        S = solve_discrete_lyapunov(self.A, self.B @ self.B.T)
+        S = 0.5 * (S + S.T)
+        S.setflags(write=False)
+        return S
 
 
 @dataclass(frozen=True)
@@ -156,11 +168,14 @@ def d_max(src: GaussMarkovSource) -> float:
 
 
 def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:
-    """Solution of S = A S A^T + B B^T; raises NotPSD unless the source is stable."""
-    if not stability_report(src).is_stable:
+    """Solution of S = A S A^T + B B^T; raises NotPSD unless the source is stable.
+
+    The read-only result is computed once per source and shared by every call.
+    """
+    S = src._stationary
+    if S is None:
         raise NotPSD("stationary covariance requires a stable source")
-    S = solve_discrete_lyapunov(src.A, src.B @ src.B.T)
-    return 0.5 * (S + S.T)
+    return S
 
 
 def source_noise(src: GaussMarkovSource, n: int, seed: int):

@@ -1,4 +1,5 @@
 import csv
+import heapq
 import math
 
 import numpy as np
@@ -17,9 +18,80 @@ from zdrd.coding import (
     theoretical_upper_bound,
 )
 from zdrd.errors import AlphabetOverflow, DimensionMismatch
+from zdrd.experiments import preset_config, run_experiment
 from zdrd.quantizers import G4, SQRT12, d4_config, sdusq_config
 from zdrd.realization import build_realization, channel_matrices
 from zdrd.solver import nrdf
+
+
+def reference_huffman_lengths(counts):
+    """Heap Huffman construction the two-queue code must reproduce exactly:
+    ties broken by insertion order over symbols pre-sorted ascending."""
+    if not counts:
+        return {}
+    if len(counts) == 1:
+        (sym,) = counts
+        return {sym: 1}
+    heap = []
+    for order, (sym, c) in enumerate(sorted(counts.items())):
+        heap.append((c, order, (sym,)))
+    heapq.heapify(heap)
+    lengths = dict.fromkeys(counts, 0)
+    nxt = len(heap)
+    while len(heap) > 1:
+        c1, _, g1 = heapq.heappop(heap)
+        c2, _, g2 = heapq.heappop(heap)
+        for sym in g1:
+            lengths[sym] += 1
+        for sym in g2:
+            lengths[sym] += 1
+        heapq.heappush(heap, (c1 + c2, nxt, g1 + g2))
+        nxt += 1
+    return lengths
+
+
+def reference_histogram_of_rows(idx):
+    """Row histogram through np.unique(axis=0), keys in its order."""
+    if idx.shape[0] == 0:
+        return {}
+    uniq, counts = np.unique(idx, axis=0, return_counts=True)
+    return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)}
+
+
+class TestEntropyCodeReference:
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_coded_runs_match_reference(self, name, monkeypatch):
+        seen = []
+        histogram = entropy_code.histogram_of_rows
+
+        def recording(idx):
+            seen.append(idx.copy())
+            return histogram(idx)
+
+        monkeypatch.setattr(entropy_code, "histogram_of_rows", recording)
+        run_experiment(preset_config(name, n_steps=2000, points=3))
+        assert len(seen) >= 2
+        for idx in seen:
+            counts = histogram(idx)
+            # key order matters: the entropy sums the counts in dict order
+            assert list(counts.items()) == list(reference_histogram_of_rows(idx).items())
+            assert entropy_code.huffman_lengths(counts) == reference_huffman_lengths(counts)
+
+    def test_tie_heavy_histograms(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            r = int(rng.integers(1, 4))
+            idx = rng.integers(-2, 3, size=(int(rng.integers(1, 400)), r))
+            counts = entropy_code.histogram_of_rows(idx)
+            assert list(counts.items()) == list(reference_histogram_of_rows(idx).items())
+            # few distinct counts, so most merges are ties
+            ties = {k: int(c) for k, c in zip(counts, rng.integers(1, 4, len(counts)))}
+            for h in (counts, ties):
+                assert entropy_code.huffman_lengths(h) == reference_huffman_lengths(h)
+
+    def test_empty_and_zero_width_rows(self):
+        for idx in (np.zeros((0, 2), dtype=np.int64), np.zeros((5, 0), dtype=np.int64)):
+            assert entropy_code.histogram_of_rows(idx) == reference_histogram_of_rows(idx)
 
 
 class TestHuffman:

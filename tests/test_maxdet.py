@@ -1,6 +1,7 @@
 """Determinant-maximization engine checks against independent oracles."""
 
 import time
+import types
 
 import numpy as np
 import pytest
@@ -148,15 +149,61 @@ class TestNewtonSystem:
     def test_matches_einsum_reference(self, build, p):
         src = random_stable_source(p, seed=10 + p)
         prob = build(src.A, src.B, 0.3 * zdrd.d_max(src))
-        x = maxdet.phase1_point(prob)
+        x, factors = maxdet.phase1_point(prob)
         for t in (1.0, 25.0, 3125.0, 1e8):
-            g, H = maxdet._newton_system(prob, x, t)
+            g, H = maxdet._newton_system(prob, factors, t)
             g_ref, H_ref = einsum_newton_system(prob, x, t)
             # small entries come from cancelling sums, so the tolerance is
             # also taken relative to the largest entry
             for got, ref in ((g, g_ref), (H, H_ref)):
                 np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
             assert np.array_equal(H, H.T)
+
+
+class TestFactorOnce:
+    # repr(rate_bits), repr(kkt_residual) recorded before the Newton loop
+    # reused one factorization per point; the solves must stay bit-identical
+    PINNED = {
+        "example1": ("np.float64(4.008097225683857)", "2.9416770050658024e-11"),
+        "example4": ("np.float64(1.199500593827277)", "7.295512549423843e-11"),
+        "random6": ("np.float64(6.1392762842152635)", "4.335141833181717e-11"),
+    }
+
+    def test_solutions_pinned(self, stable4, unstable_ar2):
+        # stable4 and unstable_ar2 are the example1 and example4 sources
+        src6 = random_stable_source(6, seed=16)
+        sols = {
+            "example1": nrdf(stable4, 1.0, form=FORM_B),
+            "example4": nrdf(unstable_ar2, 0.5, form=FORM_A),
+            "random6": nrdf(src6, 0.1 * zdrd.d_max(src6), form=FORM_B),
+        }
+        got = {k: (repr(s.rate_bits), repr(s.kkt_residual)) for k, s in sols.items()}
+        assert got == self.PINNED
+
+    @pytest.mark.parametrize("build", [maxdet.form_a_problem, maxdet.form_b_problem])
+    def test_each_point_factored_once(self, build, stable4, monkeypatch):
+        seen = []
+        factors = maxdet._factors
+
+        def recording(prob, x):
+            seen.append(x.tobytes())
+            return factors(prob, x)
+
+        monkeypatch.setattr(maxdet, "_factors", recording)
+        maxdet.solve_maxdet(build(stable4.A, stable4.B, 1.0))
+        assert len(seen) > 20
+        assert len(set(seen)) == len(seen)
+
+    def test_scipy_stays_out_of_the_newton_loop(self):
+        # numpy and scipy may link separate OpenBLAS pools; interleaving them
+        # stalls solves (module docstring), so scipy serves phase 1 only
+        def origin(obj):
+            if isinstance(obj, types.ModuleType):
+                return obj.__name__
+            return getattr(obj, "__module__", None) or ""
+
+        from_scipy = [k for k, v in vars(maxdet).items() if origin(v).split(".")[0] == "scipy"]
+        assert from_scipy == ["solve_discrete_lyapunov"]
 
 
 class TestBruteForceOracle:
@@ -181,7 +228,7 @@ class TestPhase1AndErrors:
     def test_phase1_point_is_strictly_feasible(self, unstable4):
         for D in (0.05, 1.0, 2.9):
             prob = maxdet.form_b_problem(unstable4.A, unstable4.B, D)
-            x = maxdet.phase1_point(prob)
+            x, _ = maxdet.phase1_point(prob)
             G = prob.fused_C + np.tensordot(x, prob.fused_dA, axes=1)
             Q = np.tensordot(x, prob.q_dA, axes=1)
             assert np.linalg.eigvalsh(G)[0] > 0

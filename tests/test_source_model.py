@@ -157,6 +157,38 @@ class TestDmax:
                 stationary_covariance(src)
         assert grid == tuple(np.geomspace(0.06, 3.0, 5))
 
+    def test_one_lyapunov_solve_per_source_per_sweep(self, monkeypatch):
+        from zdrd import experiments, source_model
+
+        calls = []
+        solve = source_model.solve_discrete_lyapunov
+
+        def counting(A, Q):
+            calls.append(A)
+            return solve(A, Q)
+
+        monkeypatch.setattr(source_model, "solve_discrete_lyapunov", counting)
+        # stable example1: the grid, every point's d_max and the zero-rate top point
+        config = experiments.preset_config("example1", "none", points=6)
+        report = experiments.run_experiment(config)
+        assert report.rows[-1].rate_lower_bits == 0.0
+        assert len(calls) == 1
+        # unstable example4: no solve, and every call still sees no covariance
+        config = experiments.preset_config("example4", "none", points=2)
+        experiments.run_experiment(config)
+        for _ in range(2):
+            assert zdrd.d_max(config.source) == np.inf
+            with pytest.raises(NotPSD):
+                source_model.stationary_covariance(config.source)
+        assert len(calls) == 1
+
+    def test_stationary_covariance_shared_read_only(self, stable4):
+        from zdrd.source_model import stationary_covariance
+
+        S = stationary_covariance(stable4)
+        assert stationary_covariance(stable4) is S
+        assert not S.flags.writeable
+
     @given(c=st.floats(min_value=1.0, max_value=10.0))
     @settings(max_examples=25, deadline=None)
     def test_noise_scaling(self, c):
