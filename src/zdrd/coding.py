@@ -88,7 +88,6 @@ def run_coding_experiment(
     n: int,
     seeds: SeedBundle,
     qcfg: QuantizerConfig,
-    alphabet_cap: int = ALPHABET_CAP,
     trace_path=None,
 ) -> CodingResult:
     """Simulate the quantized loop for n steps and entropy code the indices.
@@ -98,7 +97,7 @@ def run_coding_experiment(
     trace (t, indices..., codeword_length_bits, squared error).  This is
     :func:`run_coding_batch` on one point; its error is raised.
     """
-    (res,) = run_coding_batch(src, n, [(scheme, seeds, qcfg)], alphabet_cap, [trace_path])
+    (res,) = run_coding_batch(src, n, [(scheme, seeds, qcfg)], [trace_path])
     if isinstance(res, Exception):
         raise res
     return res
@@ -121,7 +120,7 @@ def _check_point(src, scheme, qcfg):
         raise ValueError(f"unknown quantizer kind {qcfg.kind!r}")
 
 
-def run_coding_batch(src, n, points, alphabet_cap=ALPHABET_CAP, trace_paths=None):
+def run_coding_batch(src, n, points, trace_paths=None):
     """Run the quantized loops of several schemes of ``src`` in lockstep.
 
     ``points`` is a sequence of (scheme, seeds, qcfg).  Every point draws
@@ -192,9 +191,9 @@ def run_coding_batch(src, n, points, alphabet_cap=ALPHABET_CAP, trace_paths=None
             continue
         idx_row = np.ascontiguousarray(idx[:, :r, col])
         counts = entropy_code.histogram_of_rows(idx_row)
-        if len(counts) > alphabet_cap:
+        if len(counts) > ALPHABET_CAP:
             out[i] = AlphabetOverflow(
-                f"observed joint alphabet {len(counts)} exceeds cap {alphabet_cap}"
+                f"observed joint alphabet {len(counts)} exceeds cap {ALPHABET_CAP}"
             )
             continue
         lengths = entropy_code.huffman_lengths(counts)

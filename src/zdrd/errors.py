@@ -44,7 +44,7 @@ class ConfigParse(ZdrdError, ValueError):
 
 
 class AlphabetOverflow(ZdrdError, RuntimeError):
-    """The observed joint quantizer alphabet exceeded the configured cap."""
+    """The observed joint quantizer alphabet exceeded ``coding.ALPHABET_CAP``."""
 
 
 def failure_status(exc):

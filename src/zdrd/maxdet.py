@@ -19,6 +19,16 @@ both joined with Lambda(Pi) - Pi >= 0, Pi > 0, Q > 0 and trace(Pi) <= D.
 At the optimum -1/2 logdet Q + const equals 1/2 log(|Lambda|/|Pi|), the
 information rate of the optimal one-step predictor pair.
 
+Assembly: each form is written once, as the linear part top(Pi, Q) of its
+top LMI on stacks of matrices plus its constant top_C (form_b:
+[[Pi - Q, Pi A^T], [A Pi, A Pi A^T]] and [[0, 0], [0, BB^T]]; form_a:
+blockdiag(-Q, A Pi A^T) and [[I, B^T], [B, BB^T]]).  One shared map joins it
+block-diagonally with A Pi A^T - Pi, Pi and -tr Pi and is applied once to
+the vech basis stacks, which gives the coefficient of every variable.
+Phase 1 bounds Q by a Schur complement of the same top map.  The existence
+conditions (BB^T resp. A nonsingular) are checked by the caller,
+``solver.dispatch_form``.
+
 Solution method: a primal log-barrier path follower.  For an increasing
 weight t we Newton-minimize
 
@@ -54,6 +64,7 @@ with scipy triangular solves between numpy products, 0.08-0.13 s with
 numpy alone).
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,147 +83,97 @@ INNER_TOL_FINAL = 1e-9
 
 def sym_basis(p):
     """Basis of symmetric p x p matrices ordered by vech (row-major upper)."""
-    out = []
-    for i in range(p):
-        for j in range(i, p):
-            E = np.zeros((p, p))
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            if i == j:
-                E[i, i] = 1.0
-            out.append(E)
-    return np.array(out)
+    i, j = np.triu_indices(p)
+    E = np.zeros((len(i), p, p))
+    E[np.arange(len(i)), i, j] = 1.0
+    E[np.arange(len(i)), j, i] = 1.0
+    return E
 
 
 def vech(M):
-    p = M.shape[0]
-    return np.array([M[i, j] for i in range(p) for j in range(i, p)])
+    return M[np.triu_indices(M.shape[0])]
 
 
 def unvech(x, p):
+    i, j = np.triu_indices(p)
     M = np.zeros((p, p))
-    k = 0
-    for i in range(p):
-        for j in range(i, p):
-            M[i, j] = x[k]
-            M[j, i] = x[k]
-            k += 1
+    M[i, j] = x
+    M[j, i] = x
     return M
+
+
+def _blockdiag(*blocks):
+    """Block-diagonal matrices from (stacks of) square blocks, broadcast."""
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    S = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(lead + (S, S))
+    o = 0
+    for b in blocks:
+        s = b.shape[-1]
+        out[..., o : o + s, o : o + s] = b
+        o += s
+    return out
 
 
 @dataclass
 class MaxdetProblem:
     """Affine problem data: one fused unit-weight LMI group plus the Q block."""
 
-    form: str  # "form_b" or "form_a"
     A: np.ndarray
     B: np.ndarray
     D: float
-    const_bits: float  # additive objective constant, bits
+    top: Callable  # (Pi, Q) stacks -> linear part of the form's top LMI
+    top_C: np.ndarray  # constant part of the top LMI; Q sits in its leading m x m block
     fused_C: np.ndarray  # (S, S)
     fused_dA: np.ndarray  # (n, S, S)
     q_dA: np.ndarray  # (n, m, m); the Q block value is sum x_j q_dA[j]
     nb_pi: int
-    nb_q: int
     p: int
     m: int
 
     @property
     def n(self):
-        return self.nb_pi + self.nb_q
+        return self.fused_dA.shape[0]
 
     @property
     def nu(self):
         return self.fused_C.shape[0] + self.m
 
 
-def _fused_common(p, n, nb_pi, Epi, A, BBt, D, top_C, top_fill):
-    """Assemble [top LMI] + [Lambda-Pi] + [Pi] + [D - tr Pi] block-diagonally."""
-    sL = top_C.shape[0]
-    S = sL + p + p + 1
-    C = np.zeros((S, S))
-    dA = np.zeros((n, S, S))
-    C[:sL, :sL] = top_C
-    top_fill(dA)
-    o = sL
-    C[o : o + p, o : o + p] = BBt
-    for j in range(nb_pi):
-        E = Epi[j]
-        dA[j, o : o + p, o : o + p] = A @ E @ A.T - E
-    o += p
-    for j in range(nb_pi):
-        dA[j, o : o + p, o : o + p] = Epi[j]
-    o += p
-    C[o, o] = D
-    for j in range(nb_pi):
-        dA[j, o, o] = -np.trace(Epi[j])
-    return C, dA
+def _problem(A, B, D, m, top, top_C):
+    """Apply [top LMI] + [Lambda - Pi] + [Pi] + [D - tr Pi] to the vech basis.
+
+    The variable stacks are [E_Pi; 0] for Pi and [0; E_Q] for Q, so row j
+    of each map is the coefficient of x_j.
+    """
+    p = A.shape[0]
+    Epi, Eq = sym_basis(p), sym_basis(m)
+    P = np.concatenate([Epi, np.zeros((len(Eq), p, p))])
+    Q = np.concatenate([np.zeros((len(Epi), m, m)), Eq])
+    tr = -np.trace(P, axis1=1, axis2=2)[:, None, None]
+    dA = _blockdiag(top(P, Q), A @ P @ A.T - P, P, tr)
+    C = _blockdiag(top_C, B @ B.T, np.zeros((p, p)), np.array([[D]], float))
+    return MaxdetProblem(A, B, D, top, top_C, C, dA, Q, len(Epi), p, m)
 
 
 def form_b_problem(A, B, D) -> MaxdetProblem:
     """Blocks for the representation that needs BB^T invertible."""
     p = A.shape[0]
-    BBt = B @ B.T
-    sign, logdet_bbt = np.linalg.slogdet(BBt)
-    if sign <= 0:
-        raise InfeasibleModel("form_b requires BB^T to be nonsingular")
-    Epi = sym_basis(p)
-    Eq = sym_basis(p)
-    nb_pi = nb_q = len(Epi)
-    n = nb_pi + nb_q
-    sL = 2 * p
-    top_C = np.zeros((sL, sL))
-    top_C[p:, p:] = BBt
 
-    def fill(dA):
-        for j in range(nb_pi):
-            E = Epi[j]
-            dA[j, :p, :p] = E
-            dA[j, :p, p:sL] = E @ A.T
-            dA[j, p:sL, :p] = A @ E
-            dA[j, p:sL, p:sL] = A @ E @ A.T
-        for j in range(nb_q):
-            dA[nb_pi + j, :p, :p] = -Eq[j]
+    def top(P, Q):
+        return np.block([[P - Q, P @ A.T], [A @ P, A @ P @ A.T]])
 
-    C, dA = _fused_common(p, n, nb_pi, Epi, A, BBt, D, top_C, fill)
-    q_dA = np.zeros((n, p, p))
-    for j in range(nb_q):
-        q_dA[nb_pi + j] = Eq[j]
-    const_bits = 0.5 * logdet_bbt / np.log(2.0)
-    return MaxdetProblem("form_b", A, B, D, const_bits, C, dA, q_dA, nb_pi, nb_q, p, p)
+    return _problem(A, B, D, p, top, _blockdiag(np.zeros((p, p)), B @ B.T))
 
 
 def form_a_problem(A, B, D) -> MaxdetProblem:
     """Blocks for the representation that needs A invertible (B may be singular)."""
-    p = A.shape[0]
-    q = B.shape[1]
-    BBt = B @ B.T
-    det_a = np.linalg.det(A)
-    if abs(det_a) <= 1e-300:
-        raise InfeasibleModel("form_a requires A to be nonsingular")
-    Epi = sym_basis(p)
-    Eq = sym_basis(q)
-    nb_pi, nb_q = len(Epi), len(Eq)
-    n = nb_pi + nb_q
-    sL = q + p
-    top_C = np.zeros((sL, sL))
-    top_C[:q, :q] = np.eye(q)
-    top_C[:q, q:] = B.T
-    top_C[q:, :q] = B
-    top_C[q:, q:] = BBt
 
-    def fill(dA):
-        for j in range(nb_pi):
-            dA[j, q:sL, q:sL] = A @ Epi[j] @ A.T
-        for j in range(nb_q):
-            dA[nb_pi + j, :q, :q] = -Eq[j]
+    def top(P, Q):
+        return _blockdiag(-Q, A @ P @ A.T)
 
-    C, dA = _fused_common(p, n, nb_pi, Epi, A, BBt, D, top_C, fill)
-    q_dA = np.zeros((n, q, q))
-    for j in range(nb_q):
-        q_dA[nb_pi + j] = Eq[j]
-    const_bits = np.log2(abs(det_a))
-    return MaxdetProblem("form_a", A, B, D, const_bits, C, dA, q_dA, nb_pi, nb_q, p, q)
+    top_C = np.block([[np.eye(B.shape[1]), B.T], [B, B @ B.T]])
+    return _problem(A, B, D, B.shape[1], top, top_C)
 
 
 def _factors(prob: MaxdetProblem, x):
@@ -246,10 +207,10 @@ def phase1_point(prob: MaxdetProblem):
     P = s A P A^T + s BB^T with s = 1/(2 max(1, rho(A))^2): such P
     satisfies P < Lambda(P) strictly, and every downscaling c P with
     c <= 1 stays strictly inside while meeting trace(c P) < D.  Q0 sits at
-    0.99 of its Schur-complement bound, strictly inside the top LMI.
+    0.99 of its Schur-complement bound T11 - T12 T22^-1 T21 in the top LMI
+    T = top(Pi0, 0) + top_C, whose leading m x m block carries -Q.
     """
-    A, B, D = prob.A, prob.B, prob.D
-    p = prob.p
+    A, B, D, m = prob.A, prob.B, prob.D, prob.m
     BBt = B @ B.T
     rho = max(1.0, float(np.max(np.abs(np.linalg.eigvals(A)))))
     s = 1.0 / (2.0 * rho * rho)
@@ -264,12 +225,9 @@ def phase1_point(prob: MaxdetProblem):
     c = min(0.9 * D / tr, 0.95)
     for _ in range(8):
         Pi0 = c * Pstar
-        Lam0 = A @ Pi0 @ A.T + BBt
+        T = prob.top(Pi0, np.zeros((m, m))) + prob.top_C
         try:
-            if prob.form == "form_b":
-                Sb = Pi0 - Pi0 @ A.T @ np.linalg.solve(Lam0, A @ Pi0)
-            else:
-                Sb = np.eye(prob.m) - B.T @ np.linalg.solve(Lam0, B)
+            Sb = T[:m, :m] - T[:m, m:] @ np.linalg.solve(T[m:, m:], T[m:, :m])
         except np.linalg.LinAlgError:
             c *= 0.5
             continue

@@ -9,7 +9,8 @@ lam = A pi A^T + B B^T (one-step prediction error covariance).  The rate is
 Dispatch: the closed form for scalar sources, an exact zero-rate solution
 for stable sources at D >= d_max, otherwise one of the two determinant-
 maximization representations in :mod:`zdrd.maxdet` (form_b when BB^T is
-invertible, form_a when only A is).
+invertible, form_a when only A is).  ``dispatch_form`` checks a forced
+form's condition too, before the zero-rate shortcut, so it holds at every D.
 """
 
 import math
@@ -61,11 +62,9 @@ def scalar_ar1_nrdf(alpha: float, sigma2: float, D: float) -> float:
     return max(0.0, 0.5 * math.log2(alpha * alpha + sigma2 / D))
 
 
-def _rank(M):
+def _full_rank(M):
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return bool(np.all(s > RANK_RTOL * s[0]))
 
 
 def _rate_from_pair(pi, lam):
@@ -109,24 +108,37 @@ def _scalar_solution(src, D):
     )
 
 
-def dispatch_form(src: GaussMarkovSource) -> str:
-    """Which representation applies: form_b if BB^T invertible, else form_a."""
-    if _rank(src.B @ src.B.T) == src.p:
-        return FORM_B
-    if _rank(src.A) == src.p:
-        return FORM_A
-    raise InfeasibleModel(
-        "existence requires A nonsingular or B with full row rank; neither holds"
-    )
+def dispatch_form(src: GaussMarkovSource, form: str | None = None) -> str:
+    """The representation ``nrdf`` solves in; checks its existence condition.
+
+    form_b needs BB^T nonsingular and form_a needs A nonsingular.  A forced
+    ``form`` must meet its own condition; by default scalar sources take the
+    closed form, then form_b is preferred over form_a.
+    """
+    conditions = {FORM_B: (src.B @ src.B.T, "BB^T"), FORM_A: (src.A, "A")}
+    if form is None:
+        if src.p == 1:
+            return SCALAR_CLOSED_FORM
+        for name, (M, _) in conditions.items():
+            if _full_rank(M):
+                return name
+        raise InfeasibleModel(
+            "existence requires A nonsingular or B with full row rank; neither holds"
+        )
+    if form not in conditions:
+        raise ValueError(f"unknown form {form!r}")
+    M, what = conditions[form]
+    if not _full_rank(M):
+        raise InfeasibleModel(f"{form} requires {what} to be nonsingular")
+    return form
 
 
 def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolution:
     """Rate (bits/vector/step) and optimizing pair at distortion target D.
 
-    ``form`` forces a representation ("form_b" or "form_a"); by default
-    scalar sources use the closed form and vector sources dispatch on the
-    rank conditions.  Stable sources at D >= d_max return the exact
-    zero-rate stationary solution.
+    ``form`` forces a representation ("form_b" or "form_a"); the default is
+    :func:`dispatch_form`'s choice.  Stable sources at D >= d_max return the
+    exact zero-rate stationary solution.
     """
     try:
         D = float(D)
@@ -134,30 +146,18 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolut
         raise BadDistortion(f"D must be a positive real, got {D!r}") from exc
     if not (np.isfinite(D) and D > 0):
         raise BadDistortion(f"D must be a positive real, got {D!r}")
-    forced = form is not None
-    if not forced:
-        if src.p == 1:
-            return _scalar_solution(src, D)
-        form = dispatch_form(src)  # checks the rank conditions
-    elif form not in (FORM_B, FORM_A):
-        raise ValueError(f"unknown form {form!r}")
+    form = dispatch_form(src, form)
+    if form == SCALAR_CLOSED_FORM:
+        return _scalar_solution(src, D)
 
-    dm = d_max(src)
-    if D >= dm:
+    if D >= d_max(src):
         try:
             return _zero_rate_solution(src, D, form)
         except InfeasibleModel:
             pass  # degenerate stationarity; let the barrier's phase 1 decide
 
-    if form == FORM_B:
-        if forced and _rank(src.B @ src.B.T) != src.p:
-            raise InfeasibleModel("form_b requires BB^T to be nonsingular")
-        prob = maxdet.form_b_problem(src.A, src.B, D)
-    else:
-        if forced and _rank(src.A) != src.p:
-            raise InfeasibleModel("form_a requires A to be nonsingular")
-        prob = maxdet.form_a_problem(src.A, src.B, D)
-    pi, _, kkt = maxdet.solve_maxdet(prob)
+    build = maxdet.form_b_problem if form == FORM_B else maxdet.form_a_problem
+    pi, _, kkt = maxdet.solve_maxdet(build(src.A, src.B, D))
     pi = symmetrize(pi)
     lam = symmetrize(src.A @ pi @ src.A.T + src.B @ src.B.T)
     return NrdfSolution(

@@ -11,6 +11,9 @@ import importlib.util
 from pathlib import Path
 
 import zdrd
+from zdrd import maxdet
+from zdrd.experiments import preset_config
+from zdrd.solver import nrdf
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -37,3 +40,21 @@ def test_every_wrap_point_is_callable(monkeypatch):
 def test_seed_bundle_takes_three_positional_seeds():
     bundle = zdrd.SeedBundle(1, 2, 3)
     assert (bundle.source, bundle.dither, bundle.channel) == (1, 2, 3)
+
+
+def test_span_attributes_read_real_results(monkeypatch):
+    # a renamed field would zero a per-layer metric without any error
+    spans = load_spans(monkeypatch)
+    attrs = {(module, attr): fn for module, attr, _, fn in spans.WRAP_POINTS}
+    for name, build, D, form in (
+        ("example1", maxdet.form_b_problem, 1.0, "form_b"),
+        ("example4", maxdet.form_a_problem, 0.5, "form_a"),
+    ):
+        src = preset_config(name).source
+        prob = build(src.A, src.B, D)
+        got = attrs[("maxdet", build.__name__)]((src.A, src.B, D), prob)
+        assert got["p"] == src.p and got["bytes"] > 0
+        solved = maxdet.solve_maxdet(prob)
+        assert attrs[("maxdet", "solve_maxdet")]((prob,), solved) == {"p": src.p}
+        sol = nrdf(src, D)
+        assert attrs[("experiments", "nrdf")]((src, D), sol) == {"p": src.p, "form": form}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import zdrd
-from zdrd import entropy_code, kernels
+from zdrd import coding, entropy_code, kernels
 from zdrd.coding import (
     HALF_LOG2_PIE6,
     SeedBundle,
@@ -181,14 +181,13 @@ class TestCodingRuns:
         b = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4))
         assert a == b
 
-    def test_alphabet_overflow_guard(self, stable4):
+    def test_alphabet_overflow_guard(self, stable4, monkeypatch):
         scheme = build_realization(stable4, nrdf(stable4, 0.1))
+        monkeypatch.setattr(coding, "ALPHABET_CAP", 8)
         with pytest.raises(AlphabetOverflow):
-            run_coding_experiment(
-                scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4), alphabet_cap=8
-            )
+            run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4))
 
-    def test_batch_rows_equal_single_runs(self, stable4):
+    def test_batch_rows_equal_single_runs(self, stable4, monkeypatch):
         # r = 4, 2 and 0 in one batch, plus a point that fails alone
         schemes = [build_realization(stable4, nrdf(stable4, d)) for d in (0.2, 3.98, 10.0)]
         assert [s.r for s in schemes] == [4, 2, 0]
@@ -201,7 +200,8 @@ class TestCodingRuns:
         assert isinstance(got[1], DimensionMismatch)
         for res, (sch, seeds, qcfg) in zip(got[:1] + got[2:], points[:1] + points[2:]):
             assert res == run_coding_experiment(sch, stable4, 3000, seeds, qcfg)
-        capped = run_coding_batch(stable4, 3000, points, alphabet_cap=8)
+        monkeypatch.setattr(coding, "ALPHABET_CAP", 8)
+        capped = run_coding_batch(stable4, 3000, points)
         assert isinstance(capped[0], AlphabetOverflow)
         assert capped[2:] == got[2:]
 

@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 import zdrd
@@ -141,6 +142,55 @@ class TestFormAgreement:
     def test_auto_dispatch(self, unstable_ar2, stable4):
         assert nrdf(unstable_ar2, 0.5).form_used == FORM_A
         assert nrdf(stable4, 1.0).form_used == FORM_B
+
+
+def direct_lmi(form, A, B, D, Pi, Q):
+    """The fused LMI written out from the maxdet module docstring."""
+    BBt = B @ B.T
+    Lam = A @ Pi @ A.T + BBt
+    if form == FORM_B:
+        top = np.block([[Pi - Q, Pi @ A.T], [A @ Pi, Lam]])
+    else:
+        top = np.block([[np.eye(B.shape[1]) - Q, B.T], [B, Lam]])
+    return block_diag(top, Lam - Pi, Pi, [[D - np.trace(Pi)]])
+
+
+class TestAssembly:
+    @pytest.mark.parametrize(
+        "form, p, q",
+        [(FORM_B, p, p) for p in (1, 2, 3)]
+        + [(FORM_A, 1, 1), (FORM_A, 1, 2), (FORM_A, 2, 1), (FORM_A, 2, 3), (FORM_A, 3, 3)],
+    )
+    def test_tensors_match_direct_lmi(self, form, p, q):
+        rng = np.random.default_rng(100 * p + q)
+        A, B, D = rng.normal(size=(p, p)), rng.normal(size=(p, q)), rng.uniform(0.5, 2.0)
+        build = maxdet.form_b_problem if form == FORM_B else maxdet.form_a_problem
+        prob = build(A, B, D)
+        m = q if form == FORM_A else p
+        nb_pi, nb_q = p * (p + 1) // 2, m * (m + 1) // 2
+        assert (prob.p, prob.m, prob.nb_pi, prob.n) == (p, m, nb_pi, nb_pi + nb_q)
+        for _ in range(3):
+            x = rng.normal(size=prob.n)
+            Pi, Q = maxdet.unvech(x[: prob.nb_pi], p), maxdet.unvech(x[prob.nb_pi :], m)
+            G = prob.fused_C + np.tensordot(x, prob.fused_dA, axes=1)
+            ref = direct_lmi(form, A, B, D, Pi, Q)
+            np.testing.assert_allclose(G, ref, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(np.tensordot(x, prob.q_dA, axes=1), Q)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_vech_round_trip(self, p):
+        order = [(i, j) for i in range(p) for j in range(i, p)]
+        M = np.random.default_rng(p).normal(size=(p, p))
+        M = M + M.T
+        assert np.array_equal(maxdet.vech(M), [M[i, j] for i, j in order])
+        assert np.array_equal(maxdet.unvech(maxdet.vech(M), p), M)
+        E = maxdet.sym_basis(p)
+        assert E.shape == (len(order), p, p)
+        for Ek, (i, j) in zip(E, order):
+            expect = np.zeros((p, p))
+            expect[i, j] = expect[j, i] = 1.0
+            assert np.array_equal(Ek, expect)
+        assert np.array_equal(np.tensordot(maxdet.vech(M), E, axes=1), M)
 
 
 class TestNewtonSystem:

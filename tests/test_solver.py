@@ -6,7 +6,7 @@ import pytest
 import zdrd
 from zdrd.coding import theoretical_upper_bound
 from zdrd.errors import BadDistortion, ConfigParse, InfeasibleModel
-from zdrd.experiments import ExperimentConfig, run_experiment
+from zdrd.experiments import ExperimentConfig, preset_config, run_experiment
 from zdrd.solver import nrdf, scalar_ar1_nrdf
 
 
@@ -65,6 +65,19 @@ class TestNrdf:
         B = np.array([[1.0, 0.0], [0.0, 0.0]])  # singular
         with pytest.raises(InfeasibleModel):
             nrdf(zdrd.new_source(A, B, np.eye(2)), 0.5)
+
+    def test_forced_form_checked_at_every_d(self):
+        # example2 has singular BB^T: form_b is refused on its whole default
+        # grid, including d_max where the exact zero-rate solution applies
+        config = preset_config("example2", quantizer="none")
+        src, grid = config.source, config.d_grid
+        assert grid[-1] == zdrd.d_max(src)
+        for d in grid:
+            with pytest.raises(InfeasibleModel) as err:
+                nrdf(src, d, form="form_b")
+            assert str(err.value) == "form_b requires BB^T to be nonsingular"
+        sol = nrdf(src, grid[-1], form="form_a")
+        assert (sol.rate_bits, sol.form_used) == (0.0, "form_a")
 
     def test_invariants_on_presets(self, stable4, unstable4, stable_ar2, unstable_ar2):
         for src, grid in [
