@@ -14,7 +14,7 @@ form's condition too, before the zero-rate shortcut, so it holds at every D.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ class NrdfSolution:
     lam: np.ndarray
     kkt_residual: float
     form_used: str
+    stats: maxdet.SolverStats = maxdet.SolverStats()  # zeros unless the barrier ran
 
     def to_dict(self):
         return {
@@ -47,6 +48,7 @@ class NrdfSolution:
             "lambda": self.lam.tolist(),
             "kkt_residual": self.kkt_residual,
             "form_used": self.form_used,
+            "stats": asdict(self.stats),
         }
 
 
@@ -157,7 +159,7 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolut
             pass  # degenerate stationarity; let the barrier's phase 1 decide
 
     build = maxdet.form_b_problem if form == FORM_B else maxdet.form_a_problem
-    pi, _, kkt = maxdet.solve_maxdet(build(src.A, src.B, D))
+    pi, _, kkt, stats = maxdet.solve_maxdet(build(src.A, src.B, D))
     pi = symmetrize(pi)
     lam = symmetrize(src.A @ pi @ src.A.T + src.B @ src.B.T)
     return NrdfSolution(
@@ -167,5 +169,6 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolut
         lam=lam,
         kkt_residual=float(kkt),
         form_used=form,
+        stats=stats,
     )
 

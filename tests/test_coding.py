@@ -268,3 +268,20 @@ class TestCodingRuns:
         doc = json.loads(path.read_text())
         assert doc["n_steps"] == 500
         assert doc["empirical_rate_bits_per_vector"] == res.empirical_rate_bits_per_vector
+
+
+class TestStreamChunks:
+    # bounding a sweep's memory means drawing each row's source and dither
+    # streams in horizon chunks; that keeps every run unchanged only if
+    # PCG64 draws split along the horizon equal one draw
+    @pytest.mark.parametrize("width", [1, 3, 4])
+    @pytest.mark.parametrize("draw, head", [("standard_normal", 4), ("random", 0)])
+    def test_chunked_draws_equal_one_draw(self, draw, head, width):
+        n, cuts = 1001, [0, 1, 1, 250, 777, 1001]
+        one = np.random.default_rng(2024)
+        x0 = one.standard_normal(head)  # the source stream draws x0 first
+        whole = getattr(one, draw)((n, width))
+        rng = np.random.default_rng(2024)
+        assert np.array_equal(rng.standard_normal(head), x0)
+        parts = [getattr(rng, draw)((b - a, width)) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)

@@ -138,24 +138,26 @@ class TestRunExperiment:
             (
                 "example1",  # sdusq; the top point is d_max, r = 0
                 [
-                    ("10.39080459770115", "0.08106578852382115"),
-                    ("6.920539730134933", "0.5717712521367103"),
+                    ("10.39080459770115", "0.08106578852421714"),
+                    ("6.920539730134933", "0.5717712521366963"),
                     ("0.0", "4.049072449711452"),
                 ],
             ),
             (
                 "example3",  # D4
                 [
-                    ("10.577211394302848", "0.060024946387569424"),
-                    ("7.710644677661169", "0.4280255753178093"),
-                    ("4.303848075962019", "2.951694713322956"),
+                    ("10.586206896551724", "0.060065998327189264"),
+                    ("7.690654672663668", "0.4265477034432415"),
+                    ("4.204897551224388", "3.0231101877472617"),
                 ],
             ),
         ],
     )
     def test_operational_rates_pinned(self, name, expected, monkeypatch):
-        # exact values of the per-point scalar loops the lockstep kernel
-        # replaced; any change to the loop's arithmetic order shows here
+        # exact values, recorded with the long-step barrier schedule; any change
+        # to the loop's arithmetic order shows here.  So does a last-bit move
+        # of Pi: on the unstable example3 sub-quantum differences in e grow
+        # like A between index flips, and the first flip re-draws the run
         monkeypatch.delenv("ZDRD_SEED", raising=False)
         report = experiments.run_experiment(
             experiments.preset_config(name, n_steps=2000, points=3)

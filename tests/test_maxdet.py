@@ -109,7 +109,7 @@ class TestScalarOracle:
         assert np.allclose(sol.pi, sol.lam)
         # the barrier itself also lands at (numerically) zero rate
         prob = maxdet.form_b_problem(src.A, src.B, dmax * 1.5)
-        pi, _, _ = maxdet.solve_maxdet(prob)
+        pi, _, _, _ = maxdet.solve_maxdet(prob)
         lam = src.A @ pi @ src.A.T + src.B @ src.B.T
         rate = 0.5 * (np.linalg.slogdet(lam)[1] - np.linalg.slogdet(pi)[1]) / np.log(2)
         assert 0.0 <= rate < 1e-7
@@ -211,12 +211,19 @@ class TestNewtonSystem:
 
 
 class TestFactorOnce:
-    # repr(rate_bits), repr(kkt_residual) recorded before the Newton loop
-    # reused one factorization per point; the solves must stay bit-identical
+    # repr(rate_bits), repr(kkt_residual) recorded with the long-step schedule
+    # (T_GROWTH = 100); refactors of the Newton loop must keep them bit-identical
     PINNED = {
-        "example1": ("np.float64(4.008097225683857)", "2.9416770050658024e-11"),
-        "example4": ("np.float64(1.199500593827277)", "7.295512549423843e-11"),
-        "random6": ("np.float64(6.1392762842152635)", "4.335141833181717e-11"),
+        "example1": ("np.float64(4.008097225683425)", "2.2273634342367272e-11"),
+        "example4": ("np.float64(1.1995005938112158)", "1.1826164617638543e-11"),
+        "random6": ("np.float64(6.139276284214832)", "3.283074420946421e-11"),
+    }
+    # rate_bits of the same solves under the earlier short-step schedule
+    # (T_GROWTH = 5): a schedule change may move a rate only within the gap
+    SHORT_STEP_RATES = {
+        "example1": 4.008097225683857,
+        "example4": 1.199500593827277,
+        "random6": 6.1392762842152635,
     }
 
     def test_solutions_pinned(self, stable4, unstable_ar2):
@@ -229,6 +236,8 @@ class TestFactorOnce:
         }
         got = {k: (repr(s.rate_bits), repr(s.kkt_residual)) for k, s in sols.items()}
         assert got == self.PINNED
+        for k, rate in self.SHORT_STEP_RATES.items():
+            assert abs(sols[k].rate_bits - rate) < 1e-9
 
     @pytest.mark.parametrize("build", [maxdet.form_a_problem, maxdet.form_b_problem])
     def test_each_point_factored_once(self, build, stable4, monkeypatch):
@@ -254,6 +263,32 @@ class TestFactorOnce:
 
         from_scipy = [k for k, v in vars(maxdet).items() if origin(v).split(".")[0] == "scipy"]
         assert from_scipy == ["solve_discrete_lyapunov"]
+
+
+class TestSolverStats:
+    def test_newton_step_budget(self, stable4, monkeypatch):
+        # the long-step schedule solves this point in 47 Newton steps; the
+        # earlier T_GROWTH = 5 took 104 (pinned below), so the budget fails it
+        systems = []
+        newton_system = maxdet._newton_system
+
+        def counting(*args):
+            systems.append(args)
+            return newton_system(*args)
+
+        monkeypatch.setattr(maxdet, "_newton_system", counting)
+        stats = nrdf(stable4, 1.0, form=FORM_B).stats
+        assert stats.newton_steps == len(systems)
+        assert stats.newton_steps <= 60
+        assert stats == maxdet.SolverStats(stages=7, newton_steps=47, backtracks=79)
+        monkeypatch.setattr(maxdet, "T_GROWTH", 5.0)
+        short = nrdf(stable4, 1.0, form=FORM_B).stats
+        assert short == maxdet.SolverStats(stages=18, newton_steps=104, backtracks=56)
+
+    def test_closed_form_and_zero_rate_report_zeros(self, scalar_half, stable4):
+        for sol in (nrdf(scalar_half, 0.5), nrdf(stable4, zdrd.d_max(stable4))):
+            assert sol.stats == maxdet.SolverStats(0, 0, 0)
+            assert sol.to_dict()["stats"] == {"stages": 0, "newton_steps": 0, "backtracks": 0}
 
 
 class TestBruteForceOracle:

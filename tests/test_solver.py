@@ -6,19 +6,49 @@ import pytest
 import zdrd
 from zdrd.coding import theoretical_upper_bound
 from zdrd.errors import BadDistortion, ConfigParse, InfeasibleModel
-from zdrd.experiments import ExperimentConfig, preset_config, run_experiment
-from zdrd.solver import nrdf, scalar_ar1_nrdf
+from zdrd.experiments import (
+    ExperimentConfig,
+    _preset_sources,
+    default_grid,
+    preset_config,
+    run_experiment,
+)
+from zdrd.solver import FORM_A, FORM_B, dispatch_form, nrdf, scalar_ar1_nrdf
+
+
+FEAS_TOL = 1e-9  # relative slack of the primal feasibility checks
 
 
 def assert_solution_invariants(src, sol):
+    """Primal feasibility and the rate identity, checked from (A, B, Pi) alone."""
     lam_expected = src.A @ sol.pi @ src.A.T + src.B @ src.B.T
     rel = np.linalg.norm(sol.lam - lam_expected) / max(np.linalg.norm(lam_expected), 1e-30)
     assert rel < 1e-8
     assert np.linalg.eigvalsh(sol.pi)[0] > 0
-    assert np.linalg.eigvalsh(sol.lam - sol.pi)[0] >= -1e-8
-    assert np.trace(sol.pi) <= sol.distortion_target + 1e-8
-    ld = 0.5 * (np.linalg.slogdet(sol.lam)[1] - np.linalg.slogdet(sol.pi)[1]) / math.log(2)
-    assert abs(sol.rate_bits - max(0.0, ld)) < 1e-8
+    lam_scale = np.linalg.norm(lam_expected, 2)
+    assert np.linalg.eigvalsh(lam_expected - sol.pi)[0] >= -FEAS_TOL * lam_scale
+    assert np.trace(sol.pi) <= sol.distortion_target * (1 + FEAS_TOL)
+    ld = 0.5 * (np.linalg.slogdet(lam_expected)[1] - np.linalg.slogdet(sol.pi)[1]) / math.log(2)
+    assert abs(sol.rate_bits - ld) < FEAS_TOL
+
+
+def solvable_forms(src):
+    """The forced forms whose existence condition the source meets."""
+    forms = []
+    for form in (FORM_A, FORM_B):
+        try:
+            forms.append(dispatch_form(src, form))
+        except InfeasibleModel:
+            pass
+    return forms
+
+
+def random_source(p, rho, seed):
+    """Seeded random source with spectral radius rho and B = I."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, p))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    return zdrd.new_source(A, np.eye(p), np.eye(p))
 
 
 class TestScalarClosedForm:
@@ -88,6 +118,11 @@ class TestNrdf:
         ]:
             for d in grid:
                 assert_solution_invariants(src, nrdf(src, d))
+        # every preset's 6-point grid in each form its source admits
+        for src in _preset_sources().values():
+            for d in default_grid(src, 6):
+                for form in solvable_forms(src):
+                    assert_solution_invariants(src, nrdf(src, d, form=form))
 
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(17)
@@ -98,6 +133,15 @@ class TestNrdf:
             src = zdrd.new_source(A, B, np.eye(p))
             sol = nrdf(src, float(rng.uniform(0.1, 1.5)))
             assert_solution_invariants(src, sol)
+        # seeded p = 2..8 sources, stable and unstable, in both forms
+        for p in range(2, 9):
+            for rho in (0.9, 1.1):
+                src = random_source(p, rho, seed=100 * p + int(10 * rho))
+                dm = zdrd.d_max(src)
+                grid = (0.02 * dm, 0.3 * dm) if math.isfinite(dm) else (0.1 * p, 2.0 * p)
+                for d in grid:
+                    for form in (FORM_A, FORM_B):
+                        assert_solution_invariants(src, nrdf(src, d, form=form))
 
     def test_unstable_floor_everywhere(self, unstable4, unstable_ar2):
         for src in (unstable4, unstable_ar2):
