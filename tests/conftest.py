@@ -21,6 +21,14 @@ UNSTABLE_4D_A = np.array(
 )
 
 
+def random_source(p, seed, rho=0.9):
+    """Seeded random source with spectral radius rho and B = I."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, p))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    return zdrd.new_source(A, np.eye(p), np.eye(p))
+
+
 @pytest.fixture(scope="session")
 def stable4():
     return zdrd.new_source(STABLE_4D_A, np.eye(4), np.eye(4))

@@ -13,6 +13,8 @@ from zdrd import maxdet
 from zdrd.errors import InfeasibleModel
 from zdrd.solver import FORM_A, FORM_B, nrdf, scalar_ar1_nrdf
 
+from conftest import random_source
+
 # Frozen brute-force oracle for a fixed stable p=2 instance at D = 0.3:
 # random search over PSD matrices with trace <= D (1e6 samples) followed by
 # Nelder-Mead refinement of the best candidate.  See oracle_rate below.
@@ -47,14 +49,6 @@ def einsum_newton_system(prob, x, t):
     T2 = np.einsum("ab,jbc,cd->jad", Qi, prob.q_dA, Qi)
     H += w * np.einsum("jab,lba->jl", T2, prob.q_dA)
     return g, 0.5 * (H + H.T)
-
-
-def random_stable_source(p, seed):
-    """Seeded random source with spectral radius 0.9 and B = I."""
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(p, p))
-    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
-    return zdrd.new_source(A, np.eye(p), np.eye(p))
 
 
 def oracle_rate(A, B, D, samples, seed):
@@ -197,7 +191,7 @@ class TestNewtonSystem:
     @pytest.mark.parametrize("build", [maxdet.form_a_problem, maxdet.form_b_problem])
     @pytest.mark.parametrize("p", [2, 3])
     def test_matches_einsum_reference(self, build, p):
-        src = random_stable_source(p, seed=10 + p)
+        src = random_source(p, seed=10 + p)
         prob = build(src.A, src.B, 0.3 * zdrd.d_max(src))
         x, factors = maxdet.phase1_point(prob)
         for t in (1.0, 25.0, 3125.0, 1e8):
@@ -228,7 +222,7 @@ class TestFactorOnce:
 
     def test_solutions_pinned(self, stable4, unstable_ar2):
         # stable4 and unstable_ar2 are the example1 and example4 sources
-        src6 = random_stable_source(6, seed=16)
+        src6 = random_source(6, seed=16)
         sols = {
             "example1": nrdf(stable4, 1.0, form=FORM_B),
             "example4": nrdf(unstable_ar2, 0.5, form=FORM_A),
@@ -329,7 +323,7 @@ class TestPhase1AndErrors:
         assert time.time() - t0 < 5.0
 
     def test_runtime_budget_p8_point(self):
-        src = random_stable_source(8, seed=3)
+        src = random_source(8, seed=3)
         t0 = time.time()
         sol = nrdf(src, 0.02 * zdrd.d_max(src), form=FORM_B)
         assert time.time() - t0 < 10.0

@@ -15,6 +15,8 @@ from zdrd.experiments import (
 )
 from zdrd.solver import FORM_A, FORM_B, dispatch_form, nrdf, scalar_ar1_nrdf
 
+from conftest import random_source
+
 
 FEAS_TOL = 1e-9  # relative slack of the primal feasibility checks
 
@@ -41,14 +43,6 @@ def solvable_forms(src):
         except InfeasibleModel:
             pass
     return forms
-
-
-def random_source(p, rho, seed):
-    """Seeded random source with spectral radius rho and B = I."""
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(p, p))
-    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
-    return zdrd.new_source(A, np.eye(p), np.eye(p))
 
 
 class TestScalarClosedForm:
@@ -136,7 +130,7 @@ class TestNrdf:
         # seeded p = 2..8 sources, stable and unstable, in both forms
         for p in range(2, 9):
             for rho in (0.9, 1.1):
-                src = random_source(p, rho, seed=100 * p + int(10 * rho))
+                src = random_source(p, seed=100 * p + int(10 * rho), rho=rho)
                 dm = zdrd.d_max(src)
                 grid = (0.02 * dm, 0.3 * dm) if math.isfinite(dm) else (0.1 * p, 2.0 * p)
                 for d in grid:
