@@ -39,7 +39,6 @@ from .experiments import (
     preset_config,
     run_experiment,
 )
-from .quantizers import QuantizerConfig, d4_config, d4_quantize, sdusq_config
 from .realization import (
     ChannelRun,
     RealizationScheme,
@@ -79,7 +78,6 @@ __all__ = [
     "NotPSD",
     "NrdfSolution",
     "OrderViolation",
-    "QuantizerConfig",
     "RealizationScheme",
     "SeedBundle",
     "SolverDivergence",
@@ -88,8 +86,6 @@ __all__ = [
     "ZdrdError",
     "augment_ar",
     "build_realization",
-    "d4_config",
-    "d4_quantize",
     "d_max",
     "joint_diagonalize",
     "list_presets",
@@ -100,7 +96,6 @@ __all__ = [
     "run_coding_experiment",
     "run_experiment",
     "scalar_ar1_nrdf",
-    "sdusq_config",
     "simulate",
     "source_from_dict",
     "stability_report",

@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import experiments
+from . import coding, experiments
 from .errors import ConfigParse, ZdrdError
 
 
@@ -30,7 +30,7 @@ def build_parser():
     pp = sub.add_parser("preset", help="run a named preset sweep")
     pp.add_argument("name", help="preset name (see list-presets)")
     pp.add_argument("--per-dim", action="store_true", help="normalize rates per dimension")
-    pp.add_argument("--quantizer", choices=["sdusq", "d4", "none"], default="default")
+    pp.add_argument("--quantizer", choices=[*coding.KINDS, "none"], default="default")
     pp.add_argument("--out", help="CSV output path")
     pp.add_argument("--n-steps", type=int, default=None, help="coding run length")
     pp.add_argument("--grid-points", type=int, default=experiments.GRID_POINTS)

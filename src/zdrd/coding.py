@@ -22,12 +22,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import entropy_code, kernels
 from .errors import POINT_ERRORS, AlphabetOverflow, DimensionMismatch
-from .quantizers import G4, QuantizerConfig, sdusq_dither
+from .quantizers import D4_UNIT_SCALE, G4, SQRT12, sdusq_dither
 from .realization import RealizationScheme, channel_matrices
 from .source_model import GaussMarkovSource, source_noise
 
@@ -35,11 +36,31 @@ ALPHABET_CAP = 2**20
 HALF_LOG2_PIE6 = 0.5 * math.log2(math.pi * math.e / 6.0)  # ~0.2546 bits
 
 
+class Kind(NamedTuple):
+    block: int  # coordinates quantized together; r must be a multiple
+    scale: float  # step size or lattice scale giving unit noise per coordinate
+    loss_bits: float  # space-filling loss per dimension, 1/2 log2(2 pi e G)
+
+
+# every quantizer kind, by the name configs and the CLI use; the rest of the
+# package reads each kind's facts from here
+KINDS = {
+    "sdusq": Kind(1, SQRT12, HALF_LOG2_PIE6),
+    "d4": Kind(4, D4_UNIT_SCALE, 0.5 * math.log2(2.0 * math.pi * math.e * G4)),
+}
+
+
+def _kind(kind):
+    if kind not in KINDS:
+        raise ValueError(f"unknown quantizer kind {kind!r}")
+    return KINDS[kind]
+
+
 @dataclass(frozen=True)
 class SeedBundle:
     source: int
     dither: int
-    channel: int = 0
+    channel: int = 0  # seeds nothing; kept so that three positional seeds still build a bundle
 
 
 @dataclass(frozen=True)
@@ -67,19 +88,17 @@ class CodingResult:
 def theoretical_upper_bound(rate_na_bits, r, kind):
     """Additive achievability bound on the operational rate, bits per vector.
 
-    kind 'sdusq' adds (r/2) log2(pi e/6) + 1; kind 'd4' adds
-    (r/2) log2(2 pi e G4) + 1, G4 the normalized second moment of D4.  With
-    r = 0 nothing is transmitted and the bound is the rate itself.
+    It adds r times the kind's per-dimension loss 1/2 log2(2 pi e G), G the
+    normalized second moment of its cell (1/12 for the scalar quantizer, G4
+    for D4), plus one bit.  With r = 0 nothing is transmitted and the bound
+    is the rate itself.
     """
+    loss = _kind(kind).loss_bits
     if r < 0:
         raise DimensionMismatch(f"r must be nonnegative, got {r}")
     if r == 0:
         return float(rate_na_bits)
-    if kind == "sdusq":
-        return float(rate_na_bits + r * HALF_LOG2_PIE6 + 1.0)
-    if kind == "d4":
-        return float(rate_na_bits + 0.5 * r * math.log2(2.0 * math.pi * math.e * G4) + 1.0)
-    raise ValueError(f"unknown quantizer kind {kind!r}")
+    return float(rate_na_bits + r * loss + 1.0)
 
 
 def run_coding_experiment(
@@ -87,49 +106,44 @@ def run_coding_experiment(
     src: GaussMarkovSource,
     n: int,
     seeds: SeedBundle,
-    qcfg: QuantizerConfig,
+    kind: str,
     trace_path=None,
 ) -> CodingResult:
     """Simulate the quantized loop for n steps and entropy code the indices.
 
     Deterministic given ``seeds``: the source path comes from seeds.source,
-    the dither stream from seeds.dither.  Optionally dumps a per-step CSV
-    trace (t, indices..., codeword_length_bits, squared error).  This is
+    the dither stream from seeds.dither; ``kind`` names the quantizer, a key
+    of :data:`KINDS`.  Optionally dumps a per-step CSV trace (t,
+    indices..., codeword_length_bits, squared error).  This is
     :func:`run_coding_batch` on one point; its error is raised.
     """
-    (res,) = run_coding_batch(src, n, [(scheme, seeds, qcfg)], [trace_path])
+    (res,) = run_coding_batch(src, n, [(scheme, seeds, kind)], [trace_path])
     if isinstance(res, Exception):
         raise res
     return res
 
 
-def _check_point(src, scheme, qcfg):
+def _check_point(src, scheme, kind):
+    block = _kind(kind).block
     if scheme.E.shape[0] != src.p:
         raise DimensionMismatch("scheme dimension does not match source")
-    r = scheme.r
-    if r == 0:
-        return
-    if qcfg.kind == "sdusq":
-        size = np.asarray(qcfg.deltas, float).size
-        if size != r:
-            raise DimensionMismatch(f"need {r} step sizes, got {size}")
-    elif qcfg.kind == "d4":
-        if r % 4 != 0:
-            raise DimensionMismatch(f"the D4 quantizer needs r divisible by 4, got r={r}")
-    else:
-        raise ValueError(f"unknown quantizer kind {qcfg.kind!r}")
+    if scheme.r % block != 0:
+        raise DimensionMismatch(
+            f"the {kind.upper()} quantizer needs r divisible by {block}, got r={scheme.r}"
+        )
 
 
 def run_coding_batch(src, n, points, trace_paths=None):
     """Run the quantized loops of several schemes of ``src`` in lockstep.
 
-    ``points`` is a sequence of (scheme, seeds, qcfg).  Every point draws
+    ``points`` is a sequence of (scheme, seeds, kind).  Every point draws
     its own source path and dither stream as :func:`run_coding_experiment`
     describes, its loop runs in one :func:`kernels.feedback_loop` with the
     others, and its indices get their own histogram and Huffman code, so
     each result equals that of the point run alone.  Points with r > 0 must
     share one quantizer kind; a point with r = 0 transmits nothing, and its
-    reproduction free-runs on the predictor.
+    reproduction free-runs on the predictor.  An unknown kind, or two kinds
+    among the points with r > 0, raises ValueError.
 
     Returns one entry per point, in order: its CodingResult, or the error
     (one of ``errors.POINT_ERRORS``) that failed it.  ``trace_paths``
@@ -138,17 +152,31 @@ def run_coding_batch(src, n, points, trace_paths=None):
     p = src.p
     out = [None] * len(points)
     live = []
-    for i, (scheme, _, qcfg) in enumerate(points):
+    for i, (scheme, _, kind) in enumerate(points):
         try:
-            _check_point(src, scheme, qcfg)
+            _check_point(src, scheme, kind)
             live.append(i)
         except POINT_ERRORS as exc:
             out[i] = exc
-    kinds = {points[i][2].kind for i in live if points[i][0].r}
+    kinds = {points[i][2] for i in live if points[i][0].r}
     if len(kinds) > 1:
         raise ValueError(f"a batch takes one quantizer kind, got {sorted(kinds)}")
     if not live:
         return out
+
+    # with no active point the loop never steps, and any live kind will do
+    kind = kinds.pop() if kinds else points[live[0]][2]
+    scale = KINDS[kind].scale
+    if kind == "d4":
+        make_step = kernels.d4_step
+
+        def draw(rng, r):
+            return kernels.d4_dither(rng, scale, (n + 1) * (r // 4)).reshape(n + 1, r)
+    else:
+        make_step = kernels.sdusq_step
+
+        def draw(rng, r):
+            return sdusq_dither(rng, np.full(r, scale), n + 1)
 
     G = len(live)
     rmax = max(points[i][0].r for i in live)
@@ -157,29 +185,16 @@ def run_coding_batch(src, n, points, trace_paths=None):
     fe = np.zeros((rmax, p, G))
     g = np.zeros((p, rmax, G))
     dither = np.zeros((n + 1, rmax, G))
-    deltas = np.ones((rmax, G))  # sdusq step sizes; ones in the padding
-    scale = np.ones(G)  # D4 lattice scales
     for col, i in enumerate(live):
-        scheme, seeds, qcfg = points[i]
+        scheme, seeds, _ = points[i]
         x0[:, col], w = source_noise(src, n, seeds.source)
         bw[:, :, col] = w @ src.B.T
         r = scheme.r
         if r == 0:
             continue
         fe[:r, :, col], g[:, :r, col] = channel_matrices(scheme)
-        rng_dith = np.random.default_rng(seeds.dither)
-        if qcfg.kind == "sdusq":
-            deltas[:r, col] = qcfg.deltas
-            dither[:, :r, col] = sdusq_dither(rng_dith, deltas[:r, col], n + 1)
-        else:
-            scale[col] = float(np.asarray(qcfg.deltas, float).flat[0])
-            dith = kernels.d4_dither(rng_dith, scale[col], (n + 1) * (r // 4))
-            dither[:, :r, col] = dith.reshape(n + 1, r)
-    if kinds == {"d4"}:
-        step = kernels.d4_step(dither, scale)
-    else:
-        step = kernels.sdusq_step(dither, deltas)
-    idx, e = kernels.feedback_loop(src.A, bw, x0, fe, g, step)
+        dither[:, :r, col] = draw(np.random.default_rng(seeds.dither), r)
+    idx, e = kernels.feedback_loop(src.A, bw, x0, fe, g, make_step(dither, scale))
     del bw, dither
 
     for col, i in enumerate(live):

@@ -18,10 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import SeedBundle, run_coding_batch, theoretical_upper_bound
+from .coding import KINDS, SeedBundle, run_coding_batch, theoretical_upper_bound
 from .coding import run_coding_experiment  # noqa: F401  (looked up here by perfbench/spans.py)
 from .errors import POINT_ERRORS, ConfigParse, failure_status
-from .quantizers import d4_config, sdusq_config
 from .realization import build_realization
 from .solver import nrdf
 from .source_model import GaussMarkovSource, augment_ar, d_max, new_source, source_from_dict
@@ -36,7 +35,7 @@ CSV_HEADER = [
     "status",
 ]
 
-DEFAULT_SEEDS = SeedBundle(source=20240, dither=20241, channel=20242)
+DEFAULT_SEEDS = SeedBundle(source=20240, dither=20241)
 DEFAULT_N_STEPS = 100_000
 GRID_POINTS = 20
 UNSTABLE_GRID_LO = 0.06  # analogue of 0.02*d_max for the (0, 3] sweeps
@@ -84,7 +83,7 @@ class ExperimentConfig:
     d_grid: tuple
     n_steps: int = DEFAULT_N_STEPS
     seeds: SeedBundle = DEFAULT_SEEDS
-    quantizer: str | None = "sdusq"  # None disables coding (bounds only)
+    quantizer: str | None = "sdusq"  # a key of coding.KINDS; None: bounds only
     csv_path: str | None = None
     name: str = "custom"
 
@@ -98,7 +97,7 @@ class ExperimentConfig:
             raise ConfigParse("distortion grid must be strictly increasing")
         if self.n_steps < 1:
             raise ConfigParse("n_steps must be >= 1")
-        if self.quantizer not in (None, "sdusq", "d4"):
+        if self.quantizer not in (None, *KINDS):
             raise ConfigParse(f"unknown quantizer {self.quantizer!r}")
         object.__setattr__(self, "d_grid", grid)
 
@@ -167,7 +166,6 @@ def config_from_dict(doc) -> ExperimentConfig:
     seeds = SeedBundle(
         source=int(seeds_doc.get("source", DEFAULT_SEEDS.source)),
         dither=int(seeds_doc.get("dither", DEFAULT_SEEDS.dither)),
-        channel=int(seeds_doc.get("channel", DEFAULT_SEEDS.channel)),
     )
     quant_doc = doc.get("quantizer")
     if quant_doc in (None, {}, "none"):
@@ -206,26 +204,23 @@ def _env_seed_override(seeds: SeedBundle) -> SeedBundle:
         base = int(raw)
     except ValueError as exc:
         raise ConfigParse(f"ZDRD_SEED must be an integer, got {raw!r}") from exc
-    return SeedBundle(source=base, dither=base + 1, channel=base + 2)
+    return SeedBundle(source=base, dither=base + 1)
 
 
 def _solve_point(src, d, quantizer, seeds, row_index):
-    """Bounds of one grid point, and its coding job (scheme, seeds, qcfg) or None."""
+    """Bounds of one grid point, and its coding job (scheme, seeds, kind) or None."""
     try:
         sol = nrdf(src, d)
         scheme = build_realization(src, sol)
         r = scheme.r
-        bound_kind = quantizer if quantizer is not None else "sdusq"
-        upper = theoretical_upper_bound(sol.rate_bits, r, bound_kind)
+        upper = theoretical_upper_bound(sol.rate_bits, r, quantizer or "sdusq")
         job = None
         if quantizer is not None:
             row_seeds = SeedBundle(
                 source=seeds.source + 1000 * row_index,
                 dither=seeds.dither + 1000 * row_index,
-                channel=seeds.channel + 1000 * row_index,
             )
-            qcfg = sdusq_config(r) if quantizer == "sdusq" else d4_config(r)
-            job = (scheme, row_seeds, qcfg)
+            job = (scheme, row_seeds, quantizer)
         row = ExperimentRow(float(d), float(sol.rate_bits), float(upper), None, None, r, "ok")
         return row, job
     except POINT_ERRORS as exc:  # sweeps survive isolated failures

@@ -35,7 +35,7 @@ three used here.
 
 import numpy as np
 
-from .quantizers import d4_nearest, sdusq_encode
+from .quantizers import d4_nearest, sdusq_decode, sdusq_encode
 
 
 def get_backend():
@@ -107,21 +107,22 @@ def awgn_step(noise):
 
 
 def sdusq_step(dither, deltas):
-    """Dithered scalar quantizer step; dither (n+1, r, G), deltas (r, G).
+    """Dithered scalar quantizer step; dither (n+1, r, G), deltas (r, G) or a float.
 
-    beta = j * delta - q with j the cell index of alpha + q
-    (``quantizers.sdusq_encode``: ties round half away from zero).
+    j is the cell index of alpha + q (``quantizers.sdusq_encode``: ties
+    round half away from zero) and beta = j * delta - q
+    (``quantizers.sdusq_decode``).
     """
 
     def step(t, alpha):
         q = sdusq_encode(alpha, dither[t], deltas)
-        return q, q * deltas - dither[t]
+        return q, sdusq_decode(q, dither[t], deltas)
 
     return step
 
 
 def d4_step(dither, scale):
-    """Dithered scale*D4 step on blocks of four; dither (n+1, r, G), scale (G,).
+    """Dithered scale*D4 step on blocks of four; dither (n+1, r, G), scale (G,) or a float.
 
     Each block of alpha + q is quantized by ``quantizers.d4_nearest``.
     """
@@ -173,7 +174,7 @@ def sdusq_loop(A, bw, x0, fe, g, dither, deltas):
     deltas = np.asarray(deltas, float)
     idx, e = _single(A, bw, x0, fe, g, sdusq_step(dither[..., None], deltas[:, None]))
     k, alpha = innovations(A, bw, x0, fe, e)
-    return idx, k, alpha, idx * deltas - dither, e
+    return idx, k, alpha, sdusq_decode(idx, dither, deltas), e
 
 
 def d4_loop(A, bw, x0, fe, g, dither, scale):
@@ -181,20 +182,6 @@ def d4_loop(A, bw, x0, fe, g, dither, scale):
     idx, e = _single(A, bw, x0, fe, g, d4_step(dither[..., None], np.array([scale], float)))
     k, alpha = innovations(A, bw, x0, fe, e)
     return idx, k, alpha, idx * scale - dither, e
-
-
-def d4_roots():
-    """The 24 minimal vectors of D4: all permutations of (+-1, +-1, 0, 0)."""
-    roots = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            for sa in (1.0, -1.0):
-                for sb in (1.0, -1.0):
-                    v = np.zeros(4)
-                    v[a] = sa
-                    v[b] = sb
-                    roots.append(v)
-    return np.array(roots)
 
 
 def d4_dither(rng, scale, count):

@@ -5,7 +5,7 @@ j*delta - delta/2 <= x <= j*delta + delta/2 (ties round half away from
 zero); subtracting the shared dither after quantization makes the
 reconstruction error uniform on a cell and independent of the input.
 
-Step sizes default to sqrt(12) so the quantization-noise variance matches
+Step sizes are sqrt(12), so the quantization-noise variance matches
 the unit noise of the normalized channel; the end-to-end distortion is
 realized by the realization scheme's scaling matrices, not by delta.
 
@@ -19,17 +19,13 @@ implemented once by :func:`d4_nearest`, which the D4 feedback loop in
 ``kernels`` calls: round every coordinate half away from zero; if the sum is
 odd, move the coordinate with the largest rounding error one step toward
 x (among equal errors the lowest index; when x equals the rounded value,
-step up).  :func:`d4_quantize` is the exhaustive reference; it agrees
-away from ties and breaks ties lexicographically instead.
+step up).
 
 D4 dither is drawn as u - Q(u) with u uniform on the box
 [0,1)^3 x [0,2), a fundamental domain of D4 (it holds one cube from each
 of the two cosets of D4 in Z^4), so the result is exactly uniform on the
 Voronoi cell (Zamir & Feder 1996, "On lattice quantization noise").
 """
-
-import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,22 +37,6 @@ D4_VOL = 2.0  # covolume of D4
 # scale making the per-coordinate noise variance of the dithered D4 cell unity:
 # var/dim of the scaled cell is c^2 * G4 * D4_VOL^(1/2)
 D4_UNIT_SCALE = float(1.0 / np.sqrt(G4 * np.sqrt(D4_VOL)))
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    kind: str  # "sdusq" or "d4"
-    deltas: np.ndarray  # step sizes (sdusq) or per-coordinate lattice scale (d4)
-
-
-def sdusq_config(r: int) -> QuantizerConfig:
-    return QuantizerConfig("sdusq", np.full(r, SQRT12))
-
-
-def d4_config(r: int) -> QuantizerConfig:
-    if r % 4 != 0:
-        raise DimensionMismatch(f"the D4 quantizer needs r divisible by 4, got r={r}")
-    return QuantizerConfig("d4", np.full(r, D4_UNIT_SCALE))
 
 
 def sdusq_encode(alpha, dither, deltas):
@@ -90,31 +70,3 @@ def d4_nearest(x):
     flip = (np.arange(4) == worst[..., None]) & odd[..., None]
     return f + np.where(flip, np.where(x >= f, 1.0, -1.0), 0.0)
 
-
-def d4_quantize(point, scale=1.0):
-    """Nearest point of scale*D4, exact even at ties.
-
-    Candidates are built per coordinate from the two enclosing integers
-    (three when the coordinate is already integral), filtered to even sum;
-    among minimal-distance candidates the lexicographically smallest wins.
-    Returns the lattice point (not the integer coordinates).
-    """
-    x = np.asarray(point, float) / scale
-    if x.shape != (4,):
-        raise DimensionMismatch(f"D4 operates on 4-vectors, got shape {x.shape}")
-    options = []
-    for xi in x:
-        f = np.floor(xi)
-        if f == xi:
-            options.append((xi - 1.0, xi, xi + 1.0))
-        else:
-            options.append((f, f + 1.0))
-    best = None
-    for cand in itertools.product(*options):
-        if int(sum(cand)) % 2 != 0:
-            continue
-        d = sum((xi - ci) ** 2 for xi, ci in zip(x, cand))
-        key = (d, cand)
-        if best is None or key < best:
-            best = key
-    return np.array(best[1]) * scale

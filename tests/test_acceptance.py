@@ -20,7 +20,7 @@ from zdrd.coding import (
     run_coding_experiment,
     theoretical_upper_bound,
 )
-from zdrd.quantizers import SQRT12, d4_config, sdusq_config
+from zdrd.quantizers import SQRT12
 from zdrd.realization import build_realization, channel_matrices, steady_state_update
 from zdrd.solver import FORM_A, FORM_B, nrdf, scalar_ar1_nrdf
 
@@ -118,10 +118,9 @@ def test_criterion_5_realization_fidelity(scalar_half, stable_ar2, unstable_ar2,
 def _sandwich_case(src, D, kind, n, seed_base, tmp_path):
     sol = nrdf(src, D)
     scheme = build_realization(src, sol)
-    qcfg = sdusq_config(scheme.r) if kind == "sdusq" else d4_config(scheme.r)
     trace = tmp_path / f"trace_{kind}_{seed_base}.csv"
     res = run_coding_experiment(
-        scheme, src, n, SeedBundle(seed_base, seed_base + 1), qcfg, trace_path=trace
+        scheme, src, n, SeedBundle(seed_base, seed_base + 1), kind, trace_path=trace
     )
     lengths = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=scheme.r + 1)
     se3 = 3.0 * float(np.std(lengths)) / math.sqrt(lengths.size)
@@ -154,7 +153,7 @@ def test_criterion_7_high_rate_gap_informative(stable4):
     sol = nrdf(stable4, d_small)
     scheme = build_realization(stable4, sol)
     res = run_coding_experiment(
-        scheme, stable4, 100_000, SeedBundle(7700, 7701), sdusq_config(scheme.r)
+        scheme, stable4, 100_000, SeedBundle(7700, 7701), "sdusq"
     )
     gap = (res.empirical_rate_bits_per_vector - sol.rate_bits) / scheme.r
     in_range = 0.15 <= gap <= 0.45
@@ -215,7 +214,7 @@ def test_criterion_8_property_suites(stable4, unstable_ar2, scalar_half, tmp_pat
     # Huffman sandwich on a run
     scheme = build_realization(stable4, nrdf(stable4, 1.0))
     res = run_coding_experiment(
-        scheme, stable4, 30_000, SeedBundle(90, 91), sdusq_config(scheme.r)
+        scheme, stable4, 30_000, SeedBundle(90, 91), "sdusq"
     )
     huff_ok = (
         res.empirical_entropy_bits - 1e-9

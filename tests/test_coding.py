@@ -17,9 +17,9 @@ from zdrd.coding import (
     run_coding_experiment,
     theoretical_upper_bound,
 )
-from zdrd.errors import AlphabetOverflow, DimensionMismatch
-from zdrd.experiments import preset_config, run_experiment
-from zdrd.quantizers import G4, SQRT12, d4_config, sdusq_config
+from zdrd.errors import AlphabetOverflow, ConfigParse, DimensionMismatch
+from zdrd.experiments import ExperimentConfig, preset_config, run_experiment
+from zdrd.quantizers import G4, SQRT12
 from zdrd.realization import build_realization, channel_matrices
 from zdrd.solver import nrdf
 
@@ -144,7 +144,7 @@ class TestCodingRuns:
         sol = nrdf(scalar_half, 0.5)
         scheme = build_realization(scalar_half, sol)
         res = run_coding_experiment(
-            scheme, scalar_half, 100_000, SeedBundle(21, 22), sdusq_config(1)
+            scheme, scalar_half, 100_000, SeedBundle(21, 22), "sdusq"
         )
         assert abs(res.empirical_mse - 0.5) / 0.5 < 0.05
         assert res.empirical_rate_bits_per_vector <= theoretical_upper_bound(
@@ -156,7 +156,7 @@ class TestCodingRuns:
         for src, d in [(scalar_half, 0.5), (stable4, 1.0)]:
             scheme = build_realization(src, nrdf(src, d))
             res = run_coding_experiment(
-                scheme, src, 20_000, SeedBundle(31, 32), sdusq_config(scheme.r)
+                scheme, src, 20_000, SeedBundle(31, 32), "sdusq"
             )
             assert (
                 res.empirical_entropy_bits - 1e-9
@@ -169,7 +169,7 @@ class TestCodingRuns:
         dmax = zdrd.d_max(src)
         scheme = build_realization(src, nrdf(src, 2 * dmax))
         res = run_coding_experiment(
-            scheme, src, 100_000, SeedBundle(41, 42), sdusq_config(0)
+            scheme, src, 100_000, SeedBundle(41, 42), "sdusq"
         )
         assert res.empirical_rate_bits_per_vector == 0.0
         assert res.alphabet_size_observed == 0
@@ -177,29 +177,31 @@ class TestCodingRuns:
 
     def test_determinism(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
-        a = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4))
-        b = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4))
+        a = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), "sdusq")
+        b = run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), "sdusq")
         assert a == b
 
     def test_alphabet_overflow_guard(self, stable4, monkeypatch):
         scheme = build_realization(stable4, nrdf(stable4, 0.1))
         monkeypatch.setattr(coding, "ALPHABET_CAP", 8)
         with pytest.raises(AlphabetOverflow):
-            run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), sdusq_config(4))
+            run_coding_experiment(scheme, stable4, 5000, SeedBundle(1, 2), "sdusq")
 
-    def test_batch_rows_equal_single_runs(self, stable4, monkeypatch):
-        # r = 4, 2 and 0 in one batch, plus a point that fails alone
+    def test_batch_rows_equal_single_runs(self, stable4, stable_ar2, monkeypatch):
+        # r = 4, 2 and 0 in one batch, plus a point that fails alone: its
+        # scheme belongs to a source of another dimension
         schemes = [build_realization(stable4, nrdf(stable4, d)) for d in (0.2, 3.98, 10.0)]
         assert [s.r for s in schemes] == [4, 2, 0]
         points = [
-            (sch, SeedBundle(10 + i, 20 + i), sdusq_config(sch.r))
+            (sch, SeedBundle(10 + i, 20 + i), "sdusq")
             for i, sch in enumerate(schemes)
         ]
-        points.insert(1, (schemes[0], SeedBundle(5, 6), sdusq_config(3)))
+        foreign = build_realization(stable_ar2, nrdf(stable_ar2, 0.5))
+        points.insert(1, (foreign, SeedBundle(5, 6), "sdusq"))
         got = run_coding_batch(stable4, 3000, points)
         assert isinstance(got[1], DimensionMismatch)
-        for res, (sch, seeds, qcfg) in zip(got[:1] + got[2:], points[:1] + points[2:]):
-            assert res == run_coding_experiment(sch, stable4, 3000, seeds, qcfg)
+        for res, (sch, seeds, kind) in zip(got[:1] + got[2:], points[:1] + points[2:]):
+            assert res == run_coding_experiment(sch, stable4, 3000, seeds, kind)
         monkeypatch.setattr(coding, "ALPHABET_CAP", 8)
         capped = run_coding_batch(stable4, 3000, points)
         assert isinstance(capped[0], AlphabetOverflow)
@@ -209,14 +211,14 @@ class TestCodingRuns:
         scheme = build_realization(stable_ar2, nrdf(stable_ar2, 0.5))  # r = 1
         with pytest.raises(DimensionMismatch):
             run_coding_experiment(
-                scheme, stable_ar2, 1000, SeedBundle(1, 2), d4_config(4)
+                scheme, stable_ar2, 1000, SeedBundle(1, 2), "d4"
             )
 
     def test_d4_run_meets_vector_bound(self, unstable4):
         sol = nrdf(unstable4, 1.0)
         scheme = build_realization(unstable4, sol)
         res = run_coding_experiment(
-            scheme, unstable4, 50_000, SeedBundle(51, 52), d4_config(4)
+            scheme, unstable4, 50_000, SeedBundle(51, 52), "d4"
         )
         assert abs(res.empirical_mse - 1.0) < 0.05
         sol_emp = nrdf(unstable4, res.empirical_mse)
@@ -246,7 +248,7 @@ class TestCodingRuns:
         scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
         path = tmp_path / "trace.csv"
         res = run_coding_experiment(
-            scheme, scalar_half, 500, SeedBundle(71, 72), sdusq_config(1),
+            scheme, scalar_half, 500, SeedBundle(71, 72), "sdusq",
             trace_path=path,
         )
         with open(path) as fh:
@@ -259,7 +261,7 @@ class TestCodingRuns:
     def test_result_json(self, tmp_path, scalar_half):
         scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
         res = run_coding_experiment(
-            scheme, scalar_half, 500, SeedBundle(81, 82), sdusq_config(1)
+            scheme, scalar_half, 500, SeedBundle(81, 82), "sdusq"
         )
         path = tmp_path / "res.json"
         res.to_json(path)
@@ -268,6 +270,21 @@ class TestCodingRuns:
         doc = json.loads(path.read_text())
         assert doc["n_steps"] == 500
         assert doc["empirical_rate_bits_per_vector"] == res.empirical_rate_bits_per_vector
+
+
+class TestKinds:
+    def test_unknown_kind_is_rejected(self, stable4):
+        scheme = build_realization(stable4, nrdf(stable4, 1.0))
+        with pytest.raises(ValueError, match="unknown quantizer kind 'e8'"):
+            run_coding_batch(stable4, 100, [(scheme, SeedBundle(1, 2), "e8")])
+        for r in (0, 4):
+            with pytest.raises(ValueError, match="unknown quantizer kind 'e8'"):
+                theoretical_upper_bound(1.0, r, "e8")
+        with pytest.raises(ConfigParse):
+            ExperimentConfig(stable4, (1.0,), quantizer="e8")
+
+    def test_every_public_name_resolves(self):
+        assert [name for name in zdrd.__all__ if not hasattr(zdrd, name)] == []
 
 
 class TestStreamChunks:

@@ -1,21 +1,69 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zdrd
 from zdrd import kernels
+from zdrd.coding import KINDS, SeedBundle, run_coding_experiment
 from zdrd.errors import DimensionMismatch
 from zdrd.quantizers import (
     D4_UNIT_SCALE,
     G4,
     SQRT12,
-    d4_config,
     d4_nearest,
-    d4_quantize,
-    sdusq_config,
     sdusq_decode,
     sdusq_encode,
 )
+from zdrd.realization import build_realization
+from zdrd.solver import nrdf
+
+
+def d4_quantize(point, scale=1.0):
+    """Nearest point of scale*D4, exact even at ties: the exhaustive reference.
+
+    Candidates are built per coordinate from the two enclosing integers
+    (three when the coordinate is already integral), filtered to even sum;
+    among minimal-distance candidates the lexicographically smallest wins.
+    It agrees with ``d4_nearest`` away from ties.  Returns the lattice point
+    (not the integer coordinates).
+    """
+    x = np.asarray(point, float) / scale
+    if x.shape != (4,):
+        raise DimensionMismatch(f"D4 operates on 4-vectors, got shape {x.shape}")
+    options = []
+    for xi in x:
+        f = np.floor(xi)
+        if f == xi:
+            options.append((xi - 1.0, xi, xi + 1.0))
+        else:
+            options.append((f, f + 1.0))
+    best = None
+    for cand in itertools.product(*options):
+        if int(sum(cand)) % 2 != 0:
+            continue
+        d = sum((xi - ci) ** 2 for xi, ci in zip(x, cand))
+        key = (d, cand)
+        if best is None or key < best:
+            best = key
+    return np.array(best[1]) * scale
+
+
+def d4_roots():
+    """The 24 minimal vectors of D4: all permutations of (+-1, +-1, 0, 0)."""
+    roots = []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            for sa in (1.0, -1.0):
+                for sb in (1.0, -1.0):
+                    v = np.zeros(4)
+                    v[a] = sa
+                    v[b] = sb
+                    roots.append(v)
+    return np.array(roots)
 
 
 class TestSdusq:
@@ -59,8 +107,11 @@ class TestSdusq:
         assert abs(corr) <= 0.01
 
     def test_config_steps_match_unit_noise(self):
-        cfg = sdusq_config(3)
-        assert np.all(np.abs(cfg.deltas**2 / 12 - 1.0) <= 1e-12)
+        kind = KINDS["sdusq"]
+        assert (kind.block, kind.scale) == (1, SQRT12)
+        assert abs(SQRT12**2 / 12 - 1.0) <= 1e-12
+        # the loss of a cube cell, G = 1/12
+        assert kind.loss_bits == pytest.approx(0.5 * math.log2(2 * math.pi * math.e / 12))
 
 
 class TestD4:
@@ -100,7 +151,7 @@ class TestD4:
     def test_kernel_agrees_with_exact_rule(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-4, 4, (500, 4))
-        roots = kernels.d4_roots()
+        roots = d4_roots()
         assert roots.shape == (24, 4)
         for x in pts:
             exact = d4_quantize(x)
@@ -146,13 +197,16 @@ class TestD4:
         assert np.array_equal(idx, d4_nearest(dith / scale))
 
     def test_config_requires_multiple_of_four(self):
-        with pytest.raises(DimensionMismatch):
-            d4_config(3)
-        cfg = d4_config(8)
-        assert cfg.kind == "d4"
-        assert np.array_equal(cfg.deltas, np.full(8, D4_UNIT_SCALE))
+        kind = KINDS["d4"]
+        assert (kind.block, kind.scale) == (4, D4_UNIT_SCALE)
         # per-coordinate noise variance of the scaled cell, c^2 G4 vol^(1/2), is one
-        assert abs(cfg.deltas[0] ** 2 * G4 * np.sqrt(2.0) - 1.0) <= 1e-12
+        assert abs(D4_UNIT_SCALE**2 * G4 * np.sqrt(2.0) - 1.0) <= 1e-12
+        assert kind.loss_bits == pytest.approx(0.5 * math.log2(2 * math.pi * math.e * G4))
+        src = zdrd.new_source(0.5 * np.eye(3), np.eye(3), np.eye(3))
+        scheme = build_realization(src, nrdf(src, 0.3))
+        assert scheme.r == 3
+        with pytest.raises(DimensionMismatch, match="divisible by 4, got r=3"):
+            run_coding_experiment(scheme, src, 100, SeedBundle(1, 2), "d4")
 
     def test_dither_samples_live_in_voronoi_cell(self):
         rng = np.random.default_rng(3)
