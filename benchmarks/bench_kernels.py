@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
-"""Benchmark the lockstep feedback loop and the D4 dither.
+"""Benchmark the lockstep feedback loop of every quantizer kind, and the D4 dither.
 
-Runs the dithered scalar quantizer loop of ``kernels.feedback_loop`` on the
-unstable 4-d source for G loops at once, G in {1, 4, 20}, each loop with
-its own source path and dither, and prints loop steps per second (G loops
-times the horizon, over the wall time).  The D4 dither row gives blocks per
-second for --n blocks.
+For each kind of ``coding.KINDS`` it runs ``kernels.feedback_loop`` with
+``kernels.lattice_step`` on the unstable 4-d source at D = 1 (r = 4 active
+dimensions) for G loops at once, G in {1, 4, 20}, each loop with its own
+source path and the kind's own dither draw, and prints loop steps per
+second (G loops times the horizon, over the wall time).  A kind whose block
+does not divide r runs on block-diagonal copies of the source, so a new
+kind is measured without editing this script.  The D4 dither row gives
+blocks per second for --n blocks.
 
 Usage: python benchmarks/bench_kernels.py [--n 10000] [--repeat 3]
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from zdrd import build_realization, kernels, new_source, nrdf
-from zdrd.quantizers import SQRT12, sdusq_dither
+from zdrd.coding import KINDS
+from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
 
 A4 = [
@@ -25,6 +31,7 @@ A4 = [
     [0.1270, 0.2785, 0.1576, 0.8003],
     [0.9134, 0.5469, 0.9706, 0.1419],
 ]
+R4 = 4  # active dimensions of one copy of the source at D = 1
 BATCHES = (1, 4, 20)
 
 
@@ -37,31 +44,38 @@ def timeit(fn, repeat):
     return best
 
 
+def channel(copies):
+    """The source of ``copies`` copies of A4 and its (fe, g) at D = copies."""
+    A = block_diag(*[np.array(A4)] * copies)
+    src = new_source(A, np.eye(A.shape[0]), np.eye(A.shape[0]))
+    return src, channel_matrices(build_realization(src, nrdf(src, float(copies))))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=10_000)
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    src = new_source(A4, np.eye(4), np.eye(4))
-    fe1, g1 = channel_matrices(build_realization(src, nrdf(src, 1.0)))
-    r, p = fe1.shape
-    rng = np.random.default_rng(0)
-
-    print(f"n = {args.n} steps per loop, p = {p}, r = {r}, best of {args.repeat}")
-    for G in BATCHES:
-        bw = rng.standard_normal((args.n, p, G))
-        x0 = rng.standard_normal((p, G))
-        fe = np.repeat(fe1[..., None], G, axis=-1)
-        g = np.repeat(g1[..., None], G, axis=-1)
-        deltas = np.full((r, G), SQRT12)
-        dith = sdusq_dither(rng, np.full(r * G, SQRT12), args.n + 1).reshape(args.n + 1, r, G)
-        step = kernels.sdusq_step(dith, deltas)
-        t = timeit(lambda: kernels.feedback_loop(src.A, bw, x0, fe, g, step), args.repeat)
-        print(f"{'sdusq G=' + str(G):<14} {G * (args.n + 1) / t:>12.4g} steps/s  ({t:.3f} s)")
+    print(f"n = {args.n} steps per loop, best of {args.repeat}")
+    for name, kind in KINDS.items():
+        src, (fe1, g1) = channel(math.lcm(R4, kind.block) // R4)
+        r, p = fe1.shape
+        rng = np.random.default_rng(0)
+        for G in BATCHES:
+            bw = rng.standard_normal((args.n, p, G))
+            x0 = rng.standard_normal((p, G))
+            fe = np.repeat(fe1[..., None], G, axis=-1)
+            g = np.repeat(g1[..., None], G, axis=-1)
+            dith = np.stack([kind.dither(rng, args.n + 1, r) for _ in range(G)], axis=-1)
+            step = kernels.lattice_step(dith, kind.scale, kind.nearest)
+            t = timeit(lambda: kernels.feedback_loop(src.A, bw, x0, fe, g, step), args.repeat)
+            rate = G * (args.n + 1) / t
+            label = f"{name} G={G}"
+            print(f"{label:<14} {rate:>12.4g} steps/s  ({t:.3f} s) [p = {p}, r = {r}]")
 
     rng_dith = np.random.default_rng(1)
-    t_dith = timeit(lambda: kernels.d4_dither(rng_dith, 3.0382, args.n), args.repeat)
+    t_dith = timeit(lambda: kernels.d4_dither(rng_dith, D4_UNIT_SCALE, args.n), args.repeat)
     print(f"{'d4_dither':<14} {args.n / t_dith:>12.4g} blocks/s")
 
 

@@ -21,32 +21,44 @@ upper bound).
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import entropy_code, kernels
 from .errors import POINT_ERRORS, AlphabetOverflow, DimensionMismatch
-from .quantizers import D4_UNIT_SCALE, G4, SQRT12, sdusq_dither
+from .quantizers import D4_UNIT_SCALE, G4, SQRT12, d4_nearest_columns, z_nearest
 from .realization import RealizationScheme, channel_matrices
 from .source_model import GaussMarkovSource, source_noise
 
 ALPHABET_CAP = 2**20
 HALF_LOG2_PIE6 = 0.5 * math.log2(math.pi * math.e / 6.0)  # ~0.2546 bits
+HALF_LOG2_2PIE_G4 = 0.5 * math.log2(2.0 * math.pi * math.e * G4)  # ~0.1939 bits
 
 
 class Kind(NamedTuple):
     block: int  # coordinates quantized together; r must be a multiple
     scale: float  # step size or lattice scale giving unit noise per coordinate
     loss_bits: float  # space-filling loss per dimension, 1/2 log2(2 pi e G)
+    nearest: Callable  # nearest lattice point of each column of (r, G), unit scale
+    dither: Callable  # (rng, rows, r) -> (rows, r) subtractive dither, uniform on the cell
+
+
+def _sdusq_dither(rng, rows, r):
+    return (rng.random((rows, r)) - 0.5) * SQRT12
+
+
+def _d4_dither(rng, rows, r):
+    # looked up on kernels at call time, where a tracer may have wrapped it
+    return kernels.d4_dither(rng, D4_UNIT_SCALE, rows * (r // 4)).reshape(rows, r)
 
 
 # every quantizer kind, by the name configs and the CLI use; the rest of the
 # package reads each kind's facts from here
 KINDS = {
-    "sdusq": Kind(1, SQRT12, HALF_LOG2_PIE6),
-    "d4": Kind(4, D4_UNIT_SCALE, 0.5 * math.log2(2.0 * math.pi * math.e * G4)),
+    "sdusq": Kind(1, SQRT12, HALF_LOG2_PIE6, z_nearest, _sdusq_dither),
+    "d4": Kind(4, D4_UNIT_SCALE, HALF_LOG2_2PIE_G4, d4_nearest_columns, _d4_dither),
 }
 
 
@@ -72,13 +84,7 @@ class CodingResult:
     alphabet_size_observed: int
 
     def to_dict(self):
-        return {
-            "empirical_rate_bits_per_vector": self.empirical_rate_bits_per_vector,
-            "empirical_entropy_bits": self.empirical_entropy_bits,
-            "empirical_mse": self.empirical_mse,
-            "n_steps": self.n_steps,
-            "alphabet_size_observed": self.alphabet_size_observed,
-        }
+        return asdict(self)
 
     def to_json(self, path):
         with open(path, "w") as fh:
@@ -165,19 +171,7 @@ def run_coding_batch(src, n, points, trace_paths=None):
         return out
 
     # with no active point the loop never steps, and any live kind will do
-    kind = kinds.pop() if kinds else points[live[0]][2]
-    scale = KINDS[kind].scale
-    if kind == "d4":
-        make_step = kernels.d4_step
-
-        def draw(rng, r):
-            return kernels.d4_dither(rng, scale, (n + 1) * (r // 4)).reshape(n + 1, r)
-    else:
-        make_step = kernels.sdusq_step
-
-        def draw(rng, r):
-            return sdusq_dither(rng, np.full(r, scale), n + 1)
-
+    kind = KINDS[kinds.pop() if kinds else points[live[0]][2]]
     G = len(live)
     rmax = max(points[i][0].r for i in live)
     x0 = np.empty((p, G))
@@ -193,9 +187,10 @@ def run_coding_batch(src, n, points, trace_paths=None):
         if r == 0:
             continue
         fe[:r, :, col], g[:, :r, col] = channel_matrices(scheme)
-        dither[:, :r, col] = draw(np.random.default_rng(seeds.dither), r)
-    idx, e = kernels.feedback_loop(src.A, bw, x0, fe, g, make_step(dither, scale))
-    del bw, dither
+        dither[:, :r, col] = kind.dither(np.random.default_rng(seeds.dither), n + 1, r)
+    step = kernels.lattice_step(dither, kind.scale, kind.nearest)
+    idx, e = kernels.feedback_loop(src.A, bw, x0, fe, g, step)
+    del bw, dither, step
 
     for col, i in enumerate(live):
         r = points[i][0].r

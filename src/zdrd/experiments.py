@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -88,18 +88,45 @@ class ExperimentConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        grid = tuple(float(d) for d in self.d_grid)
+        try:
+            if isinstance(self.d_grid, str):
+                raise TypeError("a string is not a list")
+            grid = tuple(float(d) for d in self.d_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigParse(f"distortion grid must be a list of numbers: {exc}") from exc
         if not grid:
             raise ConfigParse("distortion grid must be nonempty")
         if any(not (math.isfinite(d) and d > 0) for d in grid):
             raise ConfigParse("distortion grid entries must be positive")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigParse("distortion grid must be strictly increasing")
-        if self.n_steps < 1:
+        n_steps = _integer(self.n_steps, "n_steps")
+        if n_steps < 1:
             raise ConfigParse("n_steps must be >= 1")
         if self.quantizer not in (None, *KINDS):
             raise ConfigParse(f"unknown quantizer {self.quantizer!r}")
         object.__setattr__(self, "d_grid", grid)
+        object.__setattr__(self, "n_steps", n_steps)
+
+
+def _integer(value, what):
+    """value as an int; ConfigParse unless it is integral (1e5 is, 2.5 and "7" are not)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigParse(f"{what} must be an integer, got {value!r}")
+
+
+def _mapping(doc, what, keys):
+    """doc as a mapping whose keys are all among ``keys``; ConfigParse names the others."""
+    if not isinstance(doc, dict):
+        raise ConfigParse(f"{what} must be a mapping")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ConfigParse(f"unknown {what} keys {unknown}; known: {list(keys)}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -153,35 +180,30 @@ def preset_config(name, quantizer="default", n_steps=None, csv_path=None, points
 
 
 def config_from_dict(doc) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigParse("experiment config must be a mapping")
+    """An experiment config from a JSON-style mapping; unknown keys raise ConfigParse."""
+    _mapping(doc, "config", ("source", "d_grid", "n_steps", "seeds", "quantizer", "outputs", "name"))
     try:
         src = source_from_dict(doc["source"])
         grid = doc["d_grid"]
     except KeyError as exc:
         raise ConfigParse(f"config missing key {exc}") from exc
-    seeds_doc = doc.get("seeds", {})
-    if not isinstance(seeds_doc, dict):
-        raise ConfigParse("seeds must be a mapping")
+    seeds_doc = _mapping(doc.get("seeds", {}), "seeds", ("source", "dither"))
     seeds = SeedBundle(
-        source=int(seeds_doc.get("source", DEFAULT_SEEDS.source)),
-        dither=int(seeds_doc.get("dither", DEFAULT_SEEDS.dither)),
+        source=_integer(seeds_doc.get("source", DEFAULT_SEEDS.source), "seeds.source"),
+        dither=_integer(seeds_doc.get("dither", DEFAULT_SEEDS.dither), "seeds.dither"),
     )
-    quant_doc = doc.get("quantizer")
-    if quant_doc in (None, {}, "none"):
-        quantizer = None
-    elif isinstance(quant_doc, dict):
-        quantizer = quant_doc.get("kind")
-    else:
-        quantizer = quant_doc
-    outputs = doc.get("outputs", {})
-    csv_path = outputs.get("csv") if isinstance(outputs, dict) else None
+    quantizer = doc.get("quantizer")
+    if isinstance(quantizer, dict):
+        quantizer = _mapping(quantizer, "quantizer", ("kind",)).get("kind")
+    csv_path = _mapping(doc.get("outputs", {}), "outputs", ("csv",)).get("csv")
+    if csv_path is not None and not isinstance(csv_path, str):
+        raise ConfigParse(f"outputs.csv must be a path string, got {csv_path!r}")
     return ExperimentConfig(
         source=src,
         d_grid=grid,
-        n_steps=int(doc.get("n_steps", DEFAULT_N_STEPS)),
+        n_steps=doc.get("n_steps", DEFAULT_N_STEPS),
         seeds=seeds,
-        quantizer=quantizer,
+        quantizer=None if quantizer == "none" else quantizer,
         csv_path=csv_path,
         name=str(doc.get("name", "custom")),
     )
@@ -294,18 +316,8 @@ def write_csv(report: ExperimentReport, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    _cell(row.d_target),
-                    _cell(row.rate_lower_bits),
-                    _cell(row.rate_upper_bits),
-                    _cell(row.rate_op_bits),
-                    _cell(row.d_empirical),
-                    _cell(row.r_active),
-                    row.status,
-                ]
-            )
+        for row in report.rows:  # the row's fields are the CSV's columns, in order
+            writer.writerow([_cell(value) for value in astuple(row)])
 
 
 def read_csv(path):

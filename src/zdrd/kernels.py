@@ -29,13 +29,14 @@ other loops share its batch.  ``fe`` and ``g`` are padded with zeros to the
 widest active set of the batch; a padded term adds an exact zero.
 
 The quantizer is a step function ``step(t, alpha) -> (indices or None,
-beta)``; :func:`awgn_step`, :func:`sdusq_step` and :func:`d4_step` build the
-three used here.
+beta)``.  :func:`awgn_step` builds the Gaussian channel and
+:func:`lattice_step` the subtractive-dithered quantizer of any lattice,
+given its nearest-point rule on the ``(r, G)`` layout (``quantizers``).
 """
 
 import numpy as np
 
-from .quantizers import d4_nearest, sdusq_decode, sdusq_encode
+from .quantizers import d4_nearest, d4_nearest_columns, dithered_decode, dithered_encode, z_nearest
 
 
 def get_backend():
@@ -106,32 +107,17 @@ def awgn_step(noise):
     return step
 
 
-def sdusq_step(dither, deltas):
-    """Dithered scalar quantizer step; dither (n+1, r, G), deltas (r, G) or a float.
+def lattice_step(dither, scale, nearest):
+    """Dithered lattice step; dither (n+1, r, G), scale broadcasting against (r, G).
 
-    j is the cell index of alpha + q (``quantizers.sdusq_encode``: ties
-    round half away from zero) and beta = j * delta - q
-    (``quantizers.sdusq_decode``).
+    z = nearest((alpha + q) / scale) are the lattice coordinates
+    (``quantizers.dithered_encode``), returned as int64 indices, and
+    beta = z * scale - q (``quantizers.dithered_decode``).
     """
 
     def step(t, alpha):
-        q = sdusq_encode(alpha, dither[t], deltas)
-        return q, sdusq_decode(q, dither[t], deltas)
-
-    return step
-
-
-def d4_step(dither, scale):
-    """Dithered scale*D4 step on blocks of four; dither (n+1, r, G), scale (G,) or a float.
-
-    Each block of alpha + q is quantized by ``quantizers.d4_nearest``.
-    """
-    r, G = dither.shape[1:]
-
-    def step(t, alpha):
-        x = ((alpha + dither[t]) / scale).T.reshape(G, r // 4, 4)
-        z = d4_nearest(x).reshape(G, r).T
-        return z.astype(np.int64), z * scale - dither[t]
+        z = dithered_encode(alpha, dither[t], scale, nearest)
+        return z.astype(np.int64), dithered_decode(z, dither[t], scale)
 
     return step
 
@@ -169,29 +155,29 @@ def awgn_loop(A, bw, x0, fe, g, noise):
     return k, alpha, alpha + noise, e
 
 
-def sdusq_loop(A, bw, x0, fe, g, dither, deltas):
-    """One loop with the dithered scalar quantizer; returns (idx, k, alpha, beta, e)."""
-    deltas = np.asarray(deltas, float)
-    idx, e = _single(A, bw, x0, fe, g, sdusq_step(dither[..., None], deltas[:, None]))
+def _lattice_loop(A, bw, x0, fe, g, dither, scale, nearest):
+    """One loop through :func:`lattice_step`; returns (idx, k, alpha, beta, e)."""
+    scale = np.asarray(scale, float)
+    idx, e = _single(A, bw, x0, fe, g, lattice_step(dither[..., None], scale[..., None], nearest))
     k, alpha = innovations(A, bw, x0, fe, e)
-    return idx, k, alpha, sdusq_decode(idx, dither, deltas), e
+    return idx, k, alpha, dithered_decode(idx, dither, scale), e
+
+
+def sdusq_loop(A, bw, x0, fe, g, dither, deltas):
+    """One loop with the dithered scalar quantizer, step sizes deltas (r,)."""
+    return _lattice_loop(A, bw, x0, fe, g, dither, deltas, z_nearest)
 
 
 def d4_loop(A, bw, x0, fe, g, dither, scale):
-    """One loop with the dithered scale*D4 quantizer; returns (idx, k, alpha, beta, e)."""
-    idx, e = _single(A, bw, x0, fe, g, d4_step(dither[..., None], np.array([scale], float)))
-    k, alpha = innovations(A, bw, x0, fe, e)
-    return idx, k, alpha, idx * scale - dither, e
+    """One loop with the dithered scale*D4 quantizer on blocks of four."""
+    return _lattice_loop(A, bw, x0, fe, g, dither, scale, d4_nearest_columns)
 
 
 def d4_dither(rng, scale, count):
     """``count`` rows uniform on the scale*D4 Voronoi cell of the origin.
 
-    u is uniform on the fundamental box [0,1)^3 x [0,2) of D4 and the rows
-    are scale * (u - d4_nearest(u)), which is exactly uniform on the cell
-    (Zamir & Feder 1996).  d4_nearest rounds half away from zero and, on an
-    odd sum, steps the largest-error coordinate (lowest index on equal
-    errors) toward u; ties have probability zero here.
+    The rows are scale * (u - d4_nearest(u)), u uniform on the fundamental
+    box [0,1)^3 x [0,2) of D4 (``quantizers``); ties have probability zero.
     """
     u = rng.random((count, 4))
     u[:, 3] *= 2.0

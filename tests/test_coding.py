@@ -12,6 +12,7 @@ import zdrd
 from zdrd import coding, entropy_code, kernels
 from zdrd.coding import (
     HALF_LOG2_PIE6,
+    KINDS,
     SeedBundle,
     run_coding_batch,
     run_coding_experiment,
@@ -19,7 +20,7 @@ from zdrd.coding import (
 )
 from zdrd.errors import AlphabetOverflow, ConfigParse, DimensionMismatch
 from zdrd.experiments import ExperimentConfig, preset_config, run_experiment
-from zdrd.quantizers import G4, SQRT12
+from zdrd.quantizers import D4_UNIT_SCALE, G4, SQRT12
 from zdrd.realization import build_realization, channel_matrices
 from zdrd.solver import nrdf
 
@@ -282,6 +283,47 @@ class TestKinds:
                 theoretical_upper_bound(1.0, r, "e8")
         with pytest.raises(ConfigParse):
             ExperimentConfig(stable4, (1.0,), quantizer="e8")
+
+    # each kind's dither as run_coding_batch drew it before the kinds carried
+    # their own draw; a new kind adds its reference draw here
+    DIRECT_DRAWS = {
+        "sdusq": lambda rng, rows, r: (rng.random((rows, r)) - 0.5) * np.full(r, SQRT12),
+        "d4": lambda rng, rows, r: kernels.d4_dither(
+            rng, D4_UNIT_SCALE, rows * (r // 4)
+        ).reshape(rows, r),
+    }
+    # lattice membership of one block of coordinates
+    MEMBERS = {
+        "sdusq": lambda blocks: np.ones(blocks.shape[:-1], bool),
+        "d4": lambda blocks: np.remainder(blocks.sum(axis=-1), 2.0) == 0.0,
+    }
+
+    def test_every_kind_has_its_references(self):
+        assert set(self.DIRECT_DRAWS) == set(self.MEMBERS) == set(KINDS)
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_nearest_returns_lattice_points(self, name):
+        kind = KINDS[name]
+        rng = np.random.default_rng(12)
+        r, G = 2 * kind.block, 5
+        generic = rng.uniform(-4, 4, (r, G))
+        ties = rng.integers(-6, 7, (r, G)) / 2.0
+        for x in (generic, ties):
+            z = kind.nearest(x)
+            assert z.shape == (r, G)
+            assert np.array_equal(z, np.round(z))
+            assert np.all(self.MEMBERS[name](z.T.reshape(G, r // kind.block, kind.block)))
+            # a column is one loop: it is quantized on its own
+            for col in range(G):
+                assert np.array_equal(z[:, col], kind.nearest(x[:, col : col + 1])[:, 0])
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_dither_is_the_direct_draw(self, name):
+        kind = KINDS[name]
+        for r in (kind.block, 2 * kind.block):
+            got = kind.dither(np.random.default_rng(13), 301, r)
+            want = self.DIRECT_DRAWS[name](np.random.default_rng(13), 301, r)
+            assert got.shape == (301, r) and np.array_equal(got, want)
 
     def test_every_public_name_resolves(self):
         assert [name for name in zdrd.__all__ if not hasattr(zdrd, name)] == []

@@ -177,7 +177,7 @@ class TestConfigParsing:
             "source": {"A": [[0.5]], "B": [[1.0]]},
             "d_grid": [0.2, 0.5, 1.0],
             "n_steps": 1500,
-            "seeds": {"source": 5, "dither": 6, "channel": 7},
+            "seeds": {"source": 5, "dither": 6},
             "quantizer": {"kind": "sdusq"},
             "name": "scalar-demo",
         }
@@ -207,6 +207,34 @@ class TestConfigParsing:
             experiments.config_from_dict(
                 {"source": {"A": [[0.5]], "B": [[1.0]]}, "d_grid": []}
             )
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"quantiser": "d4"}, ["'quantiser'"]),
+            ({"seed": {"source": 5}}, ["'seed'"]),
+            ({"seed": 1, "quantiser": "d4"}, ["'seed'", "'quantiser'"]),
+            ({"seeds": {"source": 5, "channel": 7}}, ["seeds", "'channel'"]),
+            ({"quantizer": {"kind": "d4", "deltas": [3.0]}}, ["quantizer", "'deltas'"]),
+            ({"outputs": {"cvs": "out.csv"}}, ["outputs", "'cvs'"]),
+        ],
+    )
+    def test_unknown_keys_are_rejected(self, extra, named):
+        doc = {"source": {"A": [[0.5]], "B": [[1.0]]}, "d_grid": [0.5], **extra}
+        with pytest.raises(ConfigParse, match="unknown") as info:
+            experiments.config_from_dict(doc)
+        assert all(name in str(info.value) for name in named)
+
+    def test_integral_values_are_accepted(self):
+        doc = {
+            "source": {"A": [[0.5]], "B": [[1.0]]},
+            "d_grid": [1, 2.5],
+            "n_steps": 1e3,
+            "seeds": {"source": 5.0},
+        }
+        cfg = experiments.config_from_dict(doc)
+        assert cfg.d_grid == (1.0, 2.5) and cfg.n_steps == 1000 and cfg.seeds.source == 5
+        assert type(cfg.n_steps) is int and type(cfg.seeds.source) is int
 
     def test_missing_source(self):
         with pytest.raises(ConfigParse):
@@ -256,6 +284,27 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert len(experiments.read_csv(out)) == 2
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"n_steps": "many"},
+            {"n_steps": 2.5},
+            {"d_grid": ["a", 1.0]},
+            {"d_grid": 0.5},
+            {"d_grid": "0.5"},
+            {"seeds": {"source": "x"}},
+            {"seeds": {"dither": 1.5}},
+            {"seeds": [1, 2]},
+            {"outputs": {"csv": 5}},
+        ],
+    )
+    def test_malformed_values_exit_two(self, tmp_path, capsys, field):
+        doc = {"source": {"A": [[0.5]], "B": [[1.0]]}, "d_grid": [0.5], **field}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_solve_missing_config(self, tmp_path, capsys):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2

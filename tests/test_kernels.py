@@ -10,8 +10,13 @@ import numpy as np
 import pytest
 
 from zdrd import kernels
-from zdrd.quantizers import sdusq_dither
+from zdrd.quantizers import d4_nearest_columns, z_nearest
 from zdrd.source_model import new_source, simulate, source_noise
+
+
+def uniform_dither(rng, deltas, n):
+    """n rows of independent uniforms on [-delta_i/2, delta_i/2]."""
+    return (rng.random((n, len(deltas))) - 0.5) * deltas
 
 
 def _state_loop(A, bw, x0, out):
@@ -206,7 +211,7 @@ def test_awgn_loop_exact():
 def test_sdusq_loop_exact():
     A, bw, x0, fe, g, rng = loop_inputs(2, 4)
     deltas = np.sqrt(12.0) * np.array([1.0, 0.5, 2.0, 1.0])
-    dith = sdusq_dither(rng, deltas, N + 1)
+    dith = uniform_dither(rng, deltas, N + 1)
     got = kernels.sdusq_loop(A, bw, x0, fe, g, dith, deltas)
     assert_all_equal(got, ref_sdusq(A, bw, x0, fe, g, dith, deltas))
 
@@ -255,7 +260,7 @@ def test_mixed_batch_rows_equal_single_runs(kind):
         if kind == "awgn":
             noise = rng.standard_normal((N + 1, r))
         elif kind == "sdusq":
-            noise = sdusq_dither(rng, np.full(r, np.sqrt(12.0)), N + 1)
+            noise = uniform_dither(rng, np.full(r, np.sqrt(12.0)), N + 1)
         else:
             noise = kernels.d4_dither(rng, SCALE, (N + 1) * (r // 4)).reshape(N + 1, r)
         runs.append((bw, x0, fe, g, noise))
@@ -267,9 +272,9 @@ def test_mixed_batch_rows_equal_single_runs(kind):
     if kind == "awgn":
         step = kernels.awgn_step(noise)
     elif kind == "sdusq":
-        step = kernels.sdusq_step(noise, np.full((rmax, len(runs)), np.sqrt(12.0)))
+        step = kernels.lattice_step(noise, np.full((rmax, len(runs)), np.sqrt(12.0)), z_nearest)
     else:
-        step = kernels.d4_step(noise, np.full(len(runs), SCALE))
+        step = kernels.lattice_step(noise, np.full(len(runs), SCALE), d4_nearest_columns)
     idx, e = kernels.feedback_loop(A, bw, x0, fe, g, step)
     assert (idx is None) == (kind == "awgn")
 

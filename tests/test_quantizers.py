@@ -15,8 +15,10 @@ from zdrd.quantizers import (
     G4,
     SQRT12,
     d4_nearest,
-    sdusq_decode,
-    sdusq_encode,
+    d4_nearest_columns,
+    dithered_decode,
+    dithered_encode,
+    z_nearest,
 )
 from zdrd.realization import build_realization
 from zdrd.solver import nrdf
@@ -66,21 +68,54 @@ def d4_roots():
     return np.array(roots)
 
 
+def sign_floor_encode(alpha, dither, deltas):
+    """Cell indices of alpha + dither by sign(z) * floor(|z| + 1/2): the reference rule."""
+    z = (np.asarray(alpha, float) + np.asarray(dither, float)) / np.asarray(deltas, float)
+    return (np.sign(z) * np.floor(np.abs(z) + 0.5)).astype(np.int64)
+
+
+class TestZNearest:
+    @staticmethod
+    def assert_matches_reference(x):
+        z = z_nearest(x)
+        ref = np.sign(x) * np.floor(np.abs(x) + 0.5)
+        assert np.array_equal(z, ref)
+        # bit for bit as well, zeros included; only -0.0 keeps its sign
+        assert np.array_equal(np.signbit(z), np.signbit(ref) | np.signbit(x) & (x == 0.0))
+        assert np.array_equal(z.astype(np.int64), sign_floor_encode(x, 0.0, 1.0))
+
+    def test_generic_floats(self):
+        rng = np.random.default_rng(10)
+        x = np.concatenate([rng.normal(0, 3, 5000), rng.uniform(-1e6, 1e6, 5000)])
+        self.assert_matches_reference(x)
+
+    def test_half_integers_round_away_from_zero(self):
+        x = np.arange(-20, 21) + 0.5
+        self.assert_matches_reference(x)
+        assert np.array_equal(z_nearest(x), np.where(x > 0, x + 0.5, x - 0.5))
+
+    def test_signed_zeros(self):
+        x = np.array([0.0, -0.0, 0.25, -0.25, 0.4, -0.4])
+        self.assert_matches_reference(x)
+        assert np.all(z_nearest(x) == 0.0)
+        assert np.array_equal(np.signbit(z_nearest(x)), np.signbit(x))
+
+
 class TestSdusq:
     def test_origin(self):
-        idx = sdusq_encode([0.0], [0.0], [SQRT12])
-        assert idx[0] == 0
+        z = dithered_encode([0.0], [0.0], SQRT12)
+        assert z[0] == 0
 
     def test_second_cell(self):
-        idx = sdusq_encode([0.6 * SQRT12], [0.0], [SQRT12])
-        assert idx[0] == 1
+        z = dithered_encode([0.6 * SQRT12], [0.0], SQRT12)
+        assert z[0] == 1
 
     def test_tie_rounds_half_away_from_zero(self):
-        assert sdusq_encode([0.5 * SQRT12], [0.0], [SQRT12])[0] == 1
-        assert sdusq_encode([-0.5 * SQRT12], [0.0], [SQRT12])[0] == -1
+        assert dithered_encode([0.5 * SQRT12], [0.0], SQRT12)[0] == 1
+        assert dithered_encode([-0.5 * SQRT12], [0.0], SQRT12)[0] == -1
 
     def test_decode_roundtrip_at_origin(self):
-        beta = sdusq_decode(sdusq_encode([0.0], [0.0], [SQRT12]), [0.0], [SQRT12])
+        beta = dithered_decode(dithered_encode([0.0], [0.0], SQRT12), [0.0], SQRT12)
         assert beta[0] == 0.0
 
     @given(
@@ -91,7 +126,9 @@ class TestSdusq:
     @settings(max_examples=200, deadline=None)
     def test_error_bounded_by_half_cell(self, alpha, u, delta):
         q = np.array([u * delta])
-        beta = sdusq_decode(sdusq_encode([alpha], q, [delta]), q, [delta])
+        z = dithered_encode([alpha], q, [delta])
+        assert np.array_equal(z, sign_floor_encode([alpha], q, [delta]))
+        beta = dithered_decode(z, q, [delta])
         assert abs(beta[0] - alpha) <= delta / 2 + 1e-9
 
     def test_error_moments_and_independence(self):
@@ -100,8 +137,9 @@ class TestSdusq:
         delta = SQRT12
         alpha = rng.normal(0, 3.0, n)
         q = (rng.random(n) - 0.5) * delta
-        beta = sdusq_decode(sdusq_encode(alpha, q, np.full(n, delta)), q, np.full(n, delta))
-        err = beta - alpha
+        z = dithered_encode(alpha, q, delta)
+        assert np.array_equal(z, sign_floor_encode(alpha, q, delta))
+        err = dithered_decode(z, q, delta) - alpha
         assert abs(np.var(err) - delta**2 / 12) / (delta**2 / 12) < 0.01
         corr = np.corrcoef(err, alpha)[0, 1]
         assert abs(corr) <= 0.01
@@ -174,6 +212,15 @@ class TestD4:
         assert np.all(np.remainder(fast.sum(axis=1), 2.0) == 0.0)
         d_fast, d_exact = (np.sum((pts - z) ** 2, axis=1) for z in (fast, exact))
         assert np.array_equal(d_fast, d_exact)
+
+    def test_columns_apply_the_rule_per_block(self):
+        # the loop's (r, G) layout: column j holds r/4 blocks of loop j
+        rng = np.random.default_rng(11)
+        x = np.vstack([rng.uniform(-4, 4, (8, 6)), rng.integers(-6, 7, (8, 6)) / 2.0])
+        z = d4_nearest_columns(x)
+        for col in range(x.shape[1]):
+            blocks = x[:, col].reshape(-1, 4)
+            assert np.array_equal(z[:, col], d4_nearest(blocks).ravel())
 
     def test_nearest_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
