@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark the lockstep feedback loop of every quantizer kind, and the D4 dither.
+"""Benchmark the lockstep feedback loop of every quantizer kind, the D4 dither and ``simulate``.
 
 For each kind of ``coding.KINDS`` it runs ``kernels.feedback_loop`` with
 ``kernels.lattice_step`` on the unstable 4-d source at D = 1 (r = 4 active
 dimensions) for G loops at once, G in {1, 4, 20}, each loop with its own
-source path and the kind's own dither draw, and prints loop steps per
-second (G loops times the horizon, over the wall time).  A kind whose block
-does not divide r runs on block-diagonal copies of the source, so a new
-kind is measured without editing this script.  The D4 dither row gives
-blocks per second for --n blocks.
+source path and the kind's own dither draw.  It prints loop steps per
+second (G loops times the horizon, over the wall time) and microseconds per
+lockstep step (the wall time over the horizon, whatever G).  A kind whose
+block does not divide r runs on block-diagonal copies of the source, so a
+new kind is measured without editing this script.  The D4 dither row gives
+blocks per second for --n blocks, and the last row the time of
+``source_model.simulate`` on a p = 1 source for 1e5 steps.
 
 Usage: python benchmarks/bench_kernels.py [--n 10000] [--repeat 3]
 """
@@ -20,7 +22,7 @@ import time
 import numpy as np
 from scipy.linalg import block_diag
 
-from zdrd import build_realization, kernels, new_source, nrdf
+from zdrd import build_realization, kernels, new_source, nrdf, simulate
 from zdrd.coding import KINDS
 from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
@@ -33,6 +35,7 @@ A4 = [
 ]
 R4 = 4  # active dimensions of one copy of the source at D = 1
 BATCHES = (1, 4, 20)
+SIM_STEPS = 100_000
 
 
 def timeit(fn, repeat):
@@ -71,12 +74,18 @@ def main():
             step = kernels.lattice_step(dith, kind.scale, kind.nearest)
             t = timeit(lambda: kernels.feedback_loop(src.A, bw, x0, fe, g, step), args.repeat)
             rate = G * (args.n + 1) / t
+            us = 1e6 * t / (args.n + 1)
             label = f"{name} G={G}"
-            print(f"{label:<14} {rate:>12.4g} steps/s  ({t:.3f} s) [p = {p}, r = {r}]")
+            print(f"{label:<14} {rate:>12.4g} steps/s  {us:>6.2f} us/step  ({t:.3f} s) [p = {p}, r = {r}]")
 
     rng_dith = np.random.default_rng(1)
     t_dith = timeit(lambda: kernels.d4_dither(rng_dith, D4_UNIT_SCALE, args.n), args.repeat)
     print(f"{'d4_dither':<14} {args.n / t_dith:>12.4g} blocks/s")
+
+    scalar = new_source([[0.5]], [[1.0]], [[1.0]])
+    t_sim = timeit(lambda: simulate(scalar, SIM_STEPS, seed=0), args.repeat)
+    us = 1e6 * t_sim / SIM_STEPS
+    print(f"{'simulate p=1':<14} {SIM_STEPS / t_sim:>12.4g} steps/s  {us:>6.2f} us/step  ({t_sim:.3f} s)")
 
 
 if __name__ == "__main__":

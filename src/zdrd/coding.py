@@ -41,7 +41,7 @@ class Kind(NamedTuple):
     block: int  # coordinates quantized together; r must be a multiple
     scale: float  # step size or lattice scale giving unit noise per coordinate
     loss_bits: float  # space-filling loss per dimension, 1/2 log2(2 pi e G)
-    nearest: Callable  # nearest lattice point of each column of (r, G), unit scale
+    nearest: Callable  # (x, out=None): nearest lattice point of each column of (r, G), unit scale
     dither: Callable  # (rng, rows, r) -> (rows, r) subtractive dither, uniform on the cell
 
 

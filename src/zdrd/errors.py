@@ -47,6 +47,16 @@ class AlphabetOverflow(ZdrdError, RuntimeError):
     """The observed joint quantizer alphabet exceeded ``coding.ALPHABET_CAP``."""
 
 
+def config_mapping(doc, what, keys):
+    """doc as a mapping whose keys are all among ``keys``; ConfigParse names the others."""
+    if not isinstance(doc, dict):
+        raise ConfigParse(f"{what} must be a mapping")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ConfigParse(f"unknown {what} keys {unknown}; known: {list(keys)}")
+    return doc
+
+
 def failure_status(exc):
     """Status of a grid point that raised: ``failed:<Type>: <message>`` on one line."""
     message = " ".join(str(exc).split())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coding import KINDS, SeedBundle, run_coding_batch, theoretical_upper_bound
 from .coding import run_coding_experiment  # noqa: F401  (looked up here by perfbench/spans.py)
-from .errors import POINT_ERRORS, ConfigParse, failure_status
+from .errors import POINT_ERRORS, ConfigParse, config_mapping, failure_status
 from .realization import build_realization
 from .solver import nrdf
 from .source_model import GaussMarkovSource, augment_ar, d_max, new_source, source_from_dict
@@ -119,16 +119,6 @@ def _integer(value, what):
     raise ConfigParse(f"{what} must be an integer, got {value!r}")
 
 
-def _mapping(doc, what, keys):
-    """doc as a mapping whose keys are all among ``keys``; ConfigParse names the others."""
-    if not isinstance(doc, dict):
-        raise ConfigParse(f"{what} must be a mapping")
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
-        raise ConfigParse(f"unknown {what} keys {unknown}; known: {list(keys)}")
-    return doc
-
-
 @dataclass(frozen=True)
 class ExperimentRow:
     d_target: float
@@ -181,21 +171,22 @@ def preset_config(name, quantizer="default", n_steps=None, csv_path=None, points
 
 def config_from_dict(doc) -> ExperimentConfig:
     """An experiment config from a JSON-style mapping; unknown keys raise ConfigParse."""
-    _mapping(doc, "config", ("source", "d_grid", "n_steps", "seeds", "quantizer", "outputs", "name"))
+    keys = ("source", "d_grid", "n_steps", "seeds", "quantizer", "outputs", "name")
+    config_mapping(doc, "config", keys)
     try:
         src = source_from_dict(doc["source"])
         grid = doc["d_grid"]
     except KeyError as exc:
         raise ConfigParse(f"config missing key {exc}") from exc
-    seeds_doc = _mapping(doc.get("seeds", {}), "seeds", ("source", "dither"))
+    seeds_doc = config_mapping(doc.get("seeds", {}), "seeds", ("source", "dither"))
     seeds = SeedBundle(
         source=_integer(seeds_doc.get("source", DEFAULT_SEEDS.source), "seeds.source"),
         dither=_integer(seeds_doc.get("dither", DEFAULT_SEEDS.dither), "seeds.dither"),
     )
     quantizer = doc.get("quantizer")
     if isinstance(quantizer, dict):
-        quantizer = _mapping(quantizer, "quantizer", ("kind",)).get("kind")
-    csv_path = _mapping(doc.get("outputs", {}), "outputs", ("csv",)).get("csv")
+        quantizer = config_mapping(quantizer, "quantizer", ("kind",)).get("kind")
+    csv_path = config_mapping(doc.get("outputs", {}), "outputs", ("csv",)).get("csv")
     if csv_path is not None and not isinstance(csv_path, str):
         raise ConfigParse(f"outputs.csv must be a path string, got {csv_path!r}")
     return ExperimentConfig(

@@ -21,17 +21,36 @@ stationary, so rates and distortions remain computable.  With no channel
 (r = 0) the recursion is the source's own state recursion, e_t = x_t.
 
 Each sum is accumulated as a scalar loop over i and j would: every term
-is rounded as its own elementwise product (one multiply forms the terms of
-all sums of a step), and the terms are added one at a time in index order.
-No matrix product is used: BLAS sums in its own order, which would move
-the results in their last bits and make a loop's result depend on which
-other loops share its batch.  ``fe`` and ``g`` are padded with zeros to the
-widest active set of the batch; a padded term adds an exact zero.
+is rounded as its own elementwise product, and the terms are added one at a
+time in index order.  No matrix product is used: BLAS sums in its own order,
+which would move the results in their last bits and make a loop's result
+depend on which other loops share its batch.  ``fe`` and ``g`` are padded
+with zeros to the widest active set of the batch; a padded term adds an
+exact zero.
+
+A step makes the same few numpy calls whatever p and r.  The terms of
+each sum are one broadcast product into a stack made once, with term j in
+row j, and the sum is one reduction along axis 0:
+``np.add.reduce`` over [bw_{t-1}; A terms] for k, ``np.add.reduce`` over
+the fe terms for alpha, and ``np.subtract.reduce`` over [k_t; g terms]
+for e, k being written into row 0 of that stack.  A reduction along
+axis 0 of a C-contiguous stack runs the rows in its outer loop, adding
+row j + 1 elementwise into the sum of rows 0..j, so it keeps index order.
+That holds while the result has two or more elements; with one, numpy
+reduces along the rows themselves, and ``np.add`` sums pairwise from eight
+terms on.  So alpha carries a spare zero row, and k has one element only at
+p = 1, where it is bw plus one term.  ``np.add.reduce`` starts from
+``initial``, +0.0 unless given: alpha starts there as a zeroed sum would,
+and k starts from -0.0, the exact additive identity, so that k is bw plus
+the terms even when all of them are -0.0.
+``tests/test_kernels.py::TestReductionOrder`` pins these facts.
 
 The quantizer is a step function ``step(t, alpha) -> (indices or None,
 beta)``.  :func:`awgn_step` builds the Gaussian channel and
 :func:`lattice_step` the subtractive-dithered quantizer of any lattice,
 given its nearest-point rule on the ``(r, G)`` layout (``quantizers``).
+A step may return views of buffers it reuses: the loop reads them before
+the next step.
 """
 
 import numpy as np
@@ -51,48 +70,49 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None):
     initial state; fe (r, p, G) and g (p, r, G) are zero-padded to the
     widest active set, and ``step`` quantizes alpha (r, G).  Without fe
     there is no channel.  Returns (idx, e): idx (n+1, r, G) holds the
-    indices ``step`` returned (None when it returned none), e (n+1, p, G)
-    the errors.
+    indices ``step`` returned, cast to int64 (None when it returned none),
+    e (n+1, p, G) the errors.
     """
     n1 = bw.shape[0] + 1
     p, G = x0.shape
     if fe is None:
         fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
     r = fe.shape[0]
-    # the products of a step, laid out so that term j of each sum is one
-    # view: a_t[j, i] = A[i, j], fe_t[j, i] = fe[i, j], g_t[j, i] = g[i, j]
+    # a step's terms go into stacks, term j in row j, as the products of
+    # a_t[j, i] = A[i, j], fe_t[j, i] = fe[i, j] and g_t[j, i] = g[i, j]
+    # with the columns e_{t-1}[j], k_t[j] and beta_t[j]
     a_t = np.ascontiguousarray(A.T)[:, :, None]
-    fe_t = np.ascontiguousarray(fe.transpose(1, 0, 2))
+    fe_t = np.zeros((p, r + 1, G))  # row r is alpha's spare zero
+    fe_t[:, :r] = fe.transpose(1, 0, 2)
     g_t = np.ascontiguousarray(g.transpose(1, 0, 2))
-    a_prod = np.empty((p, p, G))
-    fe_prod = np.empty((p, r, G))
-    g_prod = np.empty((r, p, G))
-    a_terms, fe_terms, g_terms = list(a_prod), list(fe_prod), list(g_prod)
+    k_stack = np.empty((p + 1, p, G))  # [bw_{t-1}; A terms]
+    alpha_stack = np.empty((p, r + 1, G))  # fe terms
+    e_stack = np.empty((r + 1, p, G))  # [k_t; g terms]
+    a_terms, k, g_terms = k_stack[1:], e_stack[0], e_stack[1:]
+    alpha_sum = np.empty((r + 1, G))
+    alpha = alpha_sum[:r]
     e = np.empty((n1, p, G))
+    e_cols, k_col = e[:, :, None], k[:, None]
     idx = None
-    alpha = np.empty((r, G))
-    e[0] = x0
+    k[...] = x0
+    e[0] = x0  # e_0 without a channel; with one, step 0 overwrites it
     for t in range(n1):
-        k = e[t]  # holds k_t until the channel output is subtracted
         if t:
-            np.copyto(k, bw[t - 1])
-            np.multiply(a_t, e[t - 1][:, None], out=a_prod)
-            for term in a_terms:
-                np.add(k, term, out=k)
+            k_stack[0] = bw[t - 1]
+            np.multiply(a_t, e_cols[t - 1], out=a_terms)
+            # without a channel k_t is e_t
+            np.add.reduce(k_stack, axis=0, initial=-0.0, out=k if r else e[t])
         if not r:
             continue
-        alpha.fill(0.0)
-        np.multiply(fe_t, k[:, None], out=fe_prod)
-        for term in fe_terms:
-            np.add(alpha, term, out=alpha)
+        np.multiply(fe_t, k_col, out=alpha_stack)
+        np.add.reduce(alpha_stack, axis=0, initial=0.0, out=alpha_sum)
         q, beta = step(t, alpha)
         if q is not None:
             if idx is None:
                 idx = np.empty((n1, r, G), dtype=np.int64)
             idx[t] = q
-        np.multiply(g_t, beta[:, None], out=g_prod)
-        for term in g_terms:
-            np.subtract(k, term, out=k)
+        np.multiply(g_t, beta[:, None], out=g_terms)
+        np.subtract.reduce(e_stack, axis=0, out=e[t])
     return idx, e
 
 
@@ -111,13 +131,18 @@ def lattice_step(dither, scale, nearest):
     """Dithered lattice step; dither (n+1, r, G), scale broadcasting against (r, G).
 
     z = nearest((alpha + q) / scale) are the lattice coordinates
-    (``quantizers.dithered_encode``), returned as int64 indices, and
-    beta = z * scale - q (``quantizers.dithered_decode``).
+    (``quantizers.dithered_encode``) and beta = z * scale - q
+    (``quantizers.dithered_decode``), both written into buffers made once;
+    ``nearest`` rounds the (r, G) layout in place.  The loop casts z to its
+    int64 indices.
     """
+    scale = np.asarray(scale, float)  # a scalar as a 0-d array, cheaper for ufuncs
+    z, beta = np.empty((2,) + dither.shape[1:])
 
     def step(t, alpha):
-        z = dithered_encode(alpha, dither[t], scale, nearest)
-        return z.astype(np.int64), dithered_decode(z, dither[t], scale)
+        q = dither[t]
+        dithered_encode(alpha, q, scale, nearest, out=z)
+        return z, dithered_decode(z, q, scale, out=beta)
 
     return step
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from . import kernels
-from .errors import DimensionMismatch, NotPSD
+from .errors import ConfigParse, DimensionMismatch, NotPSD, config_mapping
 from .linalg import as_matrix, check_psd, psd_sqrt_factor, sorted_eig
 
 # eigenvalues with |mu| >= 1 - MARGINAL_TOL count as on or outside the unit
@@ -209,12 +209,9 @@ def source_from_dict(doc) -> GaussMarkovSource:
 
     Either {"A": [[...]], "B": [[...]], "sigma_x0": [[...]]} or
     {"ar_coefficients": [[[...]], ...], "B": [[...]], "sigma_x0": optional}.
-    sigma_x0 defaults to the identity.
+    sigma_x0 defaults to the identity.  Other keys raise ConfigParse.
     """
-    from .errors import ConfigParse
-
-    if not isinstance(doc, dict):
-        raise ConfigParse("source description must be a mapping")
+    config_mapping(doc, "source", ("A", "B", "sigma_x0", "ar_coefficients"))
     try:
         if "ar_coefficients" in doc:
             coeffs = [np.asarray(M, float) for M in doc["ar_coefficients"]]

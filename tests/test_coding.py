@@ -316,6 +316,11 @@ class TestKinds:
             # a column is one loop: it is quantized on its own
             for col in range(G):
                 assert np.array_equal(z[:, col], kind.nearest(x[:, col : col + 1])[:, 0])
+            # in place, as the loop rounds its buffer
+            inplace = x.copy()
+            assert kind.nearest(inplace, out=inplace) is inplace
+            assert np.array_equal(inplace, z)
+            assert np.array_equal(np.signbit(inplace), np.signbit(z))
 
     @pytest.mark.parametrize("name", sorted(KINDS))
     def test_dither_is_the_direct_draw(self, name):

@@ -297,6 +297,7 @@ class TestCli:
             {"seeds": {"dither": 1.5}},
             {"seeds": [1, 2]},
             {"outputs": {"csv": 5}},
+            {"source": {"A": [[0.5]], "B": [[1.0]], "sigma_xo": [[9.0]]}},
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, field):

@@ -3,14 +3,16 @@
 The scalar loops below are the per-point implementations the lockstep
 kernel replaced, kept verbatim as references: every output of the kernel
 must equal theirs bit for bit, and a loop's row of a batch must equal the
-same loop run alone.
+same loop run alone.  ``per_term_loop`` adds every term of every sum by
+its own numpy call; the kernel, which takes each sum as one reduction,
+must equal it bit for bit too, signs of zero included.
 """
 
 import numpy as np
 import pytest
 
 from zdrd import kernels
-from zdrd.quantizers import d4_nearest_columns, z_nearest
+from zdrd.quantizers import d4_nearest_columns, dithered_decode, dithered_encode, z_nearest
 from zdrd.source_model import new_source, simulate, source_noise
 
 
@@ -126,6 +128,57 @@ def _d4_loop(A, bw, x0, fe, g, dither, scale, idx, k, alpha, beta, e):
                 acc -= g[i, j] * beta[t, j]
             e[t, i] = acc
             eprev[i] = acc
+
+
+def per_term_loop(A, bw, x0, fe=None, g=None, step=None):
+    """``kernels.feedback_loop`` with every term of every sum added by its own call."""
+    n1 = bw.shape[0] + 1
+    p, G = x0.shape
+    if fe is None:
+        fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
+    r = fe.shape[0]
+    a_t = np.ascontiguousarray(A.T)[:, :, None]
+    fe_t = np.ascontiguousarray(fe.transpose(1, 0, 2))
+    g_t = np.ascontiguousarray(g.transpose(1, 0, 2))
+    a_prod = np.empty((p, p, G))
+    fe_prod = np.empty((p, r, G))
+    g_prod = np.empty((r, p, G))
+    e = np.empty((n1, p, G))
+    idx = None
+    alpha = np.empty((r, G))
+    e[0] = x0
+    for t in range(n1):
+        k = e[t]  # holds k_t until the channel output is subtracted
+        if t:
+            np.copyto(k, bw[t - 1])
+            np.multiply(a_t, e[t - 1][:, None], out=a_prod)
+            for term in a_prod:
+                np.add(k, term, out=k)
+        if not r:
+            continue
+        alpha.fill(0.0)
+        np.multiply(fe_t, k[:, None], out=fe_prod)
+        for term in fe_prod:
+            np.add(alpha, term, out=alpha)
+        q, beta = step(t, alpha)
+        if q is not None:
+            if idx is None:
+                idx = np.empty((n1, r, G), dtype=np.int64)
+            idx[t] = q
+        np.multiply(g_t, beta[:, None], out=g_prod)
+        for term in g_prod:
+            np.subtract(k, term, out=k)
+    return idx, e
+
+
+def per_call_lattice_step(dither, scale, nearest):
+    """``kernels.lattice_step`` with fresh arrays each step and int64 indices."""
+
+    def step(t, alpha):
+        z = dithered_encode(alpha, dither[t], scale, nearest)
+        return z.astype(np.int64), dithered_decode(z, dither[t], scale)
+
+    return step
 
 
 def _alloc(n1, p, r):
@@ -296,3 +349,146 @@ def test_mixed_batch_rows_equal_single_runs(kind):
 
 def test_backend_name():
     assert kernels.get_backend() == "numpy"
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def random_stack(rng, rows, shape):
+    """Terms of mixed sign and magnitude, with signed zeros among them."""
+    s = rng.normal(size=(rows,) + shape) * 10.0 ** rng.integers(-12, 12, (rows,) + shape)
+    s[rng.random(s.shape) < 0.1] = 0.0
+    s[rng.random(s.shape) < 0.1] = -0.0
+    return s
+
+
+class TestReductionOrder:
+    # feedback_loop sums by one reduction along axis 0; that equals adding
+    # the rows one at a time only because numpy runs the rows in its outer
+    # loop whenever the result has two or more elements, and because the
+    # reduction starts from an initial value that is an exact identity for
+    # the first row (-0.0), or the zero a zeroed sum starts from (+0.0)
+    SHAPES = [(2, 1), (1, 2), (4, 1), (4, 5), (5, 20), (9, 3), (1, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_axis0_reductions_add_rows_in_order(self, shape):
+        rng = np.random.default_rng(20)
+        for rows in list(range(1, 20)) + [33, 64]:
+            s = random_stack(rng, rows, shape)
+            seq = s[0].copy()
+            for row in s[1:]:
+                np.add(seq, row, out=seq)
+            assert_same_bits(np.add.reduce(s, axis=0, initial=-0.0), seq)
+            seq = np.zeros(shape)
+            for row in s:
+                np.add(seq, row, out=seq)
+            assert_same_bits(np.add.reduce(s, axis=0, initial=0.0), seq)
+            seq = s[0].copy()
+            for row in s[1:]:
+                np.subtract(seq, row, out=seq)
+            assert_same_bits(np.subtract.reduce(s, axis=0), seq)
+
+    def test_one_element_sums_the_loop_makes(self):
+        # k at p = G = 1 is bw plus one term, and e is a subtraction at any
+        # width; alpha never has one element (it carries a spare zero row)
+        rng = np.random.default_rng(21)
+        for rows in range(1, 40):
+            s = random_stack(rng, rows, (1, 1))
+            seq = s[0].copy()
+            for row in s[1:]:
+                np.subtract(seq, row, out=seq)
+            assert_same_bits(np.subtract.reduce(s, axis=0), seq)
+        for _ in range(200):
+            s = random_stack(rng, 2, (1, 1))
+            assert_same_bits(np.add.reduce(s, axis=0, initial=-0.0), s[0] + s[1])
+
+
+def mixed_batch(kind, rho, widths, p=P, n=N, seed=30):
+    """A lockstep batch of one source, A = rho * a random rotation, one loop per width.
+
+    Every eigenvalue of A has modulus rho and |A| = rho.  With g half the
+    pseudo-inverse of fe, |A (I - g fe)| is rho at r < p and rho / 2 at
+    r >= p, so each closed loop stays bounded at rho < 1 for any r, and at
+    rho < 2 with r >= p.
+    """
+    rng = np.random.default_rng(seed)
+    A = rho * np.linalg.qr(rng.normal(size=(p, p)))[0]
+    rmax, G = max(widths), len(widths)
+    bw = rng.normal(size=(n, p, G))
+    x0 = rng.normal(size=(p, G))
+    fe = np.zeros((rmax, p, G))
+    g = np.zeros((p, rmax, G))
+    noise = np.zeros((n + 1, rmax, G))
+    for col, r in enumerate(widths):
+        fe[:r, :, col] = 3.0 * rng.normal(size=(r, p))
+        g[:, :r, col] = 0.5 * np.linalg.pinv(fe[:r, :, col])
+        if kind == "awgn":
+            noise[:, :r, col] = rng.standard_normal((n + 1, r))
+        elif kind == "sdusq":
+            noise[:, :r, col] = uniform_dither(rng, np.full(r, np.sqrt(12.0)), n + 1)
+        else:
+            noise[:, :r, col] = kernels.d4_dither(rng, SCALE, (n + 1) * (r // 4)).reshape(n + 1, r)
+    return A, bw, x0, fe, g, noise
+
+
+def steps(kind, noise):
+    """(the kernel's step, the per-call reference step) of one kind."""
+    if kind == "awgn":
+        return kernels.awgn_step(noise), kernels.awgn_step(noise)
+    scale, nearest = (np.sqrt(12.0), z_nearest) if kind == "sdusq" else (SCALE, d4_nearest_columns)
+    return kernels.lattice_step(noise, scale, nearest), per_call_lattice_step(noise, scale, nearest)
+
+
+def assert_loops_equal(A, bw, x0, fe, g, noise, kind):
+    step, ref_step = steps(kind, noise)
+    idx, e = kernels.feedback_loop(A, bw, x0, fe, g, step)
+    ref_idx, ref_e = per_term_loop(A, bw, x0, fe, g, ref_step)
+    assert np.abs(e).max() < 100.0  # the loops stayed bounded
+    assert_same_bits(e, ref_e)
+    if kind == "awgn":
+        assert idx is None and ref_idx is None
+    else:
+        assert_same_bits(idx, ref_idx)
+
+
+# an unstable source needs every direction in the channel: r >= p
+BATCHES = {
+    ("awgn", "stable"): [0, 2, 4, 3, 0],
+    ("sdusq", "stable"): [0, 2, 4, 3, 0],
+    ("d4", "stable"): [0, 4, 8, 4, 0],
+    ("awgn", "unstable"): [4, 6, 4],
+    ("sdusq", "unstable"): [4, 6, 4],
+    ("d4", "unstable"): [4, 8, 4],
+}
+
+
+@pytest.mark.parametrize("kind, stability", sorted(BATCHES))
+def test_lockstep_equals_per_term_loop(kind, stability):
+    rho = 0.9 if stability == "stable" else 1.4
+    A, bw, x0, fe, g, noise = mixed_batch(kind, rho, BATCHES[kind, stability])
+    assert (np.max(np.abs(np.linalg.eigvals(A))) > 1.0) == (stability == "unstable")
+    assert_loops_equal(A, bw, x0, fe, g, noise, kind)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "sdusq"])
+@pytest.mark.parametrize("p", [1, 2, 9, 12])
+def test_lockstep_equals_per_term_loop_with_one_loop_of_one_dimension(kind, p):
+    # G = r = 1 makes alpha one element, and p = 1 makes k one; with eight
+    # or more terms a one-element sum would be pairwise without the spare row
+    A, bw, x0, fe, g, noise = mixed_batch(kind, 0.9, [1], p=p)
+    assert_loops_equal(A, bw, x0, fe, g, noise, kind)
+
+
+def test_no_channel_equals_per_term_loop():
+    # a state that A and B never reach sums signed zeros only: k_0 is -0.0
+    # plus the terms 0 * e_j, of either sign, and -0.0 * e_0, of the other
+    A, bw, x0, *_ = mixed_batch("awgn", 0.9, [0, 0, 0])
+    A[0] = 0.0
+    A[0, 0] = -0.0
+    bw[:, 0] = -0.0
+    e = kernels.feedback_loop(A, bw, x0)[1]
+    assert np.any(np.signbit(e[1:, 0]) & (e[1:, 0] == 0.0))
+    assert_same_bits(e, per_term_loop(A, bw, x0)[1])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,17 +69,43 @@ def d4_roots():
     return np.array(roots)
 
 
+def sign_floor(z):
+    """sign(z) * floor(|z| + 1/2), exactly: floor(|z|), plus one when the exact
+    difference |z| - floor(|z|) is at least 1/2.  (The float sum |z| + 1/2
+    rounds up for the double below 1/2 and for odd integers from 2^52.)"""
+    a = np.abs(z)
+    f = np.floor(a)
+    return np.sign(z) * (f + (a - f >= 0.5))
+
+
 def sign_floor_encode(alpha, dither, deltas):
     """Cell indices of alpha + dither by sign(z) * floor(|z| + 1/2): the reference rule."""
     z = (np.asarray(alpha, float) + np.asarray(dither, float)) / np.asarray(deltas, float)
-    return (np.sign(z) * np.floor(np.abs(z) + 0.5)).astype(np.int64)
+    return sign_floor(z).astype(np.int64)
+
+
+def half_away(x):
+    """The integer nearest to the float x, ties away from zero, by exact rationals."""
+    q = Fraction(abs(x)) + Fraction(1, 2)
+    return math.copysign(float(q.numerator // q.denominator), x)
+
+
+def hard_floats(rng):
+    """Floats at every magnitude, half-integers and their neighbours, values near 2^52 and 2^53."""
+    mags = np.ldexp(rng.random(4000) + 0.5, rng.integers(-60, 60, 4000))
+    halves = np.concatenate([np.arange(-40, 40) + 0.5, rng.integers(-2**51, 2**51, 500) + 0.5])
+    big = np.concatenate([2.0**52 + np.arange(-40, 40), 2.0**53 + np.arange(-40, 40, 2)])
+    base = np.concatenate([mags, halves, big, [0.5, 1.5, 2.0**51 + 0.5]])
+    near = [np.nextafter(base, np.inf), np.nextafter(base, -np.inf)]
+    x = np.concatenate([base, *near])
+    return np.concatenate([x, -x])
 
 
 class TestZNearest:
     @staticmethod
     def assert_matches_reference(x):
         z = z_nearest(x)
-        ref = np.sign(x) * np.floor(np.abs(x) + 0.5)
+        ref = sign_floor(x)
         assert np.array_equal(z, ref)
         # bit for bit as well, zeros included; only -0.0 keeps its sign
         assert np.array_equal(np.signbit(z), np.signbit(ref) | np.signbit(x) & (x == 0.0))
@@ -99,6 +126,28 @@ class TestZNearest:
         self.assert_matches_reference(x)
         assert np.all(z_nearest(x) == 0.0)
         assert np.array_equal(np.signbit(z_nearest(x)), np.signbit(x))
+
+    def test_exact_at_every_magnitude(self):
+        x = hard_floats(np.random.default_rng(14))
+        z = z_nearest(x)
+        want = np.array([half_away(v) for v in x])
+        assert np.array_equal(z, want)
+        assert np.array_equal(np.signbit(z), np.signbit(want))
+        self.assert_matches_reference(x)
+
+    def test_sums_that_round_across_a_half(self):
+        # x + 1/2 rounds up to the next integer for these, though the
+        # fraction of |x| is below one half
+        x = np.array([np.nextafter(0.5, 0.0), 2.0**52 + 1, 2.0**53 - 1])
+        assert np.array_equal(x + 0.5, [1.0, 2.0**52 + 2, 2.0**53])
+        assert np.array_equal(z_nearest(x), [0.0, 2.0**52 + 1, 2.0**53 - 1])
+        assert np.array_equal(z_nearest(-x), -z_nearest(x))
+
+    def test_in_place(self):
+        x = hard_floats(np.random.default_rng(15))
+        z = z_nearest(x)
+        assert z_nearest(x, out=x) is x
+        assert np.array_equal(x, z) and np.array_equal(np.signbit(x), np.signbit(z))
 
 
 class TestSdusq:
@@ -214,13 +263,25 @@ class TestD4:
         assert np.array_equal(d_fast, d_exact)
 
     def test_columns_apply_the_rule_per_block(self):
-        # the loop's (r, G) layout: column j holds r/4 blocks of loop j
+        # the loop's (r, G) layout: column j holds r/4 blocks of loop j, which
+        # lie along axis 1 of the (r // 4, 4, G) view
         rng = np.random.default_rng(11)
         x = np.vstack([rng.uniform(-4, 4, (8, 6)), rng.integers(-6, 7, (8, 6)) / 2.0])
+        x[0, :3] = [0.0, -0.0, -0.25]  # zeros of both signs, and a value that rounds to -0.0
+        x[1:4, :3] = 0.0
+        blocks = x.reshape(-1, 4, x.shape[1])
+        on_axis = d4_nearest(blocks, axis=1)
         z = d4_nearest_columns(x)
+        assert on_axis.shape == blocks.shape and z.shape == x.shape
         for col in range(x.shape[1]):
-            blocks = x[:, col].reshape(-1, 4)
-            assert np.array_equal(z[:, col], d4_nearest(blocks).ravel())
+            rows = d4_nearest(x[:, col].reshape(-1, 4))
+            for got in (on_axis[..., col], z[:, col].reshape(-1, 4)):
+                assert np.array_equal(got, rows)
+                assert np.array_equal(np.signbit(got), np.signbit(rows))
+        # in place, as the loop rounds its buffer
+        inplace = x.copy()
+        assert d4_nearest_columns(inplace, out=inplace) is inplace
+        assert np.array_equal(inplace, z) and np.array_equal(np.signbit(inplace), np.signbit(z))
 
     def test_nearest_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):

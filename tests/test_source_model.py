@@ -245,6 +245,13 @@ class TestSourceFromDict:
         with pytest.raises(ConfigParse):
             zdrd.source_from_dict({"A": [[1.0]]})
 
+    def test_unknown_keys_are_rejected(self):
+        doc = {"A": [[0.5]], "B": [[1.0]], "sigma_xo": [[9.0]]}
+        with pytest.raises(ConfigParse, match=r"unknown source keys \['sigma_xo'\]"):
+            zdrd.source_from_dict(doc)
+        with pytest.raises(ConfigParse, match="unknown source keys"):
+            zdrd.source_from_dict({"ar_coefficients": [[[0.5]]], "B": [[1.0]], "a": 1})
+
     def test_ragged_matrix(self):
         with pytest.raises(ConfigParse):
             zdrd.source_from_dict({"A": [[1.0, 2.0], [3.0]], "B": [[1.0]]})
