@@ -59,24 +59,18 @@ H = W W^T, and likewise for the Q block with weight 1 + t/2.  This costs
 O(n S^3 + n^2 S^2) per step instead of the O(n S^4) of contracting explicit
 inverses, and H is exactly symmetric.
 
-Every BLAS/LAPACK call inside the Newton loop goes through numpy (``@`` and
-``np.linalg``), never scipy.linalg, which supplies only phase 1's
-Lyapunov solve outside the loop.  numpy and scipy wheels may link two
-separate OpenBLAS builds, each with its own thread pool; interleaving them
-lets the idle pool's spinning threads starve the busy one on small hosts
-(measured on 2 cores, numpy 2.4 / scipy 1.17: a p=6 solve took 1.1-1.3 s
-with scipy triangular solves between numpy products, 0.08-0.13 s with
-numpy alone).
+Every BLAS/LAPACK call, phase 1's Lyapunov solve included
+(``linalg.discrete_lyapunov``), goes through numpy (``@`` and
+``np.linalg``).
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import InfeasibleModel, SolverDivergence
-from .linalg import symmetrize
+from .linalg import discrete_lyapunov, symmetrize
 
 GAP_TARGET = 1e-10  # nats; |rate error| <= gap/ln 2 bits
 T_GROWTH = 100.0  # long steps: t grows 100x per stage (module docstring)
@@ -229,8 +223,8 @@ def phase1_point(prob: MaxdetProblem):
     rho = max(1.0, float(np.max(np.abs(np.linalg.eigvals(A)))))
     s = 1.0 / (2.0 * rho * rho)
     try:
-        Pstar = solve_discrete_lyapunov(np.sqrt(s) * A, s * BBt)
-    except Exception as exc:  # scipy raises LinAlgError subclasses
+        Pstar = discrete_lyapunov(np.sqrt(s) * A, s * BBt)
+    except np.linalg.LinAlgError as exc:
         raise InfeasibleModel(f"phase-1 stationarity solve failed: {exc}") from exc
     Pstar = symmetrize(Pstar)
     tr = float(np.trace(Pstar))

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from . import kernels
 from .errors import ConfigParse, DimensionMismatch, NotPSD, config_mapping
-from .linalg import as_matrix, check_psd, psd_sqrt_factor, sorted_eig
+from .linalg import as_matrix, check_psd, discrete_lyapunov, psd_sqrt_factor, sorted_eig
 
 # eigenvalues with |mu| >= 1 - MARGINAL_TOL count as on or outside the unit
 # circle: eig returns |mu| = 1 - 1e-16 for a rotation, whose Lyapunov system
@@ -63,7 +62,7 @@ class GaussMarkovSource:
         stable; solved once per source."""
         if not stability_report(self).is_stable:
             return None
-        S = solve_discrete_lyapunov(self.A, self.B @ self.B.T)
+        S = discrete_lyapunov(self.A, self.B @ self.B.T)
         S = 0.5 * (S + S.T)
         S.setflags(write=False)
         return S

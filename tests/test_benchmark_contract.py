@@ -4,18 +4,22 @@ The harness traces a sweep by wrapping the functions listed in
 ``perfbench/spans.py`` at their module attributes, and it builds its seed
 bundle from three positional seeds.  A wrap point removed from zdrd does
 not fail the harness: its per-layer metrics just read absent.  These tests
-fail instead.
+fail instead.  The harness also finds its reference rates by ``repr(D)``,
+so a last-bit change in a stable grid fails its gate; a test here pins
+that grid first.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import zdrd
 from zdrd import maxdet
-from zdrd.experiments import preset_config
+from zdrd.experiments import default_grid, preset_config
 from zdrd.solver import nrdf
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans(monkeypatch):
@@ -58,3 +62,11 @@ def test_span_attributes_read_real_results(monkeypatch):
         assert attrs[("maxdet", "solve_maxdet")]((prob,), solved) == {"p": src.p}
         sol = nrdf(src, D)
         assert attrs[("experiments", "nrdf")]((src, D), sol) == {"p": src.p, "form": form}
+
+
+def test_example1_grid_is_the_reference_keys():
+    # d_max sets the grid, so this pins the Lyapunov solve to its last bit
+    ref = json.loads((PERFBENCH / "reference.json").read_text())
+    keys = [repr(float(d)) for d, _ in ref["bounds"]["example1"]]
+    grid = default_grid(preset_config("example1").source, len(keys))
+    assert [repr(float(d)) for d in grid] == keys

@@ -34,6 +34,14 @@ def _state_loop(A, bw, x0, out):
             out[t, i] = acc
 
 
+def _round_half(a):
+    """floor(a + 1/2) for a >= 0, exactly: floor(a), plus one when the exact
+    remainder a - floor(a) is at least 1/2.  (The float sum a + 1/2 rounds up
+    for the double below 1/2 and for odd integers from 2^52.)"""
+    f = np.floor(a)
+    return f + 1.0 if a - f >= 0.5 else f
+
+
 def _channel_loop(A, bw, x0, fe, g, noise, deltas, quantized, idx, k, alpha, beta, e):
     """Feedback loop for the AWGN channel and the dithered scalar quantizer."""
     n1, p = k.shape
@@ -57,10 +65,7 @@ def _channel_loop(A, bw, x0, fe, g, noise, deltas, quantized, idx, k, alpha, bet
         if quantized:
             for i in range(r):
                 z = (alpha[t, i] + noise[t, i]) / deltas[i]
-                if z >= 0.0:
-                    ji = np.floor(z + 0.5)
-                else:
-                    ji = -np.floor(-z + 0.5)
+                ji = _round_half(z) if z >= 0.0 else -_round_half(-z)
                 idx[t, i] = np.int64(ji)
                 beta[t, i] = ji * deltas[i] - noise[t, i]
         else:
@@ -103,10 +108,7 @@ def _d4_loop(A, bw, x0, fe, g, dither, scale, idx, k, alpha, beta, e):
             wk = 0
             for i in range(4):
                 xi = (alpha[t, o + i] + dither[t, o + i]) / scale
-                if xi >= 0.0:
-                    fi = np.floor(xi + 0.5)
-                else:
-                    fi = -np.floor(-xi + 0.5)
+                fi = _round_half(xi) if xi >= 0.0 else -_round_half(-xi)
                 z[i] = fi
                 ssum += fi
                 d = abs(xi - fi)
@@ -287,6 +289,21 @@ def test_d4_loop_exact_at_ties():
     fe = np.zeros((4, P))
     got = kernels.d4_loop(A, bw, x0, fe, g, dith, scale)
     assert_all_equal(got, ref_d4(A, bw, x0, fe, g, dith, scale))
+
+
+def test_loops_exact_next_to_half():
+    # with fe = 0 both loops quantize exactly dither/scale; the double below
+    # 1/2 and odd integers from 2^52 are where floor(|z| + 1/2) is wrong
+    A, bw, x0, _, g, rng = loop_inputs(5, 4)
+    h = np.nextafter(0.5, 0.0)
+    hard = np.array([h, 0.5, 1.5, 2.0**52 + 1.0])
+    dith = rng.choice(np.concatenate([hard, -hard]), (N + 1, 4))
+    fe, ones = np.zeros((4, P)), np.ones(4)
+    assert np.any(dith == h) and np.any(dith == -h)
+    got = kernels.sdusq_loop(A, bw, x0, fe, g, dith, ones)
+    assert_all_equal(got, ref_sdusq(A, bw, x0, fe, g, dith, ones))
+    got = kernels.d4_loop(A, bw, x0, fe, g, dith, 1.0)
+    assert_all_equal(got, ref_d4(A, bw, x0, fe, g, dith, 1.0))
 
 
 def _batch(arrays, shape):

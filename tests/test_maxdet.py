@@ -1,5 +1,8 @@
 """Determinant-maximization engine checks against independent oracles."""
 
+import os
+import subprocess
+import sys
 import time
 import types
 
@@ -248,15 +251,23 @@ class TestFactorOnce:
         assert len(set(seen)) == len(seen)
 
     def test_scipy_stays_out_of_the_newton_loop(self):
-        # numpy and scipy may link separate OpenBLAS pools; interleaving them
-        # stalls solves (module docstring), so scipy serves phase 1 only
+        # scipy is a test dependency only: the library binds none of its names,
+        # and importing zdrd loads none of it (half the import time it cost)
         def origin(obj):
             if isinstance(obj, types.ModuleType):
                 return obj.__name__
             return getattr(obj, "__module__", None) or ""
 
         from_scipy = [k for k, v in vars(maxdet).items() if origin(v).split(".")[0] == "scipy"]
-        assert from_scipy == ["solve_discrete_lyapunov"]
+        assert from_scipy == []
+        env = dict(os.environ)
+        root = os.path.dirname(os.path.dirname(zdrd.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        probe = "import sys, zdrd; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSolverStats:

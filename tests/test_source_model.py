@@ -8,8 +8,9 @@ from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
 import zdrd
 from zdrd.errors import ConfigParse, DimensionMismatch, NotPSD
+from zdrd.linalg import discrete_lyapunov
 
-from conftest import STABLE_4D_A, UNSTABLE_4D_A
+from conftest import STABLE_4D_A, UNSTABLE_4D_A, random_source
 
 
 class TestNewSource:
@@ -161,13 +162,13 @@ class TestDmax:
         from zdrd import experiments, source_model
 
         calls = []
-        solve = source_model.solve_discrete_lyapunov
+        solve = source_model.discrete_lyapunov
 
         def counting(A, Q):
             calls.append(A)
             return solve(A, Q)
 
-        monkeypatch.setattr(source_model, "solve_discrete_lyapunov", counting)
+        monkeypatch.setattr(source_model, "discrete_lyapunov", counting)
         # stable example1: the grid, every point's d_max and the zero-rate top point
         config = experiments.preset_config("example1", "none", points=6)
         report = experiments.run_experiment(config)
@@ -195,6 +196,28 @@ class TestDmax:
         base = zdrd.new_source([[0.4]], [[1.0]], [[1.0]])
         scaled = zdrd.new_source([[0.4]], [[c]], [[1.0]])
         assert zdrd.d_max(scaled) == pytest.approx(c * c * zdrd.d_max(base), rel=1e-12)
+
+
+class TestDiscreteLyapunov:
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999, 1 - 1e-6])
+    def test_random_sources_against_scipy(self, rho):
+        eps = np.finfo(float).eps
+        for p in range(1, 33):
+            src = random_source(p, seed=p, rho=rho)
+            A, Q = src.A, src.B @ src.B.T
+            X = discrete_lyapunov(A, Q)
+            scale = np.linalg.norm(X)
+            assert np.linalg.norm(A @ X @ A.T - X + Q) <= 1e-13 * scale
+            # scipy runs the same direct solve at p < 10 and its bilinear
+            # method above; at rho = 1 - 1e-6 (||X|| / ||Q|| ~ 5e5) the two
+            # differ by the conditioning, so the bound grows with it there
+            kappa = scale / np.linalg.norm(Q)
+            tol = max(1e-9, 1e3 * eps * kappa)
+            assert np.linalg.norm(X - solve_discrete_lyapunov(A, Q)) <= tol * scale
+
+    def test_singular_system_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            discrete_lyapunov(np.eye(2), np.eye(2))
 
 
 class TestSimulate:
