@@ -20,7 +20,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from zdrd import build_realization, kernels, new_source, nrdf, simulate
 from zdrd.coding import KINDS
@@ -47,9 +46,18 @@ def timeit(fn, repeat):
     return best
 
 
+def block_diag(block, copies):
+    """``copies`` copies of the square ``block`` down the diagonal of a zero matrix."""
+    m = block.shape[0]
+    A = np.zeros((m * copies, m * copies))
+    for k in range(copies):
+        A[k * m : (k + 1) * m, k * m : (k + 1) * m] = block
+    return A
+
+
 def channel(copies):
     """The source of ``copies`` copies of A4 and its (fe, g) at D = copies."""
-    A = block_diag(*[np.array(A4)] * copies)
+    A = block_diag(np.array(A4), copies)
     src = new_source(A, np.eye(A.shape[0]), np.eye(A.shape[0]))
     return src, channel_matrices(build_realization(src, nrdf(src, float(copies))))
 

@@ -6,10 +6,12 @@
     zdrd solve --config FILE [--per-dim] [--out FILE]
 
 Exit status: 0 on success, 1 when any grid point failed, 2 on bad input.
-The environment variable ZDRD_SEED overrides all configured seeds.
+ZDRD_SEED=<int> overrides the configured seeds (source <int>, dither
+<int> + 1).  Only this command reads it; the library runs the config it gets.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -42,6 +44,17 @@ def build_parser():
     return parser
 
 
+def _env_seed_override(config):
+    raw = os.environ.get("ZDRD_SEED")
+    if raw is None or raw.strip() == "":
+        return config
+    try:
+        base = int(raw)
+    except ValueError as exc:
+        raise ConfigParse(f"ZDRD_SEED must be an integer, got {raw!r}") from exc
+    return replace(config, seeds=coding.SeedBundle(source=base, dither=base + 1))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -61,6 +74,7 @@ def main(argv=None):
             config = experiments.config_from_json(args.config)
             if args.out:
                 config = replace(config, csv_path=args.out)
+        config = _env_seed_override(config)
         report = experiments.run_experiment(config, per_dim=args.per_dim)
     except ConfigParse as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,14 +123,13 @@ def run_coding_experiment(
     indices..., codeword_length_bits, squared error).  This is
     :func:`run_coding_batch` on one point; its error is raised.
     """
-    (res,) = run_coding_batch(src, n, [(scheme, seeds, kind)], [trace_path])
+    (res,) = run_coding_batch(src, n, kind, [(scheme, seeds)], [trace_path])
     if isinstance(res, Exception):
         raise res
     return res
 
 
-def _check_point(src, scheme, kind):
-    block = _kind(kind).block
+def _check_point(src, scheme, kind, block):
     if scheme.E.shape[0] != src.p:
         raise DimensionMismatch("scheme dimension does not match source")
     if scheme.r % block != 0:
@@ -139,39 +138,35 @@ def _check_point(src, scheme, kind):
         )
 
 
-def run_coding_batch(src, n, points, trace_paths=None):
+def run_coding_batch(src, n, kind, points, trace_paths=None):
     """Run the quantized loops of several schemes of ``src`` in lockstep.
 
-    ``points`` is a sequence of (scheme, seeds, kind).  Every point draws
-    its own source path and dither stream as :func:`run_coding_experiment`
-    describes, its loop runs in one :func:`kernels.feedback_loop` with the
-    others, and its indices get their own histogram and Huffman code, so
-    each result equals that of the point run alone.  Points with r > 0 must
-    share one quantizer kind; a point with r = 0 transmits nothing, and its
-    reproduction free-runs on the predictor.  An unknown kind, or two kinds
-    among the points with r > 0, raises ValueError.
+    ``kind`` names the one quantizer of the batch, a key of :data:`KINDS`;
+    an unknown kind raises ValueError before any work.  ``points`` is a
+    sequence of (scheme, seeds).  Every point draws its own source path and
+    dither stream as :func:`run_coding_experiment` describes, its loop runs
+    in one :func:`kernels.feedback_loop` with the others, and its indices
+    get their own histogram and Huffman code, so each result equals that of
+    the point run alone.  A point with r = 0 transmits nothing, and its
+    reproduction free-runs on the predictor.
 
     Returns one entry per point, in order: its CodingResult, or the error
     (one of ``errors.POINT_ERRORS``) that failed it.  ``trace_paths``
     optionally names a per-step CSV trace for each point.
     """
+    quantizer = _kind(kind)
     p = src.p
     out = [None] * len(points)
     live = []
-    for i, (scheme, _, kind) in enumerate(points):
+    for i, (scheme, _) in enumerate(points):
         try:
-            _check_point(src, scheme, kind)
+            _check_point(src, scheme, kind, quantizer.block)
             live.append(i)
         except POINT_ERRORS as exc:
             out[i] = exc
-    kinds = {points[i][2] for i in live if points[i][0].r}
-    if len(kinds) > 1:
-        raise ValueError(f"a batch takes one quantizer kind, got {sorted(kinds)}")
     if not live:
         return out
 
-    # with no active point the loop never steps, and any live kind will do
-    kind = KINDS[kinds.pop() if kinds else points[live[0]][2]]
     G = len(live)
     rmax = max(points[i][0].r for i in live)
     x0 = np.empty((p, G))
@@ -180,15 +175,15 @@ def run_coding_batch(src, n, points, trace_paths=None):
     g = np.zeros((p, rmax, G))
     dither = np.zeros((n + 1, rmax, G))
     for col, i in enumerate(live):
-        scheme, seeds, _ = points[i]
+        scheme, seeds = points[i]
         x0[:, col], w = source_noise(src, n, seeds.source)
         bw[:, :, col] = w @ src.B.T
         r = scheme.r
         if r == 0:
             continue
         fe[:r, :, col], g[:, :r, col] = channel_matrices(scheme)
-        dither[:, :r, col] = kind.dither(np.random.default_rng(seeds.dither), n + 1, r)
-    step = kernels.lattice_step(dither, kind.scale, kind.nearest)
+        dither[:, :r, col] = quantizer.dither(np.random.default_rng(seeds.dither), n + 1, r)
+    step = kernels.lattice_step(dither, quantizer.scale, quantizer.nearest)
     idx, e = kernels.feedback_loop(src.A, bw, x0, fe, g, step)
     del bw, dither, step
 

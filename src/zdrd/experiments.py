@@ -12,7 +12,6 @@ order, so a fixed seed bundle yields byte-identical CSVs.
 import csv
 import json
 import math
-import os
 import time
 from dataclasses import astuple, dataclass, replace
 
@@ -162,7 +161,7 @@ def preset_config(name, quantizer="default", n_steps=None, csv_path=None, points
     return ExperimentConfig(
         source=src,
         d_grid=default_grid(src, points),
-        n_steps=DEFAULT_N_STEPS if n_steps is None else int(n_steps),
+        n_steps=DEFAULT_N_STEPS if n_steps is None else n_steps,
         quantizer=quantizer,
         csv_path=csv_path,
         name=name,
@@ -209,19 +208,8 @@ def config_from_json(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _env_seed_override(seeds: SeedBundle) -> SeedBundle:
-    raw = os.environ.get("ZDRD_SEED")
-    if raw is None or raw.strip() == "":
-        return seeds
-    try:
-        base = int(raw)
-    except ValueError as exc:
-        raise ConfigParse(f"ZDRD_SEED must be an integer, got {raw!r}") from exc
-    return SeedBundle(source=base, dither=base + 1)
-
-
 def _solve_point(src, d, quantizer, seeds, row_index):
-    """Bounds of one grid point, and its coding job (scheme, seeds, kind) or None."""
+    """Bounds of one grid point, and its coding job (scheme, seeds) or None."""
     try:
         sol = nrdf(src, d)
         scheme = build_realization(src, sol)
@@ -233,7 +221,7 @@ def _solve_point(src, d, quantizer, seeds, row_index):
                 source=seeds.source + 1000 * row_index,
                 dither=seeds.dither + 1000 * row_index,
             )
-            job = (scheme, row_seeds, quantizer)
+            job = (scheme, row_seeds)
         row = ExperimentRow(float(d), float(sol.rate_bits), float(upper), None, None, r, "ok")
         return row, job
     except POINT_ERRORS as exc:  # sweeps survive isolated failures
@@ -248,21 +236,20 @@ def run_experiment(config: ExperimentConfig, per_dim=False) -> ExperimentReport:
     """Evaluate every grid point; writes the CSV when the config names one.
 
     The points are solved one after another; the coded ones then run their
-    loops together in one :func:`coding.run_coding_batch`.  Deterministic
-    for a fixed config and ZDRD_SEED environment, rows in grid order.
+    loops together in one :func:`coding.run_coding_batch` with the config's
+    quantizer.  The rows depend on the config alone, and come in grid order.
     """
     t0 = time.perf_counter()
-    seeds = _env_seed_override(config.seeds)
     src = config.source
     rows = []
     jobs = {}
     for i, d in enumerate(config.d_grid):
-        row, job = _solve_point(src, d, config.quantizer, seeds, i)
+        row, job = _solve_point(src, d, config.quantizer, config.seeds, i)
         rows.append(row)
         if job is not None:
             jobs[i] = job
     if jobs:
-        results = run_coding_batch(src, config.n_steps, list(jobs.values()))
+        results = run_coding_batch(src, config.n_steps, config.quantizer, list(jobs.values()))
         for i, res in zip(jobs, results):
             if isinstance(res, Exception):
                 rows[i] = _failed_row(rows[i].d_target, res)

@@ -17,6 +17,7 @@ from zdrd import experiments, kernels
 from zdrd.coding import (
     HALF_LOG2_PIE6,
     SeedBundle,
+    run_coding_batch,
     run_coding_experiment,
     theoretical_upper_bound,
 )
@@ -115,20 +116,29 @@ def test_criterion_5_realization_fidelity(scalar_half, stable_ar2, unstable_ar2,
     _report("5 realization fidelity", ok, "; ".join(details) + " (tol 2%)")
 
 
-def _sandwich_case(src, D, kind, n, seed_base, tmp_path):
-    sol = nrdf(src, D)
-    scheme = build_realization(src, sol)
-    trace = tmp_path / f"trace_{kind}_{seed_base}.csv"
-    res = run_coding_experiment(
-        scheme, src, n, SeedBundle(seed_base, seed_base + 1), kind, trace_path=trace
-    )
-    lengths = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=scheme.r + 1)
-    se3 = 3.0 * float(np.std(lengths)) / math.sqrt(lengths.size)
-    lower = nrdf(src, res.empirical_mse).rate_bits
-    upper = theoretical_upper_bound(lower, scheme.r, kind)
-    rate = res.empirical_rate_bits_per_vector
-    ok = lower <= rate <= upper + se3
-    return ok, f"D={D}: {lower:.3f} <= {rate:.3f} <= {upper:.3f}+{se3:.3f}"
+def _sandwich_cases(src, grid, kind, n, seed_base, tmp_path):
+    """(ok, message) of the coded sandwich at each D of ``grid``.
+
+    The points run as one lockstep batch; point j is seeded seed_base + 10 j.
+    """
+    schemes = [build_realization(src, nrdf(src, D)) for D in grid]
+    bases = [seed_base + 10 * j for j in range(len(grid))]
+    points = [(scheme, SeedBundle(b, b + 1)) for scheme, b in zip(schemes, bases)]
+    traces = [tmp_path / f"trace_{kind}_{b}.csv" for b in bases]
+    cases = []
+    for D, scheme, res, trace in zip(
+        grid, schemes, run_coding_batch(src, n, kind, points, traces), traces
+    ):
+        if isinstance(res, Exception):
+            raise res
+        lengths = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=scheme.r + 1)
+        se3 = 3.0 * float(np.std(lengths)) / math.sqrt(lengths.size)
+        lower = nrdf(src, res.empirical_mse).rate_bits
+        upper = theoretical_upper_bound(lower, scheme.r, kind)
+        rate = res.empirical_rate_bits_per_vector
+        ok = lower <= rate <= upper + se3
+        cases.append((ok, f"D={D}: {lower:.3f} <= {rate:.3f} <= {upper:.3f}+{se3:.3f}"))
+    return cases
 
 
 def test_criterion_6_coding_sandwich(stable4, unstable4, tmp_path):
@@ -137,14 +147,13 @@ def test_criterion_6_coding_sandwich(stable4, unstable4, tmp_path):
     const_ok = abs(scalar_const - 0.2546) <= 1e-4 and abs(d4_const - 0.4439) <= 1e-4
     details = [f"scalar const {scalar_const:.5f}", f"D4/dim const {d4_const:.5f}"]
     ok = const_ok
-    for j, D in enumerate((0.1, 0.5, 1.5)):
-        good, msg = _sandwich_case(stable4, D, "sdusq", 100_000, 7000 + 10 * j, tmp_path)
-        ok = ok and good
-        details.append("sdusq " + msg)
-    for j, D in enumerate((0.3, 1.0, 1.5)):
-        good, msg = _sandwich_case(unstable4, D, "d4", 100_000, 7500 + 10 * j, tmp_path)
-        ok = ok and good
-        details.append("d4 " + msg)
+    for src, grid, kind, seed_base in (
+        (stable4, (0.1, 0.5, 1.5), "sdusq", 7000),
+        (unstable4, (0.3, 1.0, 1.5), "d4", 7500),
+    ):
+        for good, msg in _sandwich_cases(src, grid, kind, 100_000, seed_base, tmp_path):
+            ok = ok and good
+            details.append(f"{kind} {msg}")
     _report("6 coding sandwich", ok, "; ".join(details))
 
 

@@ -193,18 +193,15 @@ class TestCodingRuns:
         # scheme belongs to a source of another dimension
         schemes = [build_realization(stable4, nrdf(stable4, d)) for d in (0.2, 3.98, 10.0)]
         assert [s.r for s in schemes] == [4, 2, 0]
-        points = [
-            (sch, SeedBundle(10 + i, 20 + i), "sdusq")
-            for i, sch in enumerate(schemes)
-        ]
+        points = [(sch, SeedBundle(10 + i, 20 + i)) for i, sch in enumerate(schemes)]
         foreign = build_realization(stable_ar2, nrdf(stable_ar2, 0.5))
-        points.insert(1, (foreign, SeedBundle(5, 6), "sdusq"))
-        got = run_coding_batch(stable4, 3000, points)
+        points.insert(1, (foreign, SeedBundle(5, 6)))
+        got = run_coding_batch(stable4, 3000, "sdusq", points)
         assert isinstance(got[1], DimensionMismatch)
-        for res, (sch, seeds, kind) in zip(got[:1] + got[2:], points[:1] + points[2:]):
-            assert res == run_coding_experiment(sch, stable4, 3000, seeds, kind)
+        for res, (sch, seeds) in zip(got[:1] + got[2:], points[:1] + points[2:]):
+            assert res == run_coding_experiment(sch, stable4, 3000, seeds, "sdusq")
         monkeypatch.setattr(coding, "ALPHABET_CAP", 8)
-        capped = run_coding_batch(stable4, 3000, points)
+        capped = run_coding_batch(stable4, 3000, "sdusq", points)
         assert isinstance(capped[0], AlphabetOverflow)
         assert capped[2:] == got[2:]
 
@@ -277,7 +274,7 @@ class TestKinds:
     def test_unknown_kind_is_rejected(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
         with pytest.raises(ValueError, match="unknown quantizer kind 'e8'"):
-            run_coding_batch(stable4, 100, [(scheme, SeedBundle(1, 2), "e8")])
+            run_coding_batch(stable4, 100, "e8", [(scheme, SeedBundle(1, 2))])
         for r in (0, 4):
             with pytest.raises(ValueError, match="unknown quantizer kind 'e8'"):
                 theoretical_upper_bound(1.0, r, "e8")

@@ -105,19 +105,41 @@ class TestRunExperiment:
             assert b.rate_lower_bits == pytest.approx(a.rate_lower_bits / p)
             assert b.d_target == a.d_target
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_library_ignores_env_seed(self, monkeypatch):
+        # only the CLI reads ZDRD_SEED; a library run depends on its config alone
         cfg = small_config()
+        monkeypatch.delenv("ZDRD_SEED", raising=False)
         base = experiments.run_experiment(cfg)
         monkeypatch.setenv("ZDRD_SEED", "777")
-        alt = experiments.run_experiment(cfg)
-        again = experiments.run_experiment(cfg)
-        assert alt.rows == again.rows
-        assert any(
-            a.rate_op_bits != b.rate_op_bits for a, b in zip(base.rows, alt.rows)
-        )
+        assert experiments.run_experiment(cfg).rows == base.rows
         monkeypatch.setenv("ZDRD_SEED", "not-an-int")
-        with pytest.raises(ConfigParse):
-            experiments.run_experiment(cfg)
+        assert experiments.run_experiment(cfg).rows == base.rows
+
+    def test_failed_coded_row(self, tmp_path, capsys):
+        # the D4 quantizer needs r divisible by 4: near d_max example1 keeps r = 1
+        src = experiments._preset_sources()["example1"]
+        grid = (0.5, 0.999 * zdrd.d_max(src))
+        path = tmp_path / "d4.csv"
+        cfg = experiments.ExperimentConfig(
+            source=src, d_grid=grid, n_steps=2000, quantizer="d4", csv_path=str(path)
+        )
+        report = experiments.run_experiment(cfg)
+        assert [row.r_active for row in report.rows] == [4, None]
+        assert report.rows[0].status == "ok" and report.rows[0].rate_op_bits is not None
+        assert report.rows[1].status == (
+            "failed:DimensionMismatch: the D4 quantizer needs r divisible by 4, got r=1"
+        )
+        assert experiments.read_csv(path) == list(report.rows)
+        doc = {
+            "source": {"A": src.A.tolist(), "B": src.B.tolist()},  # sigma_x0 = I
+            "d_grid": list(grid),
+            "n_steps": 2000,
+            "quantizer": "d4",
+        }
+        cfg_path = tmp_path / "d4.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--config", str(cfg_path)]) == 1
+        assert "failed:DimensionMismatch" in capsys.readouterr().out
 
     def test_failed_rows_flagged(self, tmp_path):
         c, s = np.cos(0.3), np.sin(0.3)
@@ -153,12 +175,11 @@ class TestRunExperiment:
             ),
         ],
     )
-    def test_operational_rates_pinned(self, name, expected, monkeypatch):
+    def test_operational_rates_pinned(self, name, expected):
         # exact values, recorded with the long-step barrier schedule; any change
         # to the loop's arithmetic order shows here.  So does a last-bit move
         # of Pi: on the unstable example3 sub-quantum differences in e grow
         # like A between index flips, and the first flip re-draws the run
-        monkeypatch.delenv("ZDRD_SEED", raising=False)
         report = experiments.run_experiment(
             experiments.preset_config(name, n_steps=2000, points=3)
         )
@@ -236,6 +257,14 @@ class TestConfigParsing:
         assert cfg.d_grid == (1.0, 2.5) and cfg.n_steps == 1000 and cfg.seeds.source == 5
         assert type(cfg.n_steps) is int and type(cfg.seeds.source) is int
 
+    def test_preset_n_steps_is_checked_once(self):
+        # preset_config hands n_steps to ExperimentConfig unconverted
+        for bad in (2.5, "7"):
+            with pytest.raises(ConfigParse, match="n_steps must be an integer"):
+                experiments.preset_config("example1", n_steps=bad)
+        cfg = experiments.preset_config("example1", n_steps=1e5)
+        assert cfg.n_steps == 100_000 and type(cfg.n_steps) is int
+
     def test_missing_source(self):
         with pytest.raises(ConfigParse):
             experiments.config_from_dict({"d_grid": [0.5]})
@@ -309,6 +338,20 @@ class TestCli:
 
     def test_solve_missing_config(self, tmp_path, capsys):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
+        args = ["preset", "example4", "--n-steps", "2000", "--grid-points", "4", "--out"]
+        monkeypatch.delenv("ZDRD_SEED", raising=False)
+        assert cli.main([*args, str(tmp_path / "base.csv")]) == 0
+        monkeypatch.setenv("ZDRD_SEED", "777")
+        for name in ("alt.csv", "again.csv"):
+            assert cli.main([*args, str(tmp_path / name)]) == 0
+        assert (tmp_path / "alt.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
+        base, alt = (experiments.read_csv(tmp_path / n) for n in ("base.csv", "alt.csv"))
+        assert any(a.rate_op_bits != b.rate_op_bits for a, b in zip(base, alt))
+        monkeypatch.setenv("ZDRD_SEED", "not-an-int")
+        assert cli.main([*args, str(tmp_path / "bad.csv")]) == 2
+        assert "ZDRD_SEED must be an integer" in capsys.readouterr().err
 
     def test_failed_rows_exit_one(self, tmp_path):
         doc = {

@@ -8,9 +8,15 @@ its own numpy call; the kernel, which takes each sum as one reduction,
 must equal it bit for bit too, signs of zero included.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zdrd
 from zdrd import kernels
 from zdrd.quantizers import d4_nearest_columns, dithered_decode, dithered_encode, z_nearest
 from zdrd.source_model import new_source, simulate, source_noise
@@ -509,3 +515,18 @@ def test_no_channel_equals_per_term_loop():
     e = kernels.feedback_loop(A, bw, x0)[1]
     assert np.any(np.signbit(e[1:, 0]) & (e[1:, 0] == 0.0))
     assert_same_bits(e, per_term_loop(A, bw, x0)[1])
+
+
+def test_kernel_bench_runs_without_scipy():
+    # the kernel benchmark needs numpy alone; only its exit status is checked
+    script = str(Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py")
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(zdrd.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    probe = (
+        "import runpy, sys; sys.modules['scipy'] = None; "
+        f"sys.argv = [{script!r}, '--n', '200', '--repeat', '1']; "
+        f"runpy.run_path({script!r}, run_name='__main__')"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
