@@ -1,11 +1,12 @@
 """Command-line front end.
 
     zdrd list-presets
-    zdrd preset NAME [--per-dim] [--quantizer sdusq|d4|none] [--out FILE]
+    zdrd preset NAME [--per-dim] [--quantizer default|sdusq|d4|none] [--out FILE]
                      [--n-steps N] [--grid-points K]
     zdrd solve --config FILE [--per-dim] [--out FILE]
 
-Exit status: 0 on success, 1 when any grid point failed, 2 on bad input.
+Exit status: 0 on success, 1 when any grid point failed, 2 on bad input: a
+config, source or option that does not parse or validate, before any point runs.
 ZDRD_SEED=<int> overrides the configured seeds (source <int>, dither
 <int> + 1).  Only this command reads it; the library runs the config it gets.
 """
@@ -32,7 +33,7 @@ def build_parser():
     pp = sub.add_parser("preset", help="run a named preset sweep")
     pp.add_argument("name", help="preset name (see list-presets)")
     pp.add_argument("--per-dim", action="store_true", help="normalize rates per dimension")
-    pp.add_argument("--quantizer", choices=[*coding.KINDS, "none"], default="default")
+    pp.add_argument("--quantizer", choices=["default", *coding.KINDS, "none"], default="default")
     pp.add_argument("--out", help="CSV output path")
     pp.add_argument("--n-steps", type=int, default=None, help="coding run length")
     pp.add_argument("--grid-points", type=int, default=experiments.GRID_POINTS)
@@ -57,11 +58,11 @@ def _env_seed_override(config):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.command == "list-presets":
+        for name in experiments.list_presets():
+            print(name)
+        return 0
     try:
-        if args.command == "list-presets":
-            for name in experiments.list_presets():
-                print(name)
-            return 0
         if args.command == "preset":
             config = experiments.preset_config(
                 args.name,
@@ -75,10 +76,11 @@ def main(argv=None):
             if args.out:
                 config = replace(config, csv_path=args.out)
         config = _env_seed_override(config)
-        report = experiments.run_experiment(config, per_dim=args.per_dim)
-    except ConfigParse as exc:
+    except ZdrdError as exc:  # the input, source matrices included, is at fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        report = experiments.run_experiment(config, per_dim=args.per_dim)
     except ZdrdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -66,14 +66,6 @@ def discrete_lyapunov(A, Q):
     return np.linalg.solve(K, Q.ravel()).reshape(Q.shape)
 
 
-def psd_sqrt_factor(M, name="matrix"):
-    """Factor F with F F^T = M for symmetric PSD M (eigenvalue based, rank tolerant)."""
-    S = check_psd(M, name)
-    w, V = np.linalg.eigh(S)
-    w = np.clip(w, 0.0, None)
-    return V * np.sqrt(w)
-
-
 def fix_eigvec_signs(V):
     """Flip eigenvector columns so the largest-magnitude component is positive."""
     V = V.copy()

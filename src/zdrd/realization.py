@@ -23,7 +23,7 @@ E^{-1} Theta.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,19 +50,8 @@ class RealizationScheme:
     r: int
 
     def to_dict(self):
-        return {
-            "E": self.E.tolist(),
-            "E_inv": self.E_inv.tolist(),
-            "pi_tilde": self.pi_tilde.tolist(),
-            "lambda_tilde": self.lambda_tilde.tolist(),
-            "h_tilde": self.h_tilde.tolist(),
-            "theta": self.theta.tolist(),
-            "phi": self.phi.tolist(),
-            "H": self.H.tolist(),
-            "sigma_v": self.sigma_v.tolist(),
-            "active": [bool(a) for a in self.active],
-            "r": int(self.r),
-        }
+        """Every field by name, arrays as nested lists."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     def to_json(self, path):
         with open(path, "w") as fh:

@@ -6,11 +6,13 @@ optimizing covariance pair: pi (filtered error covariance) and
 lam = A pi A^T + B B^T (one-step prediction error covariance).  The rate is
 1/2 log2(|lam| / |pi|).
 
-Dispatch: the closed form for scalar sources, an exact zero-rate solution
-for stable sources at D >= d_max, otherwise one of the two determinant-
-maximization representations in :mod:`zdrd.maxdet` (form_b when BB^T is
-invertible, form_a when only A is).  ``dispatch_form`` checks a forced
-form's condition too, before the zero-rate shortcut, so it holds at every D.
+Dispatch: first the exact zero-rate solution for stable sources at
+D >= d_max, at every dimension and in every form; below d_max the closed
+form for scalar sources, otherwise one of the two determinant-maximization
+representations in :mod:`zdrd.maxdet` (form_b when BB^T is invertible,
+form_a when only A is).  ``dispatch_form`` checks a forced form's condition
+before the zero-rate exit, so it holds at every D.  Whether a source is
+stable, and its d_max, are decided in :mod:`zdrd.source_model` alone.
 """
 
 import math
@@ -92,14 +94,10 @@ def _zero_rate_solution(src, D, form_name):
 
 
 def _scalar_solution(src, D):
+    """The closed-form pair below d_max: pi = D and lam = a^2 D + b^2."""
     alpha = float(src.A[0, 0])
-    sigma2 = float((src.B @ src.B.T)[0, 0])
-    dmax = sigma2 / (1.0 - alpha * alpha) if abs(alpha) < 1.0 else math.inf
-    if D >= dmax:
-        pi = np.array([[dmax]])
-        return NrdfSolution(float(D), 0.0, pi, pi.copy(), 0.0, SCALAR_CLOSED_FORM)
     pi = np.array([[D]])
-    lam = np.array([[alpha * alpha * D + sigma2]])
+    lam = alpha * alpha * pi + src.B @ src.B.T
     return NrdfSolution(
         distortion_target=float(D),
         rate_bits=_rate_from_pair(pi, lam),
@@ -140,7 +138,8 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolut
 
     ``form`` forces a representation ("form_b" or "form_a"); the default is
     :func:`dispatch_form`'s choice.  Stable sources at D >= d_max return the
-    exact zero-rate stationary solution.
+    exact zero-rate stationary solution, whatever their dimension or form;
+    a singular stationary covariance there raises InfeasibleModel.
     """
     try:
         D = float(D)
@@ -149,14 +148,10 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolut
     if not (np.isfinite(D) and D > 0):
         raise BadDistortion(f"D must be a positive real, got {D!r}")
     form = dispatch_form(src, form)
+    if D >= d_max(src):
+        return _zero_rate_solution(src, D, form)
     if form == SCALAR_CLOSED_FORM:
         return _scalar_solution(src, D)
-
-    if D >= d_max(src):
-        try:
-            return _zero_rate_solution(src, D, form)
-        except InfeasibleModel:
-            pass  # degenerate stationarity; let the barrier's phase 1 decide
 
     build = maxdet.form_b_problem if form == FORM_B else maxdet.form_a_problem
     pi, _, kkt, stats = maxdet.solve_maxdet(build(src.A, src.B, D))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigParse, DimensionMismatch, NotPSD, config_mapping
-from .linalg import as_matrix, check_psd, discrete_lyapunov, psd_sqrt_factor, sorted_eig
+from .linalg import as_matrix, check_psd, discrete_lyapunov, sorted_eig
 
 # eigenvalues with |mu| >= 1 - MARGINAL_TOL count as on or outside the unit
 # circle: eig returns |mu| = 1 - 1e-16 for a rotation, whose Lyapunov system
@@ -179,9 +179,11 @@ def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:
 
 def source_noise(src: GaussMarkovSource, n: int, seed: int):
     """(x0, w) of a run from ``seed``: x0 = F N(0, I), F F^T = sigma_x0, then
-    the (n, q) driving noise w, drawn in that order from one PCG64 stream."""
+    the (n, q) driving noise w, drawn in that order from one PCG64 stream.
+    F = V sqrt(ev) by one eigh of the validated sigma_x0, ev clipped at 0."""
     rng = np.random.default_rng(seed)
-    x0 = psd_sqrt_factor(src.sigma_x0, "sigma_x0") @ rng.standard_normal(src.p)
+    ev, V = np.linalg.eigh(src.sigma_x0)
+    x0 = (V * np.sqrt(np.clip(ev, 0.0, None))) @ rng.standard_normal(src.p)
     w = rng.standard_normal((n, src.q))
     return x0, w
 

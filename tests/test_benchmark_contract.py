@@ -13,8 +13,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 import zdrd
-from zdrd import maxdet
+from zdrd import entropy_code, kernels, maxdet
 from zdrd.experiments import default_grid, preset_config
 from zdrd.solver import nrdf
 
@@ -62,6 +64,25 @@ def test_span_attributes_read_real_results(monkeypatch):
         assert attrs[("maxdet", "solve_maxdet")]((prob,), solved) == {"p": src.p}
         sol = nrdf(src, D)
         assert attrs[("experiments", "nrdf")]((src, D), sol) == {"p": src.p, "form": form}
+    rng = np.random.default_rng(0)
+    n, p, r = 50, 3, 2
+    deltas = np.full(r, np.sqrt(12.0))
+    args = (
+        0.4 * np.eye(p),
+        rng.standard_normal((n, p)),
+        np.zeros(p),
+        rng.standard_normal((r, p)),
+        rng.standard_normal((p, r)),
+        (rng.random((n + 1, r)) - 0.5) * deltas,
+        deltas,
+    )
+    looped = kernels.sdusq_loop(*args)
+    assert attrs[("kernels", "sdusq_loop")](args, looped) == {"steps": n + 1}
+    args = (rng, 2.0, 8)
+    assert attrs[("kernels", "d4_dither")](args, kernels.d4_dither(*args)) == {"blocks": 8}
+    idx = np.array([[0, 1], [2, 3], [0, 1], [-1, 0], [2, 3]])
+    counts = entropy_code.histogram_of_rows(idx)
+    assert attrs[("entropy_code", "histogram_of_rows")]((idx,), counts) == {"symbols": 3}
 
 
 def test_example1_grid_is_the_reference_keys():

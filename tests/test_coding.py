@@ -138,6 +138,8 @@ class TestUpperBound:
     def test_zero_active_dimensions(self):
         assert theoretical_upper_bound(1.7, 0, "sdusq") == 1.7
         assert theoretical_upper_bound(1.7, 0, "d4") == 1.7
+        with pytest.raises(DimensionMismatch, match="r must be nonnegative, got -1"):
+            theoretical_upper_bound(1.7, -1, "sdusq")
 
 
 class TestCodingRuns:

@@ -269,6 +269,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigParse):
             experiments.config_from_dict({"d_grid": [0.5]})
 
+    def test_n_steps_at_least_one(self):
+        src = experiments._preset_sources()["example4"]
+        with pytest.raises(ConfigParse, match="^n_steps must be >= 1$"):
+            experiments.ExperimentConfig(source=src, d_grid=(0.5,), n_steps=0)
+
+    def test_read_csv_rejects_another_header(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("D,rate\n0.5,1.0\n")
+        with pytest.raises(ConfigParse, match=r"unexpected CSV header \['D', 'rate'\]"):
+            experiments.read_csv(path)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigParse):
             experiments.config_from_json(tmp_path / "missing.json")
@@ -327,6 +338,8 @@ class TestCli:
             {"seeds": [1, 2]},
             {"outputs": {"csv": 5}},
             {"source": {"A": [[0.5]], "B": [[1.0]], "sigma_xo": [[9.0]]}},
+            {"source": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0], [0.0]]}},
+            {"source": {"A": [[0.5]], "B": [[1.0]], "sigma_x0": [[-1.0]]}},
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, field):
@@ -338,6 +351,18 @@ class TestCli:
 
     def test_solve_missing_config(self, tmp_path, capsys):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_preset_bad_n_steps_exit_two(self, capsys):
+        assert cli.main(["preset", "example4", "--n-steps", "0"]) == 2
+        assert capsys.readouterr().err == "error: n_steps must be >= 1\n"
+
+    def test_quantizer_default_is_the_preset_quantizer(self, tmp_path, capsys):
+        args = ["preset", "example4", "--n-steps", "500", "--grid-points", "3", "--out"]
+        assert cli.main([*args, str(tmp_path / "implicit.csv")]) == 0
+        assert cli.main([*args, str(tmp_path / "explicit.csv"), "--quantizer", "default"]) == 0
+        implicit = (tmp_path / "implicit.csv").read_bytes()
+        assert implicit == (tmp_path / "explicit.csv").read_bytes()
+        assert experiments.read_csv(tmp_path / "implicit.csv")[0].rate_op_bits is not None
 
     def test_env_seed_override(self, tmp_path, monkeypatch, capsys):
         args = ["preset", "example4", "--n-steps", "2000", "--grid-points", "4", "--out"]

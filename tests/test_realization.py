@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,8 +68,10 @@ class TestJointDiagonalize:
         assert np.array_equal(E1, E2)
 
     def test_rejects_non_pd(self):
-        with pytest.raises(NotPD):
+        with pytest.raises(NotPD, match="pi must be positive definite"):
             joint_diagonalize(np.diag([1.0, -0.1]), np.eye(2))
+        with pytest.raises(NotPD, match="lam must be positive definite"):
+            joint_diagonalize(np.eye(2), np.diag([1.0, -0.1]))
 
 
 class TestWaterfillFactors:
@@ -93,8 +97,14 @@ class TestWaterfillFactors:
         assert np.all(np.abs(h - theta * phi) <= 1e-10)
 
     def test_order_violation(self):
-        with pytest.raises(OrderViolation):
-            waterfill_factors([2.0, 1.0], [1.5, 1.0])
+        for pi_t, lam_t, error, message in (
+            ([2.0, 1.0], [1.5, 1.0], OrderViolation, "pi_tilde exceeds lambda_tilde"),
+            ([2.0, 1.0], [3.0, 2.0, 1.0], DimensionMismatch, "profile lengths differ"),
+            ([1.0, 0.0], [2.0, 1.0], NotPD, "profiles must be strictly positive"),
+            ([1.0, -1.0], [2.0, -0.5], NotPD, "profiles must be strictly positive"),
+        ):
+            with pytest.raises(error, match=message):
+                waterfill_factors(pi_t, lam_t)
 
 
 class TestBuildRealization:
@@ -155,6 +165,10 @@ class TestBuildRealization:
         assert doc["r"] == s.r
         assert np.allclose(doc["E"], s.E)
         assert doc["active"] == [True] * 4
+        # every field by name, in field order, with exact values
+        assert list(doc) == [f.name for f in dataclasses.fields(s)]
+        for name, value in doc.items():
+            assert np.array_equal(value, getattr(s, name)), name
 
 
 class TestAwgnChannel:

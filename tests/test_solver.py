@@ -14,6 +14,7 @@ from zdrd.experiments import (
     run_experiment,
 )
 from zdrd.solver import FORM_A, FORM_B, dispatch_form, nrdf, scalar_ar1_nrdf
+from zdrd.source_model import stationary_covariance
 
 from conftest import random_source
 
@@ -64,6 +65,10 @@ class TestScalarClosedForm:
             scalar_ar1_nrdf(0.5, 1.0, 0.0)
         with pytest.raises(BadDistortion):
             scalar_ar1_nrdf(0.5, 1.0, -1.0)
+        for sigma2 in (0.0, -1.0):
+            message = f"^sigma2 must be a positive real, got {sigma2}$"
+            with pytest.raises(BadDistortion, match=message):
+                scalar_ar1_nrdf(0.5, sigma2, 1.0)
 
 
 class TestNrdf:
@@ -84,11 +89,57 @@ class TestNrdf:
             with pytest.raises(BadDistortion):
                 nrdf(scalar_half, bad)
 
+    def test_scalar_zero_rate_is_the_stationary_covariance(self):
+        # one zero-rate rule at every p: d_max and the stationary covariance
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            a = rng.uniform(-0.999, 0.999)
+            src = zdrd.new_source([[a]], rng.normal(size=(1, rng.integers(1, 3))), [[1.0]])
+            sol = nrdf(src, zdrd.d_max(src))
+            assert (sol.rate_bits, sol.form_used) == (0.0, "scalar_closed_form")
+            assert np.array_equal(sol.pi, stationary_covariance(src))
+            assert np.array_equal(sol.lam, sol.pi)
+
+    def test_nearly_marginal_scalar_has_no_zero_rate_exit(self):
+        # |a| = 1 - 1e-10 is not stable to source_model: d_max is inf, so
+        # even a huge D gets the closed-form pair, not a "stationary" one
+        src = zdrd.new_source([[1 - 1e-10]], [[1.0]], [[1.0]])
+        assert zdrd.d_max(src) == np.inf
+        sol = nrdf(src, 1e12)
+        assert sol.form_used == "scalar_closed_form"
+        assert np.array_equal(sol.pi, [[1e12]])
+        assert sol.rate_bits == 0.0
+
+    @pytest.mark.parametrize(
+        "A, B, grid",
+        [
+            ([[0.5]], [[0.0]], (1e-3, 1.0)),  # d_max = 0
+            ([[-0.9]], [[0.0, 0.0]], (1e-3, 1.0)),
+            (np.diag([0.5, 0.4]), [[1.0], [0.0]], (4 / 3, 2.0)),  # form_a, d_max = 4/3
+        ],
+    )
+    def test_singular_stationary_covariance_at_d_max(self, A, B, grid):
+        # no Pi > 0 can be feasible there: a mode that the noise never reaches
+        # decays, and the zero-rate exit says so for every p
+        src = zdrd.new_source(A, B, np.eye(len(A)))
+        assert zdrd.d_max(src) <= grid[0]
+        for d in grid:
+            with pytest.raises(InfeasibleModel, match="^stationary covariance is singular$"):
+                nrdf(src, d)
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-10, 1e-6])
+    def test_weakly_controllable_keeps_its_rates(self, eps):
+        src = zdrd.new_source(np.diag([0.5, 0.4]), [[1.0], [eps]], np.eye(2))
+        assert nrdf(src, zdrd.d_max(src)).rate_bits == 0.0
+        assert nrdf(src, 1.0).rate_bits == pytest.approx(0.16096404744, abs=1e-9)
+
     def test_neither_rank_condition(self):
         A = np.array([[0.0, 0.0], [1.0, 0.0]])  # singular
         B = np.array([[1.0, 0.0], [0.0, 0.0]])  # singular
         with pytest.raises(InfeasibleModel):
             nrdf(zdrd.new_source(A, B, np.eye(2)), 0.5)
+        with pytest.raises(ValueError, match="unknown form 'form_c'"):
+            dispatch_form(zdrd.new_source(np.eye(2), np.eye(2), np.eye(2)), "form_c")
 
     def test_forced_form_checked_at_every_d(self):
         # example2 has singular BB^T: form_b is refused on its whole default

@@ -8,7 +8,7 @@ from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
 import zdrd
 from zdrd.errors import ConfigParse, DimensionMismatch, NotPSD
-from zdrd.linalg import discrete_lyapunov
+from zdrd.linalg import as_matrix, check_psd, discrete_lyapunov
 
 from conftest import STABLE_4D_A, UNSTABLE_4D_A, random_source
 
@@ -22,8 +22,13 @@ class TestNewSource:
         assert src.p == src.q == 1
 
     def test_shape_violation(self):
-        with pytest.raises(DimensionMismatch):
-            zdrd.new_source(np.zeros((2, 2)), np.zeros((3, 1)), np.eye(2))
+        for A, B, sigma, message in (
+            (np.zeros((2, 2)), np.zeros((3, 1)), np.eye(2), r"B must have 2 rows, got \(3, 1\)"),
+            (np.zeros((2, 3)), np.zeros((2, 1)), np.eye(2), r"A must be square, got \(2, 3\)"),
+            (np.zeros((2, 2)), np.eye(2), np.eye(3), r"sigma_x0 must be 2x2 to match A, got \(3,"),
+        ):
+            with pytest.raises(DimensionMismatch, match=message):
+                zdrd.new_source(A, B, sigma)
 
     def test_sigma_not_symmetric(self):
         with pytest.raises(NotPSD):
@@ -96,8 +101,13 @@ class TestAugmentAr:
         assert np.allclose(src.B[2:], 0.0)
 
     def test_mismatched_coefficients(self):
-        with pytest.raises(DimensionMismatch):
-            zdrd.augment_ar([np.eye(2), np.eye(3)], np.eye(2))
+        for coefficients, B, message in (
+            ([np.eye(2), np.eye(3)], np.eye(2), r"A_2 must be 2x2, got \(3, 3\)"),
+            ([], np.eye(2), "need at least one coefficient matrix"),
+            ([np.eye(2), np.eye(2)], np.eye(3, 2), r"B must have 2 rows, got \(3, 2\)"),
+        ):
+            with pytest.raises(DimensionMismatch, match=message):
+                zdrd.augment_ar(coefficients, B)
 
     def test_augmentation_preserves_dynamics(self):
         a1, a2 = 0.3, 0.5
@@ -220,10 +230,27 @@ class TestDiscreteLyapunov:
             discrete_lyapunov(np.eye(2), np.eye(2))
 
 
+class TestMatrixChecks:
+    @pytest.mark.parametrize(
+        "check, M, error, message",
+        [
+            (as_matrix, np.ones(3), DimensionMismatch, "M must be a 2-d array, got ndim=1"),
+            (as_matrix, [[1.0, np.nan]], DimensionMismatch, "M contains non-finite entries"),
+            (as_matrix, [[np.inf]], DimensionMismatch, "M contains non-finite entries"),
+            (check_psd, np.zeros((2, 3)), NotPSD, r"M must be square, got \(2, 3\)"),
+        ],
+    )
+    def test_rejects(self, check, M, error, message):
+        with pytest.raises(error, match=message):
+            check(M, "M")
+
+
 class TestSimulate:
     def test_zero_steps(self, scalar_half):
         traj = zdrd.simulate(scalar_half, 0, seed=1)
         assert traj.samples.shape == (1, 1)
+        with pytest.raises(DimensionMismatch, match="n must be >= 0, got -1"):
+            zdrd.simulate(scalar_half, -1, 0)
 
     def test_determinism(self, stable4):
         a = zdrd.simulate(stable4, 200, seed=5)
