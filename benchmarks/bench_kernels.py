@@ -9,8 +9,12 @@ second (G loops times the horizon, over the wall time) and microseconds per
 lockstep step (the wall time over the horizon, whatever G).  A kind whose
 block does not divide r runs on block-diagonal copies of the source, so a
 new kind is measured without editing this script.  The D4 dither row gives
-blocks per second for --n blocks, and the last row the time of
-``source_model.simulate`` on a p = 1 source for 1e5 steps.
+blocks per second for --n blocks, the next row the time of
+``source_model.simulate`` on a p = 1 source for 1e5 steps, and the last the
+``tracemalloc`` peak of one ``coding.run_coding_batch`` (the scalar
+quantizer on the 4-d source at D = 1, G = 4 points) at n = --n and 10 x --n.
+A batch runs its horizon in fixed chunks, so the peak grows only by the
+per-step squared errors it keeps, 8 bytes per step and point.
 
 Usage: python benchmarks/bench_kernels.py [--n 10000] [--repeat 3]
 """
@@ -18,11 +22,12 @@ Usage: python benchmarks/bench_kernels.py [--n 10000] [--repeat 3]
 import argparse
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
 from zdrd import build_realization, kernels, new_source, nrdf, simulate
-from zdrd.coding import KINDS
+from zdrd.coding import KINDS, SeedBundle, run_coding_batch
 from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
 
@@ -35,6 +40,7 @@ A4 = [
 R4 = 4  # active dimensions of one copy of the source at D = 1
 BATCHES = (1, 4, 20)
 SIM_STEPS = 100_000
+PEAK_POINTS = 4
 
 
 def timeit(fn, repeat):
@@ -60,6 +66,19 @@ def channel(copies):
     A = block_diag(np.array(A4), copies)
     src = new_source(A, np.eye(A.shape[0]), np.eye(A.shape[0]))
     return src, channel_matrices(build_realization(src, nrdf(src, float(copies))))
+
+
+def coded_peak(n):
+    """Traced peak bytes of one coded batch of PEAK_POINTS points over n steps."""
+    src = new_source(A4, np.eye(R4), np.eye(R4))
+    scheme = build_realization(src, nrdf(src, 1.0))
+    points = [(scheme, SeedBundle(i, 100 + i)) for i in range(PEAK_POINTS)]
+    tracemalloc.start()
+    try:
+        run_coding_batch(src, n, "sdusq", points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -94,6 +113,14 @@ def main():
     t_sim = timeit(lambda: simulate(scalar, SIM_STEPS, seed=0), args.repeat)
     us = 1e6 * t_sim / SIM_STEPS
     print(f"{'simulate p=1':<14} {SIM_STEPS / t_sim:>12.4g} steps/s  {us:>6.2f} us/step  ({t_sim:.3f} s)")
+
+    short, long = args.n, 10 * args.n
+    peaks = [coded_peak(n) / 1e6 for n in (short, long)]
+    errors = 8 * PEAK_POINTS * (long - short) / 1e6
+    print(
+        f"{'coded peak':<14} {peaks[0]:.2f} MB at n = {short}, {peaks[1]:.2f} MB at n = {long}"
+        f" (squared errors: +{errors:.2f} MB)"
+    )
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@
     zdrd solve --config FILE [--per-dim] [--out FILE]
 
 Exit status: 0 on success, 1 when any grid point failed, 2 on bad input: a
-config, source or option that does not parse or validate, before any point runs.
+config, source or option that does not parse or validate, or an output path
+whose directory is missing or not writable, before any point runs; and 2 when
+the CSV cannot be written after all.
 ZDRD_SEED=<int> overrides the configured seeds (source <int>, dither
 <int> + 1).  Only this command reads it; the library runs the config it gets.
 """
@@ -79,11 +81,20 @@ def main(argv=None):
     except ZdrdError as exc:  # the input, source matrices included, is at fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if config.csv_path:
+        folder = os.path.dirname(os.path.abspath(config.csv_path))
+        if not os.access(folder, os.W_OK):  # fail before the sweep, not after it
+            msg = f"error: cannot write {config.csv_path}: no writable directory {folder}"
+            print(msg, file=sys.stderr)
+            return 2
     try:
         report = experiments.run_experiment(config, per_dim=args.per_dim)
     except ZdrdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # only writing the CSV does I/O
+        print(f"error: cannot write {config.csv_path}: {exc}", file=sys.stderr)
+        return 2
     print(experiments.format_report(report))
     if config.csv_path:
         print(f"wrote {config.csv_path}")

@@ -35,6 +35,8 @@ from .source_model import GaussMarkovSource, source_noise
 ALPHABET_CAP = 2**20
 HALF_LOG2_PIE6 = 0.5 * math.log2(math.pi * math.e / 6.0)  # ~0.2546 bits
 HALF_LOG2_2PIE_G4 = 0.5 * math.log2(2.0 * math.pi * math.e * G4)  # ~0.1939 bits
+# rows of bw (loop steps) per horizon chunk of a coded batch, at least 2
+CHUNK = 2048
 
 
 class Kind(NamedTuple):
@@ -138,6 +140,19 @@ def _check_point(src, scheme, kind, block):
         )
 
 
+def _chunks(n):
+    """The rows [a, b) of bw = B w_t, t < n, that each horizon chunk takes.
+
+    A chunk takes CHUNK rows.  A last row left alone joins the chunk before
+    it: the one-row product ``w @ B.T`` takes another BLAS path (gemv),
+    whose sums differ in their last bits from the rows of a longer product.
+    """
+    starts = list(range(0, n, CHUNK)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
 def run_coding_batch(src, n, kind, points, trace_paths=None):
     """Run the quantized loops of several schemes of ``src`` in lockstep.
 
@@ -145,10 +160,17 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
     an unknown kind raises ValueError before any work.  ``points`` is a
     sequence of (scheme, seeds).  Every point draws its own source path and
     dither stream as :func:`run_coding_experiment` describes, its loop runs
-    in one :func:`kernels.feedback_loop` with the others, and its indices
-    get their own histogram and Huffman code, so each result equals that of
-    the point run alone.  A point with r = 0 transmits nothing, and its
+    in :func:`kernels.feedback_loop` with the others, and its indices get
+    their own histogram and Huffman code, so each result equals that of the
+    point run alone.  A point with r = 0 transmits nothing, and its
     reproduction free-runs on the predictor.
+
+    The horizon runs in chunks of CHUNK steps, each resuming the loops where
+    the last one stopped and drawing the next rows of every stream, so a
+    result does not depend on the chunk length.  Between chunks a point
+    keeps only its index counts and its per-step squared errors (and, when
+    traced, its indices and errors), so memory grows with the horizon by 8
+    bytes per step and point.
 
     Returns one entry per point, in order: its CodingResult, or the error
     (one of ``errors.POINT_ERRORS``) that failed it.  ``trace_paths``
@@ -168,34 +190,59 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
         return out
 
     G = len(live)
-    rmax = max(points[i][0].r for i in live)
+    rs = [points[i][0].r for i in live]
+    rmax = max(rs)
     x0 = np.empty((p, G))
-    bw = np.empty((n, p, G))
     fe = np.zeros((rmax, p, G))
     g = np.zeros((p, rmax, G))
-    dither = np.zeros((n + 1, rmax, G))
+    noises, dithers = [], []
     for col, i in enumerate(live):
         scheme, seeds = points[i]
-        x0[:, col], w = source_noise(src, n, seeds.source)
-        bw[:, :, col] = w @ src.B.T
-        r = scheme.r
-        if r == 0:
-            continue
-        fe[:r, :, col], g[:, :r, col] = channel_matrices(scheme)
-        dither[:, :r, col] = quantizer.dither(np.random.default_rng(seeds.dither), n + 1, r)
-    step = kernels.lattice_step(dither, quantizer.scale, quantizer.nearest)
-    idx, e = kernels.feedback_loop(src.A, bw, x0, fe, g, step)
-    del bw, dither, step
+        x0[:, col], draw = source_noise(src, seeds.source)
+        noises.append(draw)
+        dithers.append(np.random.default_rng(seeds.dither))
+        if scheme.r:
+            fe[: scheme.r, :, col], g[:, : scheme.r, col] = channel_matrices(scheme)
+    sq = np.empty((G, n + 1))  # squared error of every step, a row per point
+    tallies = [entropy_code.RowCounts(r) for r in rs]
+    traced = {
+        col: ([], [])
+        for col, i in enumerate(live)
+        if rs[col] and trace_paths is not None and trace_paths[i] is not None
+    }
+    carry = None  # the errors of the last step run, once a chunk has run
+    for a, b in _chunks(n):
+        t0 = a + (a > 0)  # steps t0..b; bw row t - 1 enters step t
+        bw = np.empty((b - a, p, G))
+        dither = np.zeros((b + 1 - t0, rmax, G))
+        for col, r in enumerate(rs):
+            bw[:, :, col] = noises[col](b - a) @ src.B.T
+            if r:
+                dither[:, :r, col] = quantizer.dither(dithers[col], b + 1 - t0, r)
+        step = kernels.lattice_step(dither, quantizer.scale, quantizer.nearest)
+        start = x0 if carry is None else carry
+        idx, e = kernels.feedback_loop(src.A, bw, start, fe, g, step, resume=carry is not None)
+        del bw, dither, step
+        carry = e[-1].copy()
+        for col, r in enumerate(rs):
+            e_col = e[:, :, col]
+            sq[col, t0 : b + 1] = np.sum(e_col * e_col, axis=1)
+            if not r:
+                continue
+            rows = idx[:, :r, col]
+            tallies[col].add(rows)
+            if col in traced:
+                traced[col][0].append(rows.copy())
+                traced[col][1].append(e_col.copy())
+        del idx, e  # freed before the next chunk is drawn
 
     for col, i in enumerate(live):
-        r = points[i][0].r
-        e_row = np.ascontiguousarray(e[:, :, col])
-        mse = float(np.mean(np.sum(e_row * e_row, axis=1)))
+        r = rs[col]
+        mse = float(np.mean(sq[col]))
         if r == 0:
             out[i] = CodingResult(0.0, 0.0, mse, n, 0)
             continue
-        idx_row = np.ascontiguousarray(idx[:, :r, col])
-        counts = entropy_code.histogram_of_rows(idx_row)
+        counts = tallies[col].histogram()
         if len(counts) > ALPHABET_CAP:
             out[i] = AlphabetOverflow(
                 f"observed joint alphabet {len(counts)} exceeds cap {ALPHABET_CAP}"
@@ -205,8 +252,9 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
         rate = entropy_code.average_code_length(counts, lengths)
         ent = entropy_code.empirical_entropy_bits(counts)
         out[i] = CodingResult(float(rate), float(ent), mse, n, len(counts))
-        if trace_paths is not None and trace_paths[i] is not None:
-            _write_trace(trace_paths[i], idx_row, lengths, e_row)
+        if col in traced:
+            idx_rows, e_rows = traced[col]
+            _write_trace(trace_paths[i], np.concatenate(idx_rows), lengths, np.concatenate(e_rows))
     return out
 
 

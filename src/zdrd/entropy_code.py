@@ -42,19 +42,61 @@ def huffman_lengths(counts):
     return dict(zip(syms, depth))
 
 
-def histogram_of_rows(idx):
-    """Counts of distinct rows of an integer (n, r) array, keyed by tuple.
+def count_rows(idx, counts=None):
+    """Distinct rows of an integer (m, r) array and their counts, as arrays.
 
-    Keys come in ascending lexicographic order, as from ``np.unique(axis=0)``;
-    zero-width rows all share the key ().
+    Rows come in ascending lexicographic order, as from ``np.unique(axis=0)``;
+    zero-width rows all share one empty row.  Row i counts ``counts[i]``
+    times (int64; once each by default), so the counts of the pieces of a
+    run merge by counting their distinct rows stacked, with their counts.
     """
+    if counts is None:
+        counts = np.ones(idx.shape[0], dtype=np.int64)
     if idx.shape[0] == 0:
-        return {}
-    rows = idx[np.lexsort(idx.T[::-1])] if idx.shape[1] else idx
-    starts = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
-    bounds = np.concatenate(([0], starts, [rows.shape[0]]))
-    keys = map(tuple, rows[bounds[:-1]].tolist())
-    return dict(zip(keys, np.diff(bounds).tolist()))
+        return idx, counts
+    if idx.shape[1]:
+        order = np.lexsort(idx.T[::-1])
+        idx, counts = idx[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.any(idx[1:] != idx[:-1], axis=1))))
+    return idx[starts], np.add.reduceat(counts, starts)
+
+
+def histogram_of_rows(idx, counts=None):
+    """:func:`count_rows` as a dict of counts keyed by row tuple, in its key order."""
+    keys, counts = count_rows(idx, counts)
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
+class RowCounts:
+    """Counts of the distinct rows of an integer array that arrives in pieces.
+
+    Pieces wait until they hold as many rows as the distinct rows merged so
+    far, then merge with them by :func:`count_rows`.  So the counts take
+    memory in proportion to the alphabet and the last pieces, and merging
+    costs, in all, about one sort of the rows, even when most rows differ.
+    """
+
+    def __init__(self, r):
+        self.keys = np.empty((0, r), dtype=np.int64)
+        self.counts = np.empty(0, dtype=np.int64)
+        self._pending = []
+        self._rows = 0
+
+    def add(self, rows):
+        """Count the rows of an integer (m, r) array; they are copied."""
+        self._pending.append(np.array(rows, dtype=np.int64))
+        self._rows += len(rows)
+        if self._rows >= len(self.keys):
+            self.keys, self.counts = count_rows(*self._stacked())
+            self._pending, self._rows = [], 0
+
+    def histogram(self):
+        """Every row counted so far, as :func:`histogram_of_rows` gives it."""
+        return histogram_of_rows(*self._stacked())
+
+    def _stacked(self):
+        ones = np.ones(self._rows, dtype=np.int64)
+        return np.concatenate([self.keys, *self._pending]), np.concatenate((self.counts, ones))
 
 
 def empirical_entropy_bits(counts):

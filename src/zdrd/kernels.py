@@ -63,17 +63,24 @@ def get_backend():
     return "numpy"
 
 
-def feedback_loop(A, bw, x0, fe=None, g=None, step=None):
+def feedback_loop(A, bw, x0, fe=None, g=None, step=None, resume=False):
     """Run G feedback loops of one source in lockstep.
 
-    A is (p, p); bw (n, p, G) holds B w_t of each loop, x0 (p, G) its
+    A is (p, p); bw (m, p, G) holds B w_t of each loop, x0 (p, G) its
     initial state; fe (r, p, G) and g (p, r, G) are zero-padded to the
     widest active set, and ``step`` quantizes alpha (r, G).  Without fe
-    there is no channel.  Returns (idx, e): idx (n+1, r, G) holds the
-    indices ``step`` returned, cast to int64 (None when it returned none),
-    e (n+1, p, G) the errors.
+    there is no channel.  Returns (idx, e) of the steps run: idx (., r, G)
+    holds the indices ``step`` returned, cast to int64 (None when it
+    returned none), e (., p, G) the errors.
+
+    A fresh loop runs steps 0..m, m + 1 of them.  With ``resume``, x0 is
+    instead the error e_{t-1} of the last step a previous call ran, and the
+    loop runs one step per row of bw, starting with k_t = A e_{t-1} + bw[0];
+    so a horizon run in pieces equals the horizon run at once.  ``step`` is
+    called with the call's own step numbers, 0 first.
     """
-    n1 = bw.shape[0] + 1
+    start = int(resume)  # row of e holding the carried error, if any
+    n1 = bw.shape[0] + 1 - start  # steps this call runs
     p, G = x0.shape
     if fe is None:
         fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
@@ -91,12 +98,15 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None):
     a_terms, k, g_terms = k_stack[1:], e_stack[0], e_stack[1:]
     alpha_sum = np.empty((r + 1, G))
     alpha = alpha_sum[:r]
-    e = np.empty((n1, p, G))
+    # row t of e is e_t, and bw[t - 1] enters k_t.  Row 0 holds x0: the
+    # carried error when resuming, else e_0 without a channel (with one,
+    # step 0 overwrites it)
+    e = np.empty((bw.shape[0] + 1, p, G))
     e_cols, k_col = e[:, :, None], k[:, None]
     idx = None
     k[...] = x0
-    e[0] = x0  # e_0 without a channel; with one, step 0 overwrites it
-    for t in range(n1):
+    e[0] = x0
+    for t in range(start, e.shape[0]):
         if t:
             k_stack[0] = bw[t - 1]
             np.multiply(a_t, e_cols[t - 1], out=a_terms)
@@ -106,14 +116,14 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None):
             continue
         np.multiply(fe_t, k_col, out=alpha_stack)
         np.add.reduce(alpha_stack, axis=0, initial=0.0, out=alpha_sum)
-        q, beta = step(t, alpha)
+        q, beta = step(t - start, alpha)
         if q is not None:
             if idx is None:
                 idx = np.empty((n1, r, G), dtype=np.int64)
-            idx[t] = q
+            idx[t - start] = q
         np.multiply(g_t, beta[:, None], out=g_terms)
         np.subtract.reduce(e_stack, axis=0, out=e[t])
-    return idx, e
+    return idx, e[start:]
 
 
 def awgn_step(noise):

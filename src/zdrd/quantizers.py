@@ -44,6 +44,9 @@ D4_UNIT_SCALE = float(1.0 / np.sqrt(G4 * np.sqrt(D4_VOL)))
 _BELOW_HALF = np.array(np.nextafter(0.5, 0.0))
 _BELOW_HALF.setflags(write=False)
 _COORDS = np.arange(4)  # coordinate numbers of a D4 block
+_ZERO, _TWO = np.array(0.0), np.array(2.0)  # ufunc operands, as _BELOW_HALF
+_ZERO.setflags(write=False)
+_TWO.setflags(write=False)
 
 
 def z_nearest(x, out=None):
@@ -87,11 +90,14 @@ def d4_nearest(x, axis=-1, out=None):
     if x.shape[axis] != 4:
         raise DimensionMismatch(f"D4 operates on blocks of 4, got shape {x.shape} on axis {axis}")
     f = z_nearest(x)
-    d = x - f  # never -0.0, so its sign says on which side of f x lies
-    odd = np.remainder(np.add.reduce(f, axis=axis, keepdims=True), 2.0) != 0.0
+    d = np.subtract(x, f)  # never -0.0, so its sign says on which side of f x lies
+    odd = np.remainder(np.add.reduce(f, axis=axis, keepdims=True), _TWO)  # 1.0 if odd, else 0.0
     worst = np.abs(d).argmax(axis=axis, keepdims=True)
-    flip = (_COORDS.reshape((4,) + (1,) * (x.ndim - 1 - axis % x.ndim)) == worst) & odd
-    return np.add(f, np.where(flip, np.copysign(1.0, d), 0.0), out=out)
+    coords = _COORDS.reshape((4,) + (1,) * (x.ndim - 1 - axis % x.ndim))
+    move = np.multiply(np.equal(coords, worst), odd)
+    np.copysign(move, d, out=move)  # +-1 at the coordinate to move, +-0.0 elsewhere
+    out = np.add(f, move, out=out)
+    return np.add(out, _ZERO, out=out)  # f = -0.0 plus -0.0 leaves -0.0; the rule gives +0.0
 
 
 def d4_nearest_columns(x, out=None):

@@ -177,15 +177,16 @@ def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:
     return S
 
 
-def source_noise(src: GaussMarkovSource, n: int, seed: int):
-    """(x0, w) of a run from ``seed``: x0 = F N(0, I), F F^T = sigma_x0, then
-    the (n, q) driving noise w, drawn in that order from one PCG64 stream.
-    F = V sqrt(ev) by one eigh of the validated sigma_x0, ev clipped at 0."""
+def source_noise(src: GaussMarkovSource, seed: int):
+    """(x0, draw) of a run from ``seed``: x0 = F N(0, I), F F^T = sigma_x0,
+    then ``draw(rows)`` returns the next (rows, q) rows of the driving noise
+    w, all drawn in that order from one PCG64 stream, so a horizon drawn in
+    pieces equals one draw.  F = V sqrt(ev) by one eigh of the validated
+    sigma_x0, ev clipped at 0."""
     rng = np.random.default_rng(seed)
     ev, V = np.linalg.eigh(src.sigma_x0)
     x0 = (V * np.sqrt(np.clip(ev, 0.0, None))) @ rng.standard_normal(src.p)
-    w = rng.standard_normal((n, src.q))
-    return x0, w
+    return x0, lambda rows: rng.standard_normal((rows, src.q))
 
 
 def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
@@ -197,7 +198,8 @@ def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
     """
     if n < 0:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
-    x0, w = source_noise(src, n, seed)
+    x0, draw = source_noise(src, seed)
+    w = draw(n)
     bw = w @ src.B.T
     with np.errstate(over="ignore", invalid="ignore"):
         # the feedback loop without a channel is the state recursion

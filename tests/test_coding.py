@@ -1,6 +1,8 @@
 import csv
+import functools
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,20 +64,26 @@ def reference_histogram_of_rows(idx):
 class TestEntropyCodeReference:
     @pytest.mark.parametrize("name", ["example1", "example3"])
     def test_coded_runs_match_reference(self, name, monkeypatch):
+        # a coded run counts its indices chunk by chunk and hands the rows it
+        # merged, with their counts, and the rows still waiting to
+        # histogram_of_rows once; short chunks make several merges
         seen = []
         histogram = entropy_code.histogram_of_rows
 
-        def recording(idx):
-            seen.append(idx.copy())
-            return histogram(idx)
+        def recording(idx, counts=None):
+            seen.append((idx.copy(), counts.copy()))
+            return histogram(idx, counts)
 
         monkeypatch.setattr(entropy_code, "histogram_of_rows", recording)
+        monkeypatch.setattr(coding, "CHUNK", 300)
         run_experiment(preset_config(name, n_steps=2000, points=3))
         assert len(seen) >= 2
-        for idx in seen:
-            counts = histogram(idx)
+        for idx, tally in seen:
+            assert tally.sum() == 2001
+            counts = histogram(idx, tally)
             # key order matters: the entropy sums the counts in dict order
-            assert list(counts.items()) == list(reference_histogram_of_rows(idx).items())
+            want = reference_histogram_of_rows(np.repeat(idx, tally, axis=0))
+            assert list(counts.items()) == list(want.items())
             assert entropy_code.huffman_lengths(counts) == reference_huffman_lengths(counts)
 
     def test_tie_heavy_histograms(self):
@@ -331,6 +339,96 @@ class TestKinds:
 
     def test_every_public_name_resolves(self):
         assert [name for name in zdrd.__all__ if not hasattr(zdrd, name)] == []
+
+
+def dense_b_source(rho, seed=11, p=4):
+    """A source with spectral radius rho and a dense B: each entry of bw = w B^T
+    sums p products, so a one-row product by gemv would move it in its last bits."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, p))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    return zdrd.new_source(A, rng.normal(size=(p, p)), np.eye(p))
+
+
+@functools.cache
+def chunk_case(stability, kind):
+    """A source and a batch of its points: r = 4 and, when stable, r = 0 at d_max."""
+    src = dense_b_source(0.8 if stability == "stable" else 1.3)
+    if stability == "stable":
+        dm = zdrd.d_max(src)
+        grid = (0.02 * dm, dm) if kind == "d4" else (0.02 * dm, 0.3 * dm, dm)
+    else:
+        grid = (0.1, 0.3)
+    schemes = [build_realization(src, nrdf(src, d)) for d in grid]
+    rs = [s.r for s in schemes]
+    assert rs[0] == 4 and (rs[-1] == 0) == (stability == "stable")
+    return src, [(s, SeedBundle(90 + i, 95 + i)) for i, s in enumerate(schemes)]
+
+
+class TestHorizonChunks:
+    # a batch runs its horizon in chunks of coding.CHUNK steps; every result
+    # and trace must equal those of the same run in one chunk, whatever the
+    # chunk length and wherever the horizon ends
+    @pytest.mark.parametrize("chunk", [2, 3, 97])
+    @pytest.mark.parametrize("kind", ["sdusq", "d4"])
+    @pytest.mark.parametrize("stability", ["stable", "unstable"])
+    def test_results_do_not_depend_on_the_chunk_length(
+        self, monkeypatch, tmp_path, chunk, kind, stability
+    ):
+        src, points = chunk_case(stability, kind)
+        default = coding.CHUNK
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
+            assert n < default  # one chunk at the default length
+            runs = []
+            for length in (default, chunk):
+                monkeypatch.setattr(coding, "CHUNK", length)
+                paths = [tmp_path / f"{length}-{i}.csv" for i in range(len(points))]
+                results = run_coding_batch(src, n, kind, points, paths)
+                traces = [p.read_bytes() if p.exists() else None for p in paths]
+                runs.append((results, traces))
+            assert runs[0] == runs[1]
+            results, traces = runs[0]
+            assert all(isinstance(res, coding.CodingResult) for res in results)
+            assert traces[0] is not None and (traces[-1] is None) == (stability == "stable")
+
+    def test_counts_of_pieces_merge(self):
+        # few distinct rows, which merge with every piece, and mostly distinct
+        # rows, whose pieces wait; empty and one-row pieces among them
+        rng = np.random.default_rng(9)
+        for high in (2, 1000):
+            idx = rng.integers(-high, high + 1, size=(3000, 3))
+            tally = entropy_code.RowCounts(3)
+            for piece in np.split(idx, [0, 1, 2, 300, 301, 999, 2000]):
+                tally.add(piece)
+            want = reference_histogram_of_rows(idx)
+            assert list(tally.histogram().items()) == list(want.items())
+
+    def test_horizon_does_not_set_the_peak(self):
+        # a low-rate batch of example1 (D near d_max: r = 1, three symbols)
+        # at n and 10 n: the traced peak may grow by the per-step squared
+        # errors, 8 bytes per step and point, plus a 1 MiB slack, no more; a
+        # run holding the whole horizon's bw, dither, e and idx grows by
+        # about twelve times those errors here
+        src = preset_config("example1").source
+        dm = zdrd.d_max(src)
+        points = [
+            (build_realization(src, nrdf(src, f * dm)), SeedBundle(7 + i, 8 + i))
+            for i, f in enumerate((0.99, 0.995))
+        ]
+        assert [sch.r for sch, _ in points] == [1, 1]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_coding_batch(src, n, "sdusq", points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 20_000, 200_000
+        growth = 8 * len(points) * (large - small)
+        slack = 2**20
+        assert peak(large) - peak(small) <= growth + slack
 
 
 class TestStreamChunks:

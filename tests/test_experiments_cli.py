@@ -349,6 +349,26 @@ class TestCli:
         assert cli.main(["solve", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["preset", "solve"])
+    def test_missing_out_directory_exit_two(self, tmp_path, capsys, monkeypatch, command):
+        # found before the sweep runs
+        monkeypatch.setattr(experiments, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"source": {"A": [[0.5]], "B": [[1.0]]}, "d_grid": [0.5]}))
+        args = ["preset", "example4"] if command == "preset" else ["solve", "--config", str(cfg)]
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: no writable directory {out.parent}\n"
+        assert captured.out == ""
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        # a path that cannot be opened for writing, here a directory, fails
+        # when the CSV is written
+        args = ["preset", "example4", "--quantizer", "none", "--grid-points", "2"]
+        assert cli.main([*args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_solve_missing_config(self, tmp_path, capsys):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -255,7 +255,8 @@ def test_no_channel_is_the_state_recursion():
 def test_simulate_matches_state_recursion():
     src = new_source(np.eye(3) * 0.5 + 0.1, [[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]], np.eye(3))
     traj = simulate(src, 500, seed=4)
-    x0, w = source_noise(src, 500, 4)
+    x0, draw = source_noise(src, 4)
+    w = draw(500)
     want = np.empty((501, 3))
     _state_loop(src.A, w @ src.B.T, x0, want)
     assert np.array_equal(traj.samples, want)
@@ -515,6 +516,38 @@ def test_no_channel_equals_per_term_loop():
     e = kernels.feedback_loop(A, bw, x0)[1]
     assert np.any(np.signbit(e[1:, 0]) & (e[1:, 0] == 0.0))
     assert_same_bits(e, per_term_loop(A, bw, x0)[1])
+
+
+@pytest.mark.parametrize("kind", ["none", "awgn", "sdusq", "d4"])
+def test_loop_in_pieces_equals_one_run(kind):
+    # a run resumed from its carried error e_{t-1} piece by piece, the first
+    # piece holding no bw row and later ones a single row, equals one run
+    base = "awgn" if kind == "none" else kind
+    widths = [0, 0, 0] if kind == "none" else BATCHES[base, "stable"]
+    A, bw, x0, fe, g, noise = mixed_batch(base, 0.9, widths)
+    if kind == "none":  # no channel
+        fe = g = None
+
+    def run(lo, hi, start):
+        # bw rows lo..hi-1 enter steps lo+1..hi; a fresh run also runs step 0
+        t0 = lo + (start is not None)
+        step = None if fe is None else steps(kind, noise[t0 : hi + 1])[0]
+        if start is None:
+            return kernels.feedback_loop(A, bw[lo:hi], x0, fe, g, step)
+        return kernels.feedback_loop(A, bw[lo:hi], start, fe, g, step, resume=True)
+
+    idx, e = run(0, N, None)
+    cuts = [0, 0, 1, 2, 250, 777, N]
+    pieces, start = [], None
+    for lo, hi in zip(cuts, cuts[1:]):
+        got = run(lo, hi, start)
+        pieces.append(got)
+        start = got[1][-1]
+    assert_same_bits(np.concatenate([e for _, e in pieces]), e)
+    if idx is None:
+        assert all(i is None for i, _ in pieces)
+    else:
+        assert_same_bits(np.concatenate([i for i, _ in pieces]), idx)
 
 
 def test_kernel_bench_runs_without_scipy():

@@ -55,6 +55,20 @@ def d4_quantize(point, scale=1.0):
     return np.array(best[1]) * scale
 
 
+def previous_d4_nearest(x, axis=-1, out=None):
+    """The D4 rule as it was written before it was made leaner, kept verbatim
+    as the reference the rule must equal bit for bit, signs of zero included."""
+    x = np.asarray(x, float)
+    if x.shape[axis] != 4:
+        raise DimensionMismatch(f"D4 operates on blocks of 4, got shape {x.shape} on axis {axis}")
+    f = z_nearest(x)
+    d = x - f  # never -0.0, so its sign says on which side of f x lies
+    odd = np.remainder(np.add.reduce(f, axis=axis, keepdims=True), 2.0) != 0.0
+    worst = np.abs(d).argmax(axis=axis, keepdims=True)
+    flip = (np.arange(4).reshape((4,) + (1,) * (x.ndim - 1 - axis % x.ndim)) == worst) & odd
+    return np.add(f, np.where(flip, np.copysign(1.0, d), 0.0), out=out)
+
+
 def d4_roots():
     """The 24 minimal vectors of D4: all permutations of (+-1, +-1, 0, 0)."""
     roots = []
@@ -282,6 +296,34 @@ class TestD4:
         inplace = x.copy()
         assert d4_nearest_columns(inplace, out=inplace) is inplace
         assert np.array_equal(inplace, z) and np.array_equal(np.signbit(inplace), np.signbit(z))
+
+    def test_nearest_equals_the_previous_rule(self):
+        # generic points, half-integer ties, integral points (where x equals
+        # its rounding) and signed zeros, among them values rounding to -0.0
+        rng = np.random.default_rng(12)
+        generic = rng.uniform(-4, 4, (3000, 4))
+        ties = rng.integers(-6, 7, (3000, 4)) / 2.0
+        integral = rng.integers(-3, 4, (1000, 4)).astype(float)
+        zeros = rng.choice([0.0, -0.0, -0.25, 0.25, -0.5, 0.5, -1.0, 1.0], (3000, 4))
+        x = np.vstack([generic, ties, integral, zeros])
+        x = x[rng.permutation(len(x))]
+        assert np.any(np.signbit(x) & (x == 0.0))
+
+        def assert_same(got, want):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+        assert_same(d4_nearest(x), previous_d4_nearest(x))
+        # the loop's (r // 4, 4, G) column layout, by view and in place
+        cols = x.reshape(20, -1)  # r = 20: five blocks per column
+        blocks = cols.reshape(5, 4, -1)
+        want = previous_d4_nearest(blocks, axis=1)
+        assert_same(d4_nearest(blocks, axis=1), want)
+        assert_same(d4_nearest_columns(cols), want.reshape(cols.shape))
+        inplace = cols.copy()
+        d4_nearest_columns(inplace, out=inplace)
+        assert_same(inplace, want.reshape(cols.shape))
 
     def test_nearest_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
