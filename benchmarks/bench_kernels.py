@@ -14,7 +14,11 @@ blocks per second for --n blocks, the next row the time of
 ``tracemalloc`` peak of one ``coding.run_coding_batch`` (the scalar
 quantizer on the 4-d source at D = 1, G = 4 points) at n = --n and 10 x --n.
 A batch runs its horizon in fixed chunks, so the peak grows only by the
-per-step squared errors it keeps, 8 bytes per step and point.
+per-step squared errors it keeps, 8 bytes per step and point.  The last row
+times what a coded point does with its indices after the loop, over 10 x --n
+steps (1e5 by default) of the scalar quantizer at ``example1``'s lowest
+default D: counting them chunk by chunk (``entropy_code.RowCounts``), the
+histogram, the Huffman code and the rate.
 
 Usage: python benchmarks/bench_kernels.py [--n 10000] [--repeat 3]
 """
@@ -26,10 +30,12 @@ import tracemalloc
 
 import numpy as np
 
-from zdrd import build_realization, kernels, new_source, nrdf, simulate
-from zdrd.coding import KINDS, SeedBundle, run_coding_batch
+from zdrd import build_realization, entropy_code, kernels, new_source, nrdf, simulate
+from zdrd.coding import CHUNK, KINDS, SeedBundle, run_coding_batch
+from zdrd.experiments import default_grid, preset_config
 from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
+from zdrd.source_model import source_noise
 
 A4 = [
     [0.8147, 0.6324, 0.9575, 0.9572],
@@ -81,6 +87,30 @@ def coded_peak(n):
         tracemalloc.stop()
 
 
+def example1_indices(n):
+    """The int64 indices (n + 1, r) of one scalar-quantized loop of ``example1``
+    at the lowest D of its default grid, seeds 1 and 2."""
+    src = preset_config("example1").source
+    fe, g = channel_matrices(build_realization(src, nrdf(src, default_grid(src)[0])))
+    kind = KINDS["sdusq"]
+    x0, draw = source_noise(src, 1)
+    dith = kind.dither(np.random.default_rng(2), n + 1, fe.shape[0])[..., None]
+    z = np.empty(dith.shape)
+    step = kernels.lattice_step(dith, kind.scale, kind.nearest, z)
+    bw = (draw(n) @ src.B.T)[..., None]
+    kernels.feedback_loop(src.A, bw, x0[:, None], fe[..., None], g[..., None], step)
+    return z[..., 0].astype(np.int64)
+
+
+def count_and_code(idx):
+    """A coded point's work after its loop: counts by chunk, histogram, code, rate."""
+    tally = entropy_code.RowCounts(idx.shape[1])
+    for a in range(0, len(idx), CHUNK):
+        tally.add(idx[a : a + CHUNK])
+    counts = tally.histogram()
+    return len(counts), int(counts @ entropy_code.huffman_lengths(counts)) / len(idx)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=10_000)
@@ -98,7 +128,7 @@ def main():
             fe = np.repeat(fe1[..., None], G, axis=-1)
             g = np.repeat(g1[..., None], G, axis=-1)
             dith = np.stack([kind.dither(rng, args.n + 1, r) for _ in range(G)], axis=-1)
-            step = kernels.lattice_step(dith, kind.scale, kind.nearest)
+            step = kernels.lattice_step(dith, kind.scale, kind.nearest, np.empty(dith.shape))
             t = timeit(lambda: kernels.feedback_loop(src.A, bw, x0, fe, g, step), args.repeat)
             rate = G * (args.n + 1) / t
             us = 1e6 * t / (args.n + 1)
@@ -120,6 +150,14 @@ def main():
     print(
         f"{'coded peak':<14} {peaks[0]:.2f} MB at n = {short}, {peaks[1]:.2f} MB at n = {long}"
         f" (squared errors: +{errors:.2f} MB)"
+    )
+
+    idx = example1_indices(long)
+    t_code = timeit(lambda: count_and_code(idx), args.repeat)
+    symbols, rate = count_and_code(idx)
+    print(
+        f"{'count + code':<14} {1e3 * t_code:>9.2f} ms at n = {long}"
+        f" ({symbols} symbols, {rate:.4f} bits/step)"
     )
 
 

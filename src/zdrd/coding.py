@@ -219,10 +219,12 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
             bw[:, :, col] = noises[col](b - a) @ src.B.T
             if r:
                 dither[:, :r, col] = quantizer.dither(dithers[col], b + 1 - t0, r)
-        step = kernels.lattice_step(dither, quantizer.scale, quantizer.nearest)
+        z = np.empty(dither.shape)  # the lattice coordinates of every step
+        step = kernels.lattice_step(dither, quantizer.scale, quantizer.nearest, z)
         start = x0 if carry is None else carry
-        idx, e = kernels.feedback_loop(src.A, bw, start, fe, g, step, resume=carry is not None)
-        del bw, dither, step
+        e = kernels.feedback_loop(src.A, bw, start, fe, g, step, resume=carry is not None)
+        idx = z.astype(np.int64)
+        del bw, dither, step, z
         carry = e[-1].copy()
         for col, r in enumerate(rs):
             e_col = e[:, :, col]
@@ -249,9 +251,9 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
             )
             continue
         lengths = entropy_code.huffman_lengths(counts)
-        rate = entropy_code.average_code_length(counts, lengths)
+        rate = int(counts @ lengths) / (n + 1)  # steps 0..n each send one codeword
         ent = entropy_code.empirical_entropy_bits(counts)
-        out[i] = CodingResult(float(rate), float(ent), mse, n, len(counts))
+        out[i] = CodingResult(rate, ent, mse, n, len(counts))
         if col in traced:
             idx_rows, e_rows = traced[col]
             _write_trace(trace_paths[i], np.concatenate(idx_rows), lengths, np.concatenate(e_rows))
@@ -259,14 +261,14 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
 
 
 def _write_trace(path, idx, lengths, e):
-    n1, r = idx.shape
+    """Write the trace of one point; ``lengths`` is the code of its histogram."""
+    r = idx.shape[1]
+    # np.unique orders the rows as count_rows does, so row t is symbol[t]
+    _, symbol = np.unique(idx, axis=0, return_inverse=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t"] + [f"index_{i}" for i in range(r)] + ["codeword_length_bits", "sq_error"]
         )
-        for t in range(n1):
-            row = tuple(int(v) for v in idx[t])
-            writer.writerow(
-                [t, *row, lengths[row], float(np.dot(e[t], e[t]))]
-            )
+        for t, (row, length) in enumerate(zip(idx.tolist(), lengths[symbol].tolist())):
+            writer.writerow([t, *row, length, float(np.dot(e[t], e[t]))])

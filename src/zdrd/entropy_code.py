@@ -1,29 +1,27 @@
 """Two-pass empirical Huffman coding of joint quantizer indices.
 
 Pass one tallies the observed joint symbols; pass two builds a Huffman code
-on that histogram and charges each step its codeword length.  The code is
-built by the two-queue method: leaves sorted by (count, symbol), merged
-nodes appended in creation order.  At equal counts a leaf merges before a
-merged node and earlier nodes before later ones, which is the order of a
-heap keyed by (count, insertion order) over symbols pre-sorted ascending.
-So the code lengths are deterministic for a given histogram, and equal per
-symbol to those of that heap construction.
+on that histogram and charges each step its codeword length.  A histogram
+is an int64 array of counts, one per distinct symbol (an index row), in
+ascending row order; :func:`count_rows` gives the rows themselves in the
+same order.  The code is built by the two-queue method: leaves sorted by
+(count, symbol), merged nodes appended in creation order.  At equal counts
+a leaf merges before a merged node and earlier nodes before later ones,
+which is the order of a heap keyed by (count, insertion order) over symbols
+pre-sorted ascending.  So the code lengths are deterministic for a given
+histogram, and equal per symbol to those of that heap construction.
 """
 
 import numpy as np
 
 
 def huffman_lengths(counts):
-    """Codeword length per symbol for a count histogram (dict symbol -> count)."""
-    if not counts:
-        return {}
-    if len(counts) == 1:
-        (sym,) = counts
-        return {sym: 1}
-    syms = sorted(counts)
-    n = len(syms)
-    weight = [counts[s] for s in syms] + [0] * (n - 1)
-    leaves = sorted(range(n), key=weight.__getitem__)  # stable: ties by symbol
+    """Codeword length of each symbol of a histogram, as int64 in its order."""
+    n = len(counts)
+    if n < 2:
+        return np.ones(n, dtype=np.int64)
+    weight = counts.tolist() + [0] * (n - 1)
+    leaves = np.argsort(counts, kind="stable").tolist()  # ties by symbol
     parent = [0] * (2 * n - 1)
     i, j = 0, n  # heads of the leaf queue and of the merged-node queue
     for node in range(n, 2 * n - 1):
@@ -39,7 +37,7 @@ def huffman_lengths(counts):
     depth = [0] * (2 * n - 1)  # the root, node 2n-2, has depth 0
     for node in range(2 * n - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    return dict(zip(syms, depth))
+    return np.array(depth[:n], dtype=np.int64)
 
 
 def count_rows(idx, counts=None):
@@ -62,9 +60,8 @@ def count_rows(idx, counts=None):
 
 
 def histogram_of_rows(idx, counts=None):
-    """:func:`count_rows` as a dict of counts keyed by row tuple, in its key order."""
-    keys, counts = count_rows(idx, counts)
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    """The counts of :func:`count_rows`: a histogram in ascending row order."""
+    return count_rows(idx, counts)[1]
 
 
 class RowCounts:
@@ -100,15 +97,9 @@ class RowCounts:
 
 
 def empirical_entropy_bits(counts):
-    total = sum(counts.values())
+    """Plug-in entropy of a histogram, in bits."""
+    total = int(counts.sum())
     if total == 0:
         return 0.0
-    p = np.array(list(counts.values()), dtype=float) / total
+    p = counts / total
     return float(-(p * np.log2(p)).sum())
-
-
-def average_code_length(counts, lengths):
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    return sum(counts[s] * lengths[s] for s in counts) / total

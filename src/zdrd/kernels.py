@@ -45,12 +45,12 @@ and k starts from -0.0, the exact additive identity, so that k is bw plus
 the terms even when all of them are -0.0.
 ``tests/test_kernels.py::TestReductionOrder`` pins these facts.
 
-The quantizer is a step function ``step(t, alpha) -> (indices or None,
-beta)``.  :func:`awgn_step` builds the Gaussian channel and
-:func:`lattice_step` the subtractive-dithered quantizer of any lattice,
-given its nearest-point rule on the ``(r, G)`` layout (``quantizers``).
-A step may return views of buffers it reuses: the loop reads them before
-the next step.
+The quantizer is a step function ``step(t, alpha) -> beta``.
+:func:`awgn_step` builds the Gaussian channel and :func:`lattice_step` the
+subtractive-dithered quantizer of any lattice, given its nearest-point rule
+on the ``(r, G)`` layout (``quantizers``); it writes each step's lattice
+coordinates into an array of its caller.  A step may return a view of a
+buffer it reuses: the loop reads it before the next step.
 """
 
 import numpy as np
@@ -69,9 +69,7 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None, resume=False):
     A is (p, p); bw (m, p, G) holds B w_t of each loop, x0 (p, G) its
     initial state; fe (r, p, G) and g (p, r, G) are zero-padded to the
     widest active set, and ``step`` quantizes alpha (r, G).  Without fe
-    there is no channel.  Returns (idx, e) of the steps run: idx (., r, G)
-    holds the indices ``step`` returned, cast to int64 (None when it
-    returned none), e (., p, G) the errors.
+    there is no channel.  Returns the errors e (., p, G) of the steps run.
 
     A fresh loop runs steps 0..m, m + 1 of them.  With ``resume``, x0 is
     instead the error e_{t-1} of the last step a previous call ran, and the
@@ -80,7 +78,6 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None, resume=False):
     called with the call's own step numbers, 0 first.
     """
     start = int(resume)  # row of e holding the carried error, if any
-    n1 = bw.shape[0] + 1 - start  # steps this call runs
     p, G = x0.shape
     if fe is None:
         fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
@@ -103,7 +100,6 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None, resume=False):
     # step 0 overwrites it)
     e = np.empty((bw.shape[0] + 1, p, G))
     e_cols, k_col = e[:, :, None], k[:, None]
-    idx = None
     k[...] = x0
     e[0] = x0
     for t in range(start, e.shape[0]):
@@ -116,14 +112,10 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None, resume=False):
             continue
         np.multiply(fe_t, k_col, out=alpha_stack)
         np.add.reduce(alpha_stack, axis=0, initial=0.0, out=alpha_sum)
-        q, beta = step(t - start, alpha)
-        if q is not None:
-            if idx is None:
-                idx = np.empty((n1, r, G), dtype=np.int64)
-            idx[t - start] = q
+        beta = step(t - start, alpha)
         np.multiply(g_t, beta[:, None], out=g_terms)
         np.subtract.reduce(e_stack, axis=0, out=e[t])
-    return idx, e[start:]
+    return e[start:]
 
 
 def awgn_step(noise):
@@ -131,28 +123,27 @@ def awgn_step(noise):
     beta = np.empty(noise.shape[1:])
 
     def step(t, alpha):
-        np.add(alpha, noise[t], out=beta)
-        return None, beta
+        return np.add(alpha, noise[t], out=beta)
 
     return step
 
 
-def lattice_step(dither, scale, nearest):
-    """Dithered lattice step; dither (n+1, r, G), scale broadcasting against (r, G).
+def lattice_step(dither, scale, nearest, z):
+    """Dithered lattice step; dither and z (n+1, r, G), scale broadcasting against (r, G).
 
-    z = nearest((alpha + q) / scale) are the lattice coordinates
-    (``quantizers.dithered_encode``) and beta = z * scale - q
-    (``quantizers.dithered_decode``), both written into buffers made once;
-    ``nearest`` rounds the (r, G) layout in place.  The loop casts z to its
-    int64 indices.
+    Step t writes its lattice coordinates, integral floats, to
+    z[t] = nearest((alpha + q) / scale) (``quantizers.dithered_encode``;
+    ``nearest`` rounds the C-contiguous (r, G) row of z in place) and
+    returns beta = z[t] * scale - q (``quantizers.dithered_decode``), in a
+    buffer made once.
     """
     scale = np.asarray(scale, float)  # a scalar as a 0-d array, cheaper for ufuncs
-    z, beta = np.empty((2,) + dither.shape[1:])
+    beta = np.empty(dither.shape[1:])
 
     def step(t, alpha):
         q = dither[t]
-        dithered_encode(alpha, q, scale, nearest, out=z)
-        return z, dithered_decode(z, q, scale, out=beta)
+        zt = dithered_encode(alpha, q, scale, nearest, out=z[t])
+        return dithered_decode(zt, q, scale, out=beta)
 
     return step
 
@@ -176,16 +167,13 @@ def innovations(A, bw, x0, fe, e):
 
 
 def _single(A, bw, x0, fe, g, step):
-    """One loop through :func:`feedback_loop`: G = 1, results as (n+1, .) arrays."""
-    idx, e = feedback_loop(A, bw[..., None], x0[:, None], fe[..., None], g[..., None], step)
-    if idx is None:  # no indices, or no channel to index
-        return np.empty((e.shape[0], 0), dtype=np.int64), e[..., 0]
-    return idx[..., 0], e[..., 0]
+    """The errors (n+1, p) of one loop run by :func:`feedback_loop` with G = 1."""
+    return feedback_loop(A, bw[..., None], x0[:, None], fe[..., None], g[..., None], step)[..., 0]
 
 
 def awgn_loop(A, bw, x0, fe, g, noise):
     """One loop over the unit Gaussian channel; returns (k, alpha, beta, e)."""
-    _, e = _single(A, bw, x0, fe, g, awgn_step(noise[..., None]))
+    e = _single(A, bw, x0, fe, g, awgn_step(noise[..., None]))
     k, alpha = innovations(A, bw, x0, fe, e)
     return k, alpha, alpha + noise, e
 
@@ -193,8 +181,10 @@ def awgn_loop(A, bw, x0, fe, g, noise):
 def _lattice_loop(A, bw, x0, fe, g, dither, scale, nearest):
     """One loop through :func:`lattice_step`; returns (idx, k, alpha, beta, e)."""
     scale = np.asarray(scale, float)
-    idx, e = _single(A, bw, x0, fe, g, lattice_step(dither[..., None], scale[..., None], nearest))
+    z = np.empty(dither.shape + (1,))
+    e = _single(A, bw, x0, fe, g, lattice_step(dither[..., None], scale[..., None], nearest, z))
     k, alpha = innovations(A, bw, x0, fe, e)
+    idx = z[..., 0].astype(np.int64)
     return idx, k, alpha, dithered_decode(idx, dither, scale), e
 
 

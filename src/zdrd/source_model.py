@@ -203,7 +203,7 @@ def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
     bw = w @ src.B.T
     with np.errstate(over="ignore", invalid="ignore"):
         # the feedback loop without a channel is the state recursion
-        _, samples = kernels.feedback_loop(src.A, bw[..., None], x0[:, None])
+        samples = kernels.feedback_loop(src.A, bw[..., None], x0[:, None])
     return Trajectory(samples=samples[..., 0], seed=int(seed), noise=w, x0=x0, source=src)
 
 

@@ -53,12 +53,34 @@ def reference_huffman_lengths(counts):
     return lengths
 
 
+def reference_lengths(counts):
+    """:func:`reference_huffman_lengths` on a histogram array, whose symbols
+    are its positions, as an array in that order."""
+    lengths = reference_huffman_lengths(dict(enumerate(counts.tolist())))
+    return np.array([lengths[s] for s in range(len(counts))], dtype=np.int64)
+
+
 def reference_histogram_of_rows(idx):
-    """Row histogram through np.unique(axis=0), keys in its order."""
-    if idx.shape[0] == 0:
-        return {}
-    uniq, counts = np.unique(idx, axis=0, return_counts=True)
-    return {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)}
+    """Distinct rows and their counts through np.unique(axis=0), in its order."""
+    return np.unique(idx, axis=0, return_counts=True)
+
+
+def assert_rows_counted(keys, counts, idx):
+    """keys and counts are the distinct rows of idx and their counts, in order."""
+    want_keys, want_counts = reference_histogram_of_rows(idx)
+    assert keys.shape == want_keys.shape and np.array_equal(keys, want_keys)
+    assert counts.dtype == np.int64 and np.array_equal(counts, want_counts)
+
+
+def dict_rate_and_entropy(counts, lengths):
+    """The rate and entropy of a histogram by the formulas on dicts of symbols
+    that earlier versions used."""
+    counts = dict(enumerate(counts.tolist()))
+    lengths = dict(enumerate(lengths.tolist()))
+    total = sum(counts.values())
+    rate = sum(counts[s] * lengths[s] for s in counts) / total
+    p = np.array(list(counts.values()), dtype=float) / total
+    return rate, float(-(p * np.log2(p)).sum())
 
 
 class TestEntropyCodeReference:
@@ -66,52 +88,77 @@ class TestEntropyCodeReference:
     def test_coded_runs_match_reference(self, name, monkeypatch):
         # a coded run counts its indices chunk by chunk and hands the rows it
         # merged, with their counts, and the rows still waiting to
-        # histogram_of_rows once; short chunks make several merges
-        seen = []
-        histogram = entropy_code.histogram_of_rows
+        # histogram_of_rows once; short chunks make several merges.  Its
+        # rate and entropy are those of the old formulas on dicts of symbols
+        seen, coded = [], []
+        histogram, huffman = entropy_code.histogram_of_rows, entropy_code.huffman_lengths
 
         def recording(idx, counts=None):
             seen.append((idx.copy(), counts.copy()))
             return histogram(idx, counts)
 
+        def recording_huffman(counts):
+            coded.append((counts, huffman(counts)))
+            return coded[-1][1]
+
         monkeypatch.setattr(entropy_code, "histogram_of_rows", recording)
+        monkeypatch.setattr(entropy_code, "huffman_lengths", recording_huffman)
         monkeypatch.setattr(coding, "CHUNK", 300)
-        run_experiment(preset_config(name, n_steps=2000, points=3))
-        assert len(seen) >= 2
+        report = run_experiment(preset_config(name, n_steps=2000, points=3))
+        assert len(seen) >= 2 and len(coded) == len(seen)
         for idx, tally in seen:
             assert tally.sum() == 2001
             counts = histogram(idx, tally)
-            # key order matters: the entropy sums the counts in dict order
-            want = reference_histogram_of_rows(np.repeat(idx, tally, axis=0))
-            assert list(counts.items()) == list(want.items())
-            assert entropy_code.huffman_lengths(counts) == reference_huffman_lengths(counts)
+            keys, merged = entropy_code.count_rows(idx, tally)
+            assert np.array_equal(counts, merged)
+            # key order matters: the entropy sums the counts in that order
+            assert_rows_counted(keys, counts, np.repeat(idx, tally, axis=0))
+            assert np.array_equal(huffman(counts), reference_lengths(counts))
+        rows = [row for row in report.rows if row.r_active]
+        assert len(rows) == len(coded)
+        for row, (counts, lengths) in zip(rows, coded):
+            rate, ent = dict_rate_and_entropy(counts, lengths)
+            assert row.rate_op_bits == rate
+            assert entropy_code.empirical_entropy_bits(counts) == ent
 
     def test_tie_heavy_histograms(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             r = int(rng.integers(1, 4))
             idx = rng.integers(-2, 3, size=(int(rng.integers(1, 400)), r))
-            counts = entropy_code.histogram_of_rows(idx)
-            assert list(counts.items()) == list(reference_histogram_of_rows(idx).items())
+            keys, counts = entropy_code.count_rows(idx)
+            assert_rows_counted(keys, counts, idx)
+            assert np.array_equal(entropy_code.histogram_of_rows(idx), counts)
             # few distinct counts, so most merges are ties
-            ties = {k: int(c) for k, c in zip(counts, rng.integers(1, 4, len(counts)))}
+            ties = rng.integers(1, 4, len(counts))
             for h in (counts, ties):
-                assert entropy_code.huffman_lengths(h) == reference_huffman_lengths(h)
+                assert np.array_equal(entropy_code.huffman_lengths(h), reference_lengths(h))
 
     def test_empty_and_zero_width_rows(self):
         for idx in (np.zeros((0, 2), dtype=np.int64), np.zeros((5, 0), dtype=np.int64)):
-            assert entropy_code.histogram_of_rows(idx) == reference_histogram_of_rows(idx)
+            assert_rows_counted(*entropy_code.count_rows(idx), idx)
+            want = reference_histogram_of_rows(idx)[1]
+            assert np.array_equal(entropy_code.histogram_of_rows(idx), want)
+        empty = np.empty(0, dtype=np.int64)
+        lengths = entropy_code.huffman_lengths(empty)
+        assert lengths.shape == (0,) and np.array_equal(lengths, reference_lengths(empty))
+        assert entropy_code.empirical_entropy_bits(empty) == 0.0
 
 
 class TestHuffman:
     def test_single_symbol(self):
-        assert entropy_code.huffman_lengths({(0,): 10}) == {(0,): 1}
+        lengths = entropy_code.huffman_lengths(np.array([10]))
+        assert lengths.dtype == np.int64 and lengths.tolist() == [1]
+        assert np.array_equal(lengths, reference_lengths(np.array([10])))
 
     def test_deterministic(self):
-        counts = {(i,): c for i, c in enumerate([5, 5, 3, 3, 2, 2])}
-        a = entropy_code.huffman_lengths(counts)
-        b = entropy_code.huffman_lengths(dict(reversed(list(counts.items()))))
-        assert a == b
+        # the same histogram gives the same code, and with ties the symbols'
+        # order decides, as in the reference heap
+        counts = np.array([5, 5, 3, 3, 2, 2])
+        for h in (counts, counts[::-1]):
+            a = entropy_code.huffman_lengths(h)
+            assert np.array_equal(a, entropy_code.huffman_lengths(h.copy()))
+            assert np.array_equal(a, reference_lengths(h))
 
     @given(
         st.dictionaries(
@@ -123,11 +170,13 @@ class TestHuffman:
     )
     @settings(max_examples=100, deadline=None)
     def test_kraft_and_sandwich(self, raw):
-        counts = {(k,): v for k, v in raw.items()}
+        counts = np.array([raw[k] for k in sorted(raw)])
         lengths = entropy_code.huffman_lengths(counts)
-        assert sum(2.0 ** -l for l in lengths.values()) <= 1.0 + 1e-12
-        rate = entropy_code.average_code_length(counts, lengths)
-        ent = entropy_code.empirical_entropy_bits(counts)
+        assert np.array_equal(lengths, reference_lengths(counts))
+        assert sum(2.0 ** -l for l in lengths.tolist()) <= 1.0 + 1e-12
+        rate, ent = dict_rate_and_entropy(counts, lengths)
+        assert entropy_code.empirical_entropy_bits(counts) == ent
+        assert int(counts @ lengths) / int(counts.sum()) == rate
         assert ent - 1e-12 <= rate <= ent + 1.0 + 1e-12
 
 
@@ -400,15 +449,17 @@ class TestHorizonChunks:
             tally = entropy_code.RowCounts(3)
             for piece in np.split(idx, [0, 1, 2, 300, 301, 999, 2000]):
                 tally.add(piece)
-            want = reference_histogram_of_rows(idx)
-            assert list(tally.histogram().items()) == list(want.items())
+            counts = tally.histogram()
+            keys, merged = entropy_code.count_rows(*tally._stacked())
+            assert np.array_equal(counts, merged)
+            assert_rows_counted(keys, counts, idx)
 
     def test_horizon_does_not_set_the_peak(self):
         # a low-rate batch of example1 (D near d_max: r = 1, three symbols)
         # at n and 10 n: the traced peak may grow by the per-step squared
         # errors, 8 bytes per step and point, plus a 1 MiB slack, no more; a
-        # run holding the whole horizon's bw, dither, e and idx grows by
-        # about twelve times those errors here
+        # run holding the whole horizon's bw, dither, e and lattice
+        # coordinates grows by about twelve times those errors here, 5 MB
         src = preset_config("example1").source
         dm = zdrd.d_max(src)
         points = [
@@ -425,7 +476,7 @@ class TestHorizonChunks:
             finally:
                 tracemalloc.stop()
 
-        small, large = 20_000, 200_000
+        small, large = 3_000, 30_000
         growth = 8 * len(points) * (large - small)
         slack = 2**20
         assert peak(large) - peak(small) <= growth + slack

@@ -152,7 +152,6 @@ def per_term_loop(A, bw, x0, fe=None, g=None, step=None):
     fe_prod = np.empty((p, r, G))
     g_prod = np.empty((r, p, G))
     e = np.empty((n1, p, G))
-    idx = None
     alpha = np.empty((r, G))
     e[0] = x0
     for t in range(n1):
@@ -168,23 +167,20 @@ def per_term_loop(A, bw, x0, fe=None, g=None, step=None):
         np.multiply(fe_t, k[:, None], out=fe_prod)
         for term in fe_prod:
             np.add(alpha, term, out=alpha)
-        q, beta = step(t, alpha)
-        if q is not None:
-            if idx is None:
-                idx = np.empty((n1, r, G), dtype=np.int64)
-            idx[t] = q
+        beta = step(t, alpha)
         np.multiply(g_t, beta[:, None], out=g_prod)
         for term in g_prod:
             np.subtract(k, term, out=k)
-    return idx, e
+    return e
 
 
-def per_call_lattice_step(dither, scale, nearest):
-    """``kernels.lattice_step`` with fresh arrays each step and int64 indices."""
+def per_call_lattice_step(dither, scale, nearest, z):
+    """``kernels.lattice_step`` with fresh arrays each step, copied into z."""
 
     def step(t, alpha):
-        z = dithered_encode(alpha, dither[t], scale, nearest)
-        return z.astype(np.int64), dithered_decode(z, dither[t], scale)
+        zt = dithered_encode(alpha, dither[t], scale, nearest)
+        z[t] = zt
+        return dithered_decode(zt, dither[t], scale)
 
     return step
 
@@ -248,7 +244,7 @@ def test_no_channel_is_the_state_recursion():
     A, bw, x0, *_ = loop_inputs(0, 0)
     want = np.empty((N + 1, P))
     _state_loop(A, bw, x0, want)
-    _, e = kernels.feedback_loop(A, bw[..., None], x0[:, None])
+    e = kernels.feedback_loop(A, bw[..., None], x0[:, None])
     assert np.array_equal(e[..., 0], want)
 
 
@@ -346,14 +342,14 @@ def test_mixed_batch_rows_equal_single_runs(kind):
         _batch([run[m] for run in runs], shape)
         for m, shape in enumerate([(N, P), (P,), (rmax, P), (P, rmax), (N + 1, rmax)])
     )
+    z = np.empty(noise.shape)
     if kind == "awgn":
         step = kernels.awgn_step(noise)
     elif kind == "sdusq":
-        step = kernels.lattice_step(noise, np.full((rmax, len(runs)), np.sqrt(12.0)), z_nearest)
+        step = kernels.lattice_step(noise, np.full((rmax, len(runs)), np.sqrt(12.0)), z_nearest, z)
     else:
-        step = kernels.lattice_step(noise, np.full(len(runs), SCALE), d4_nearest_columns)
-    idx, e = kernels.feedback_loop(A, bw, x0, fe, g, step)
-    assert (idx is None) == (kind == "awgn")
+        step = kernels.lattice_step(noise, np.full(len(runs), SCALE), d4_nearest_columns, z)
+    e = kernels.feedback_loop(A, bw, x0, fe, g, step)
 
     for col, (r, run) in enumerate(zip(widths, runs)):
         if kind == "awgn":
@@ -367,8 +363,8 @@ def test_mixed_batch_rows_equal_single_runs(kind):
             want = ref_d4(A, *run, SCALE)
         assert_all_equal(single, want)
         assert np.array_equal(e[:, :, col], single[-1])
-        if idx is not None:
-            assert np.array_equal(idx[:, :r, col], single[0])
+        if kind != "awgn":
+            assert np.array_equal(z[:, :r, col].astype(np.int64), single[0])
 
 
 def test_backend_name():
@@ -459,23 +455,28 @@ def mixed_batch(kind, rho, widths, p=P, n=N, seed=30):
 
 
 def steps(kind, noise):
-    """(the kernel's step, the per-call reference step) of one kind."""
+    """The kernel's step and the per-call reference step of one kind, each
+    with the array its lattice coordinates go to (None for the AWGN channel)."""
     if kind == "awgn":
-        return kernels.awgn_step(noise), kernels.awgn_step(noise)
+        return kernels.awgn_step(noise), kernels.awgn_step(noise), None, None
     scale, nearest = (np.sqrt(12.0), z_nearest) if kind == "sdusq" else (SCALE, d4_nearest_columns)
-    return kernels.lattice_step(noise, scale, nearest), per_call_lattice_step(noise, scale, nearest)
+    z, ref_z = np.empty(noise.shape), np.empty(noise.shape)
+    return (
+        kernels.lattice_step(noise, scale, nearest, z),
+        per_call_lattice_step(noise, scale, nearest, ref_z),
+        z,
+        ref_z,
+    )
 
 
 def assert_loops_equal(A, bw, x0, fe, g, noise, kind):
-    step, ref_step = steps(kind, noise)
-    idx, e = kernels.feedback_loop(A, bw, x0, fe, g, step)
-    ref_idx, ref_e = per_term_loop(A, bw, x0, fe, g, ref_step)
+    step, ref_step, z, ref_z = steps(kind, noise)
+    e = kernels.feedback_loop(A, bw, x0, fe, g, step)
+    ref_e = per_term_loop(A, bw, x0, fe, g, ref_step)
     assert np.abs(e).max() < 100.0  # the loops stayed bounded
     assert_same_bits(e, ref_e)
-    if kind == "awgn":
-        assert idx is None and ref_idx is None
-    else:
-        assert_same_bits(idx, ref_idx)
+    if kind != "awgn":
+        assert_same_bits(z, ref_z)
 
 
 # an unstable source needs every direction in the channel: r >= p
@@ -513,9 +514,9 @@ def test_no_channel_equals_per_term_loop():
     A[0] = 0.0
     A[0, 0] = -0.0
     bw[:, 0] = -0.0
-    e = kernels.feedback_loop(A, bw, x0)[1]
+    e = kernels.feedback_loop(A, bw, x0)
     assert np.any(np.signbit(e[1:, 0]) & (e[1:, 0] == 0.0))
-    assert_same_bits(e, per_term_loop(A, bw, x0)[1])
+    assert_same_bits(e, per_term_loop(A, bw, x0))
 
 
 @pytest.mark.parametrize("kind", ["none", "awgn", "sdusq", "d4"])
@@ -529,25 +530,28 @@ def test_loop_in_pieces_equals_one_run(kind):
         fe = g = None
 
     def run(lo, hi, start):
-        # bw rows lo..hi-1 enter steps lo+1..hi; a fresh run also runs step 0
+        # bw rows lo..hi-1 enter steps lo+1..hi; a fresh run also runs step 0.
+        # Returns the errors and the lattice coordinates (None without them)
         t0 = lo + (start is not None)
-        step = None if fe is None else steps(kind, noise[t0 : hi + 1])[0]
+        step, _, z, _ = steps(base, noise[t0 : hi + 1])
+        if fe is None:
+            step = z = None
         if start is None:
-            return kernels.feedback_loop(A, bw[lo:hi], x0, fe, g, step)
-        return kernels.feedback_loop(A, bw[lo:hi], start, fe, g, step, resume=True)
+            return kernels.feedback_loop(A, bw[lo:hi], x0, fe, g, step), z
+        return kernels.feedback_loop(A, bw[lo:hi], start, fe, g, step, resume=True), z
 
-    idx, e = run(0, N, None)
+    e, z = run(0, N, None)
     cuts = [0, 0, 1, 2, 250, 777, N]
     pieces, start = [], None
     for lo, hi in zip(cuts, cuts[1:]):
         got = run(lo, hi, start)
         pieces.append(got)
-        start = got[1][-1]
-    assert_same_bits(np.concatenate([e for _, e in pieces]), e)
-    if idx is None:
-        assert all(i is None for i, _ in pieces)
+        start = got[0][-1]
+    assert_same_bits(np.concatenate([e for e, _ in pieces]), e)
+    if z is None:
+        assert all(zp is None for _, zp in pieces)
     else:
-        assert_same_bits(np.concatenate([i for i, _ in pieces]), idx)
+        assert_same_bits(np.concatenate([zp for _, zp in pieces]), z)
 
 
 def test_kernel_bench_runs_without_scipy():

@@ -223,6 +223,86 @@ class TestNrdf:
             assert np.linalg.norm(updated - sol.pi) < 1e-6
 
 
+def waterfilling_rate(a, D):
+    """Exact NRDF of A = U diag(a) U^T, B = I (U orthogonal) at distortion D.
+
+    The program splits into scalar AR(1) problems, one per mode, that share
+    the budget: reverse-waterfilling gives mode i the distortion D_i solving
+    D_i (a_i^2 D_i + 1) = c, clipped at its zero-rate distortion
+    1 / (1 - a_i^2) when |a_i| < 1, with c bisected until the D_i sum to D.
+    Returns the rate, the sum of the scalar closed forms, and the D_i.  D must
+    lie below d_max, the sum of the caps.
+    """
+    a2 = np.asarray(a, float) ** 2
+    cap = np.full(a2.shape, np.inf)
+    stable = a2 < 1.0
+    cap[stable] = 1.0 / (1.0 - a2[stable])
+
+    def spread(c):  # the positive root of a^2 x^2 + x = c, in a form exact at a = 0
+        return np.minimum(2.0 * c / (1.0 + np.sqrt(1.0 + 4.0 * a2 * c)), cap)
+
+    lo, hi = 0.0, 1.0
+    while spread(hi).sum() < D:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if spread(mid).sum() < D else (lo, mid)
+    dist = spread(hi)
+    return sum(scalar_ar1_nrdf(ai, 1.0, di) for ai, di in zip(a, dist)), dist
+
+
+def normal_source(a, seed):
+    """A = U diag(a) U^T for a random orthogonal U, with B = I."""
+    p = len(a)
+    U = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))[0]
+    return zdrd.new_source(U @ np.diag(a) @ U.T, np.eye(p), np.eye(p))
+
+
+class TestWaterfillingOracle:
+    """``nrdf`` against the exact decoupled reverse-waterfilling at p > 1."""
+
+    TOL = 1e-9  # bits
+    FRACTIONS = (0.02, 0.3, 0.8)  # of d_max
+
+    def test_one_mode_is_the_scalar_closed_form(self):
+        for a, D in ((0.5, 0.7), (-0.9, 3.0), (1.2, 0.4)):
+            assert waterfilling_rate([a], D)[0] == scalar_ar1_nrdf(a, 1.0, D)
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_stable_modes(self, p):
+        a = np.random.default_rng(100 + p).uniform(-0.95, 0.95, p)
+        src = normal_source(a, p)
+        dm = zdrd.d_max(src)
+        assert dm == pytest.approx(np.sum(1.0 / (1.0 - a**2)), rel=1e-12)
+        clipped = 0
+        for f in self.FRACTIONS:
+            rate, dist = waterfilling_rate(a, f * dm)
+            sol = nrdf(src, f * dm)
+            assert sol.form_used == FORM_B
+            assert abs(sol.rate_bits - rate) < self.TOL
+            clipped += int(np.sum(dist >= 1.0 / (1.0 - a**2)))
+        assert clipped > 0  # some mode reached its zero-rate distortion
+
+    def test_form_a(self):
+        a = np.random.default_rng(104).uniform(-0.95, 0.95, 4)
+        src = normal_source(a, 4)
+        dm = zdrd.d_max(src)
+        for f in self.FRACTIONS:
+            sol = nrdf(src, f * dm, form=FORM_A)
+            assert sol.form_used == FORM_A
+            assert abs(sol.rate_bits - waterfilling_rate(a, f * dm)[0]) < self.TOL
+
+    def test_unstable_mode_is_never_clipped(self):
+        a = np.array([1.25, 0.6, -0.3, 0.85])
+        src = normal_source(a, 7)
+        assert zdrd.d_max(src) == np.inf
+        for D in (0.3, 2.0, 8.0):
+            rate, dist = waterfilling_rate(a, D)
+            assert abs(nrdf(src, D).rate_bits - rate) < self.TOL
+        # at D = 8 the stable modes 0.6 and -0.3 sit at their zero-rate
+        # distortions and the unstable mode takes more than its share
+        assert np.array_equal(dist[1:3], 1.0 / (1.0 - a[1:3] ** 2)) and dist[0] > 2.0
+
+
 class TestRdCurve:
     """The rate-distortion curve of a bounds-only ``run_experiment`` sweep."""
 
