@@ -97,8 +97,8 @@ def example1_indices(n):
     dith = kind.dither(np.random.default_rng(2), n + 1, fe.shape[0])[..., None]
     z = np.empty(dith.shape)
     step = kernels.lattice_step(dith, kind.scale, kind.nearest, z)
-    bw = (draw(n) @ src.B.T)[..., None]
-    kernels.feedback_loop(src.A, bw, x0[:, None], fe[..., None], g[..., None], step)
+    u = np.concatenate([x0[None], draw(n) @ src.B.T])[..., None]
+    kernels.feedback_loop(src.A, u, np.zeros((src.p, 1)), fe[..., None], g[..., None], step)
     return z[..., 0].astype(np.int64)
 
 
@@ -123,13 +123,13 @@ def main():
         r, p = fe1.shape
         rng = np.random.default_rng(0)
         for G in BATCHES:
-            bw = rng.standard_normal((args.n, p, G))
-            x0 = rng.standard_normal((p, G))
+            u = rng.standard_normal((args.n + 1, p, G))  # x0, then the rows of B w
+            e_prev = np.zeros((p, G))
             fe = np.repeat(fe1[..., None], G, axis=-1)
             g = np.repeat(g1[..., None], G, axis=-1)
             dith = np.stack([kind.dither(rng, args.n + 1, r) for _ in range(G)], axis=-1)
             step = kernels.lattice_step(dith, kind.scale, kind.nearest, np.empty(dith.shape))
-            t = timeit(lambda: kernels.feedback_loop(src.A, bw, x0, fe, g, step), args.repeat)
+            t = timeit(lambda: kernels.feedback_loop(src.A, u, e_prev, fe, g, step), args.repeat)
             rate = G * (args.n + 1) / t
             us = 1e6 * t / (args.n + 1)
             label = f"{name} G={G}"

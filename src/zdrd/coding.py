@@ -141,16 +141,17 @@ def _check_point(src, scheme, kind, block):
 
 
 def _chunks(n):
-    """The rows [a, b) of bw = B w_t, t < n, that each horizon chunk takes.
+    """The ranges [a, b) of steps 0..n that the horizon chunks run.
 
-    A chunk takes CHUNK rows.  A last row left alone joins the chunk before
-    it: the one-row product ``w @ B.T`` takes another BLAS path (gemv),
-    whose sums differ in their last bits from the rows of a longer product.
+    A chunk runs CHUNK steps taking a row of B w each, the first also step 0
+    (x_0).  A last step left alone joins the chunk before it: its one-row
+    ``w @ B.T`` takes another BLAS path (gemv), whose sums differ in their
+    last bits from the rows of a longer product.
     """
-    starts = list(range(0, n, CHUNK)) or [0]
-    if len(starts) > 1 and n - starts[-1] == 1:
+    starts = [0, *range(CHUNK + 1, n + 1, CHUNK)]
+    if len(starts) > 1 and starts[-1] == n:
         starts.pop()
-    return zip(starts, starts[1:] + [n])
+    return zip(starts, starts[1:] + [n + 1])
 
 
 def run_coding_batch(src, n, kind, points, trace_paths=None):
@@ -165,12 +166,12 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
     point run alone.  A point with r = 0 transmits nothing, and its
     reproduction free-runs on the predictor.
 
-    The horizon runs in chunks of CHUNK steps, each resuming the loops where
-    the last one stopped and drawing the next rows of every stream, so a
-    result does not depend on the chunk length.  Between chunks a point
-    keeps only its index counts and its per-step squared errors (and, when
-    traced, its indices and errors), so memory grows with the horizon by 8
-    bytes per step and point.
+    The horizon runs in chunks of steps (:func:`_chunks`).  Each chunk runs
+    from the errors the chunk before ended with, zero before step 0, and
+    draws the next rows of every stream, so a result does not depend on the
+    chunk length.  Between chunks a point keeps only its index counts and
+    its per-step squared errors (and, when traced, its indices and errors),
+    so memory grows with the horizon by 8 bytes per step and point.
 
     Returns one entry per point, in order: its CodingResult, or the error
     (one of ``errors.POINT_ERRORS``) that failed it.  ``trace_paths``
@@ -210,25 +211,25 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
         for col, i in enumerate(live)
         if rs[col] and trace_paths is not None and trace_paths[i] is not None
     }
-    carry = None  # the errors of the last step run, once a chunk has run
+    e_prev = np.zeros((p, G))  # the errors before the chunk's first step
     for a, b in _chunks(n):
-        t0 = a + (a > 0)  # steps t0..b; bw row t - 1 enters step t
-        bw = np.empty((b - a, p, G))
-        dither = np.zeros((b + 1 - t0, rmax, G))
+        head = int(a == 0)  # step 0 takes x_0; step t > 0 takes B w_{t-1}
+        u = np.empty((b - a, p, G))
+        u[:head] = x0
+        dither = np.zeros((b - a, rmax, G))
         for col, r in enumerate(rs):
-            bw[:, :, col] = noises[col](b - a) @ src.B.T
+            u[head:, :, col] = noises[col](b - a - head) @ src.B.T
             if r:
-                dither[:, :r, col] = quantizer.dither(dithers[col], b + 1 - t0, r)
+                dither[:, :r, col] = quantizer.dither(dithers[col], b - a, r)
         z = np.empty(dither.shape)  # the lattice coordinates of every step
         step = kernels.lattice_step(dither, quantizer.scale, quantizer.nearest, z)
-        start = x0 if carry is None else carry
-        e = kernels.feedback_loop(src.A, bw, start, fe, g, step, resume=carry is not None)
+        e = kernels.feedback_loop(src.A, u, e_prev, fe, g, step)
         idx = z.astype(np.int64)
-        del bw, dither, step, z
-        carry = e[-1].copy()
+        del u, dither, step, z
+        e_prev = e[-1].copy()
         for col, r in enumerate(rs):
             e_col = e[:, :, col]
-            sq[col, t0 : b + 1] = np.sum(e_col * e_col, axis=1)
+            sq[col, a:b] = np.sum(e_col * e_col, axis=1)
             if not r:
                 continue
             rows = idx[:, :r, col]

@@ -88,8 +88,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            if isinstance(self.d_grid, str):
-                raise TypeError("a string is not a list")
+            if isinstance(self.d_grid, str) or any(isinstance(d, bool) for d in self.d_grid):
+                raise TypeError(f"got {self.d_grid!r}")
             grid = tuple(float(d) for d in self.d_grid)
         except (TypeError, ValueError) as exc:
             raise ConfigParse(f"distortion grid must be a list of numbers: {exc}") from exc
@@ -109,9 +109,9 @@ class ExperimentConfig:
 
 
 def _integer(value, what):
-    """value as an int; ConfigParse unless it is integral (1e5 is, 2.5 and "7" are not)."""
+    """value as an int; ConfigParse unless it is integral (1e5 is, 2.5, "7" and true are not)."""
     try:
-        if int(value) == value:
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -154,6 +154,8 @@ def preset_config(name, quantizer="default", n_steps=None, csv_path=None, points
     if name not in sources:
         raise ConfigParse(f"unknown preset {name!r}; choose from {list_presets()}")
     src = sources[name]
+    if _integer(points, "grid points") < 1:
+        raise ConfigParse(f"grid points must be >= 1, got {points!r}")
     if quantizer == "default":
         quantizer = _PRESET_QUANTIZER[name]
     elif quantizer == "none":

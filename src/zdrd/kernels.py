@@ -7,16 +7,18 @@ grid points of a sweep) side by side on arrays of shape ``(p, G)`` and
 ``(r, G)``, one step at a time.  All randomness is drawn by the callers
 and passed in as arrays, one stream per loop.
 
-The loops run in innovations/error coordinates,
+The loops run in innovations/error coordinates, one step per input row u_t,
 
-    k_t = A e_{t-1} + bw_{t-1}   (k_0 = x_0,  bw_t = B w_t)
+    k_t = A e_{t-1} + u_t
     alpha_t = fe @ k_t
     beta_t = alpha_t + v_t       (or the dithered-quantizer output)
     e_t = k_t - g @ beta_t
 
-which is an exact rearrangement of the reproduction recursion
-y_t = A y_{t-1} + g beta_t with e_t = x_t - y_t.  Unstable sources push
-x_t itself past float64 range long before 1e5 steps; e_t and k_t stay
+A horizon's rows are u_0 = x_0 and u_t = B w_{t-1}, from e_{-1} = 0 (its
+A terms add exact zeros to x_0); a piece of a horizon runs from the last
+error of the piece before.  This rearranges the reproduction recursion
+y_t = A y_{t-1} + g beta_t exactly, with e_t = x_t - y_t.  Unstable sources
+push x_t itself past float64 range long before 1e5 steps; e_t and k_t stay
 stationary, so rates and distortions remain computable.  With no channel
 (r = 0) the recursion is the source's own state recursion, e_t = x_t.
 
@@ -31,7 +33,7 @@ exact zero.
 A step makes the same few numpy calls whatever p and r.  The terms of
 each sum are one broadcast product into a stack made once, with term j in
 row j, and the sum is one reduction along axis 0:
-``np.add.reduce`` over [bw_{t-1}; A terms] for k, ``np.add.reduce`` over
+``np.add.reduce`` over [u_t; A terms] for k, ``np.add.reduce`` over
 the fe terms for alpha, and ``np.subtract.reduce`` over [k_t; g terms]
 for e, k being written into row 0 of that stack.  A reduction along
 axis 0 of a C-contiguous stack runs the rows in its outer loop, adding
@@ -39,9 +41,9 @@ row j + 1 elementwise into the sum of rows 0..j, so it keeps index order.
 That holds while the result has two or more elements; with one, numpy
 reduces along the rows themselves, and ``np.add`` sums pairwise from eight
 terms on.  So alpha carries a spare zero row, and k has one element only at
-p = 1, where it is bw plus one term.  ``np.add.reduce`` starts from
+p = 1, where it is u plus one term.  ``np.add.reduce`` starts from
 ``initial``, +0.0 unless given: alpha starts there as a zeroed sum would,
-and k starts from -0.0, the exact additive identity, so that k is bw plus
+and k starts from -0.0, the exact additive identity, so that k is u plus
 the terms even when all of them are -0.0.
 ``tests/test_kernels.py::TestReductionOrder`` pins these facts.
 
@@ -63,22 +65,16 @@ def get_backend():
     return "numpy"
 
 
-def feedback_loop(A, bw, x0, fe=None, g=None, step=None, resume=False):
-    """Run G feedback loops of one source in lockstep.
+def feedback_loop(A, u, e_prev, fe=None, g=None, step=None):
+    """Run G feedback loops of one source in lockstep, one step per row of u.
 
-    A is (p, p); bw (m, p, G) holds B w_t of each loop, x0 (p, G) its
-    initial state; fe (r, p, G) and g (p, r, G) are zero-padded to the
-    widest active set, and ``step`` quantizes alpha (r, G).  Without fe
-    there is no channel.  Returns the errors e (., p, G) of the steps run.
-
-    A fresh loop runs steps 0..m, m + 1 of them.  With ``resume``, x0 is
-    instead the error e_{t-1} of the last step a previous call ran, and the
-    loop runs one step per row of bw, starting with k_t = A e_{t-1} + bw[0];
-    so a horizon run in pieces equals the horizon run at once.  ``step`` is
-    called with the call's own step numbers, 0 first.
+    A is (p, p); u (m, p, G) holds the input rows u_t of each loop and
+    e_prev (p, G) its error before the first of them; fe (r, p, G) and
+    g (p, r, G) are zero-padded to the widest active set, and ``step``
+    quantizes alpha (r, G).  Without fe there is no channel.  Returns the
+    errors e (m, p, G); ``step`` is called with the row numbers, 0 first.
     """
-    start = int(resume)  # row of e holding the carried error, if any
-    p, G = x0.shape
+    p, G = e_prev.shape
     if fe is None:
         fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
     r = fe.shape[0]
@@ -89,33 +85,29 @@ def feedback_loop(A, bw, x0, fe=None, g=None, step=None, resume=False):
     fe_t = np.zeros((p, r + 1, G))  # row r is alpha's spare zero
     fe_t[:, :r] = fe.transpose(1, 0, 2)
     g_t = np.ascontiguousarray(g.transpose(1, 0, 2))
-    k_stack = np.empty((p + 1, p, G))  # [bw_{t-1}; A terms]
+    k_stack = np.empty((p + 1, p, G))  # [u_t; A terms]
     alpha_stack = np.empty((p, r + 1, G))  # fe terms
     e_stack = np.empty((r + 1, p, G))  # [k_t; g terms]
     a_terms, k, g_terms = k_stack[1:], e_stack[0], e_stack[1:]
     alpha_sum = np.empty((r + 1, G))
     alpha = alpha_sum[:r]
-    # row t of e is e_t, and bw[t - 1] enters k_t.  Row 0 holds x0: the
-    # carried error when resuming, else e_0 without a channel (with one,
-    # step 0 overwrites it)
-    e = np.empty((bw.shape[0] + 1, p, G))
+    # row t + 1 of e is e_t, and row 0 is e_prev
+    e = np.empty((u.shape[0] + 1, p, G))
+    e[0] = e_prev
     e_cols, k_col = e[:, :, None], k[:, None]
-    k[...] = x0
-    e[0] = x0
-    for t in range(start, e.shape[0]):
-        if t:
-            k_stack[0] = bw[t - 1]
-            np.multiply(a_t, e_cols[t - 1], out=a_terms)
-            # without a channel k_t is e_t
-            np.add.reduce(k_stack, axis=0, initial=-0.0, out=k if r else e[t])
+    for t in range(u.shape[0]):
+        k_stack[0] = u[t]
+        np.multiply(a_t, e_cols[t], out=a_terms)
+        # without a channel k_t is e_t
+        np.add.reduce(k_stack, axis=0, initial=-0.0, out=k if r else e[t + 1])
         if not r:
             continue
         np.multiply(fe_t, k_col, out=alpha_stack)
         np.add.reduce(alpha_stack, axis=0, initial=0.0, out=alpha_sum)
-        beta = step(t - start, alpha)
+        beta = step(t, alpha)
         np.multiply(g_t, beta[:, None], out=g_terms)
-        np.subtract.reduce(e_stack, axis=0, out=e[t])
-    return e[start:]
+        np.subtract.reduce(e_stack, axis=0, out=e[t + 1])
+    return e[1:]
 
 
 def awgn_step(noise):
@@ -148,33 +140,36 @@ def lattice_step(dither, scale, nearest, z):
     return step
 
 
-def innovations(A, bw, x0, fe, e):
-    """k_t and alpha_t of one finished loop, recomputed from its errors e.
+def innovations(A, u, e_prev, fe, e):
+    """k_t and alpha_t of the steps :func:`feedback_loop` ran on u from e_prev.
 
-    Vectorized over time with the loop's arithmetic and order, so the
-    results equal the values the loop used.
+    Recomputed from the errors e, vectorized over time with the loop's
+    arithmetic and order, so they equal the values the loop used on a
+    horizon or any piece of it.  One loop has u, e (m, p) and fe (r, p), a
+    batch u, e (m, p, G) and fe (r, p, G).
     """
-    p = A.shape[0]
-    k = np.empty_like(e)
-    k[0] = x0
-    k[1:] = bw
-    for j in range(p):
-        k[1:] += A[:, j] * e[:-1, j : j + 1]
-    alpha = np.zeros((e.shape[0], fe.shape[0]))
-    for j in range(p):
+    e_before = np.concatenate([e_prev[None], e])[:-1]
+    a = A.reshape(A.shape + (1,) * (u.ndim - 2))
+    k = u.copy()
+    for j in range(A.shape[0]):
+        k += a[:, j] * e_before[:, j : j + 1]
+    alpha = np.zeros(k.shape[:1] + fe.shape[:1] + k.shape[2:])
+    for j in range(A.shape[0]):
         alpha += fe[:, j] * k[:, j : j + 1]
     return k, alpha
 
 
-def _single(A, bw, x0, fe, g, step):
-    """The errors (n+1, p) of one loop run by :func:`feedback_loop` with G = 1."""
-    return feedback_loop(A, bw[..., None], x0[:, None], fe[..., None], g[..., None], step)[..., 0]
+def _one_loop(A, bw, x0, fe, g, step):
+    """(k, alpha, e), each (n+1, .), of one loop over a horizon: x0, then bw (n, p)."""
+    u = np.concatenate([x0[None], bw])
+    e_prev = np.zeros_like(x0)
+    e = feedback_loop(A, u[..., None], e_prev[:, None], fe[..., None], g[..., None], step)[..., 0]
+    return (*innovations(A, u, e_prev, fe, e), e)
 
 
 def awgn_loop(A, bw, x0, fe, g, noise):
     """One loop over the unit Gaussian channel; returns (k, alpha, beta, e)."""
-    e = _single(A, bw, x0, fe, g, awgn_step(noise[..., None]))
-    k, alpha = innovations(A, bw, x0, fe, e)
+    k, alpha, e = _one_loop(A, bw, x0, fe, g, awgn_step(noise[..., None]))
     return k, alpha, alpha + noise, e
 
 
@@ -182,8 +177,8 @@ def _lattice_loop(A, bw, x0, fe, g, dither, scale, nearest):
     """One loop through :func:`lattice_step`; returns (idx, k, alpha, beta, e)."""
     scale = np.asarray(scale, float)
     z = np.empty(dither.shape + (1,))
-    e = _single(A, bw, x0, fe, g, lattice_step(dither[..., None], scale[..., None], nearest, z))
-    k, alpha = innovations(A, bw, x0, fe, e)
+    step = lattice_step(dither[..., None], scale[..., None], nearest, z)
+    k, alpha, e = _one_loop(A, bw, x0, fe, g, step)
     idx = z[..., 0].astype(np.int64)
     return idx, k, alpha, dithered_decode(idx, dither, scale), e
 

@@ -200,10 +200,10 @@ def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
     x0, draw = source_noise(src, seed)
     w = draw(n)
-    bw = w @ src.B.T
+    u = np.concatenate([x0[None], w @ src.B.T])
     with np.errstate(over="ignore", invalid="ignore"):
         # the feedback loop without a channel is the state recursion
-        samples = kernels.feedback_loop(src.A, bw[..., None], x0[:, None])
+        samples = kernels.feedback_loop(src.A, u[..., None], np.zeros((src.p, 1)))
     return Trajectory(samples=samples[..., 0], seed=int(seed), noise=w, x0=x0, source=src)
 
 
@@ -212,21 +212,20 @@ def source_from_dict(doc) -> GaussMarkovSource:
 
     Either {"A": [[...]], "B": [[...]], "sigma_x0": [[...]]} or
     {"ar_coefficients": [[[...]], ...], "B": [[...]], "sigma_x0": optional}.
-    sigma_x0 defaults to the identity.  Other keys raise ConfigParse.
+    sigma_x0 defaults to the identity.  Other keys, or both A and
+    ar_coefficients, raise ConfigParse.
     """
     config_mapping(doc, "source", ("A", "B", "sigma_x0", "ar_coefficients"))
+    if "A" in doc and "ar_coefficients" in doc:
+        raise ConfigParse("source description takes 'A' or 'ar_coefficients', not both")
     try:
-        if "ar_coefficients" in doc:
-            coeffs = [np.asarray(M, float) for M in doc["ar_coefficients"]]
-            B = np.asarray(doc["B"], float)
-            sigma = doc.get("sigma_x0")
-            return augment_ar(coeffs, B, None if sigma is None else np.asarray(sigma, float))
-        A = np.asarray(doc["A"], float)
         B = np.asarray(doc["B"], float)
         sigma = doc.get("sigma_x0")
-        if sigma is None:
-            sigma = np.eye(A.shape[0])
-        return new_source(A, B, np.asarray(sigma, float))
+        sigma = None if sigma is None else np.asarray(sigma, float)
+        if "ar_coefficients" in doc:
+            return augment_ar([np.asarray(M, float) for M in doc["ar_coefficients"]], B, sigma)
+        A = np.asarray(doc["A"], float)
+        return new_source(A, B, np.eye(A.shape[0]) if sigma is None else sigma)
     except KeyError as exc:
         raise ConfigParse(f"source description missing key {exc}") from exc
     except (ValueError, TypeError) as exc:

@@ -257,6 +257,19 @@ class TestConfigParsing:
         assert cfg.d_grid == (1.0, 2.5) and cfg.n_steps == 1000 and cfg.seeds.source == 5
         assert type(cfg.n_steps) is int and type(cfg.seeds.source) is int
 
+    @pytest.mark.parametrize(
+        "field, named",
+        [
+            ({"n_steps": True}, "n_steps"),
+            ({"d_grid": [True, 2.0]}, "distortion grid"),
+            ({"seeds": {"source": False}}, "seeds.source"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, field, named):
+        doc = {"source": {"A": [[0.5]], "B": [[1.0]]}, "d_grid": [0.5], **field}
+        with pytest.raises(ConfigParse, match=named):
+            experiments.config_from_dict(doc)
+
     def test_preset_n_steps_is_checked_once(self):
         # preset_config hands n_steps to ExperimentConfig unconverted
         for bad in (2.5, "7"):
@@ -340,6 +353,7 @@ class TestCli:
             {"source": {"A": [[0.5]], "B": [[1.0]], "sigma_xo": [[9.0]]}},
             {"source": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0], [0.0]]}},
             {"source": {"A": [[0.5]], "B": [[1.0]], "sigma_x0": [[-1.0]]}},
+            {"source": {"A": [[0.5]], "B": [[1.0]], "ar_coefficients": [[[0.3]], [[0.5]]]}},
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, field):
@@ -375,6 +389,12 @@ class TestCli:
     def test_preset_bad_n_steps_exit_two(self, capsys):
         assert cli.main(["preset", "example4", "--n-steps", "0"]) == 2
         assert capsys.readouterr().err == "error: n_steps must be >= 1\n"
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_preset_bad_grid_points_exit_two(self, capsys, points):
+        args = ["preset", "example4", "--quantizer", "none", "--grid-points", points]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"error: grid points must be >= 1, got {points}\n"
 
     def test_quantizer_default_is_the_preset_quantizer(self, tmp_path, capsys):
         args = ["preset", "example4", "--n-steps", "500", "--grid-points", "3", "--out"]

@@ -174,6 +174,12 @@ def per_term_loop(A, bw, x0, fe=None, g=None, step=None):
     return e
 
 
+def horizon_loop(A, bw, x0, fe=None, g=None, step=None):
+    """``kernels.feedback_loop`` over a horizon: the rows x0, bw..., from a zero error."""
+    u = np.concatenate([x0[None], bw])
+    return kernels.feedback_loop(A, u, np.zeros_like(x0), fe, g, step)
+
+
 def per_call_lattice_step(dither, scale, nearest, z):
     """``kernels.lattice_step`` with fresh arrays each step, copied into z."""
 
@@ -244,7 +250,7 @@ def test_no_channel_is_the_state_recursion():
     A, bw, x0, *_ = loop_inputs(0, 0)
     want = np.empty((N + 1, P))
     _state_loop(A, bw, x0, want)
-    e = kernels.feedback_loop(A, bw[..., None], x0[:, None])
+    e = horizon_loop(A, bw[..., None], x0[:, None])
     assert np.array_equal(e[..., 0], want)
 
 
@@ -349,7 +355,8 @@ def test_mixed_batch_rows_equal_single_runs(kind):
         step = kernels.lattice_step(noise, np.full((rmax, len(runs)), np.sqrt(12.0)), z_nearest, z)
     else:
         step = kernels.lattice_step(noise, np.full(len(runs), SCALE), d4_nearest_columns, z)
-    e = kernels.feedback_loop(A, bw, x0, fe, g, step)
+    e = horizon_loop(A, bw, x0, fe, g, step)
+    k, alpha = kernels.innovations(A, np.concatenate([x0[None], bw]), np.zeros_like(x0), fe, e)
 
     for col, (r, run) in enumerate(zip(widths, runs)):
         if kind == "awgn":
@@ -363,6 +370,8 @@ def test_mixed_batch_rows_equal_single_runs(kind):
             want = ref_d4(A, *run, SCALE)
         assert_all_equal(single, want)
         assert np.array_equal(e[:, :, col], single[-1])
+        assert np.array_equal(k[:, :, col], single[-4])
+        assert np.array_equal(alpha[:, :r, col], single[-3])
         if kind != "awgn":
             assert np.array_equal(z[:, :r, col].astype(np.int64), single[0])
 
@@ -471,7 +480,7 @@ def steps(kind, noise):
 
 def assert_loops_equal(A, bw, x0, fe, g, noise, kind):
     step, ref_step, z, ref_z = steps(kind, noise)
-    e = kernels.feedback_loop(A, bw, x0, fe, g, step)
+    e = horizon_loop(A, bw, x0, fe, g, step)
     ref_e = per_term_loop(A, bw, x0, fe, g, ref_step)
     assert np.abs(e).max() < 100.0  # the loops stayed bounded
     assert_same_bits(e, ref_e)
@@ -514,44 +523,51 @@ def test_no_channel_equals_per_term_loop():
     A[0] = 0.0
     A[0, 0] = -0.0
     bw[:, 0] = -0.0
-    e = kernels.feedback_loop(A, bw, x0)
+    e = horizon_loop(A, bw, x0)
     assert np.any(np.signbit(e[1:, 0]) & (e[1:, 0] == 0.0))
     assert_same_bits(e, per_term_loop(A, bw, x0))
 
 
 @pytest.mark.parametrize("kind", ["none", "awgn", "sdusq", "d4"])
 def test_loop_in_pieces_equals_one_run(kind):
-    # a run resumed from its carried error e_{t-1} piece by piece, the first
-    # piece holding no bw row and later ones a single row, equals one run
+    # a horizon's input rows cut into pieces, each run from the last error of
+    # the piece before, equal one run: the errors, the lattice coordinates and
+    # the innovations recomputed piece by piece.  Among the pieces are empty
+    # ones, one holding the first row (x0) only and others a single row
     base = "awgn" if kind == "none" else kind
     widths = [0, 0, 0] if kind == "none" else BATCHES[base, "stable"]
     A, bw, x0, fe, g, noise = mixed_batch(base, 0.9, widths)
-    if kind == "none":  # no channel
+    u = np.concatenate([x0[None], bw])
+    fe_k = fe
+    if kind == "none":  # no channel: alpha has no columns
         fe = g = None
+        fe_k = np.zeros((0,) + x0.shape)
 
-    def run(lo, hi, start):
-        # bw rows lo..hi-1 enter steps lo+1..hi; a fresh run also runs step 0.
-        # Returns the errors and the lattice coordinates (None without them)
-        t0 = lo + (start is not None)
-        step, _, z, _ = steps(base, noise[t0 : hi + 1])
+    def run(lo, hi, e_prev):
+        # rows lo..hi-1 of u from e_prev; the errors, the lattice coordinates
+        # (None without them) and the innovations (k, alpha)
+        step, _, z, _ = steps(base, noise[lo:hi])
         if fe is None:
             step = z = None
-        if start is None:
-            return kernels.feedback_loop(A, bw[lo:hi], x0, fe, g, step), z
-        return kernels.feedback_loop(A, bw[lo:hi], start, fe, g, step, resume=True), z
+        e = kernels.feedback_loop(A, u[lo:hi], e_prev, fe, g, step)
+        return e, z, kernels.innovations(A, u[lo:hi], e_prev, fe_k, e)
 
-    e, z = run(0, N, None)
-    cuts = [0, 0, 1, 2, 250, 777, N]
-    pieces, start = [], None
+    e, z, (k, alpha) = run(0, N + 1, np.zeros_like(x0))
+    cuts = [0, 0, 1, 2, 3, 250, 777, 777, N + 1]
+    pieces, e_prev = [], np.zeros_like(x0)
     for lo, hi in zip(cuts, cuts[1:]):
-        got = run(lo, hi, start)
+        got = run(lo, hi, e_prev)
+        assert got[0].shape == (hi - lo,) + x0.shape
         pieces.append(got)
-        start = got[0][-1]
-    assert_same_bits(np.concatenate([e for e, _ in pieces]), e)
+        if hi > lo:
+            e_prev = got[0][-1]
+    assert_same_bits(np.concatenate([ep for ep, _, _ in pieces]), e)
+    assert_same_bits(np.concatenate([kp for _, _, (kp, _) in pieces]), k)
+    assert_same_bits(np.concatenate([ap for _, _, (_, ap) in pieces]), alpha)
     if z is None:
-        assert all(zp is None for _, zp in pieces)
+        assert all(zp is None for _, zp, _ in pieces)
     else:
-        assert_same_bits(np.concatenate([zp for _, zp in pieces]), z)
+        assert_same_bits(np.concatenate([zp for _, zp, _ in pieces]), z)
 
 
 def test_kernel_bench_runs_without_scipy():

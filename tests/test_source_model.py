@@ -295,6 +295,11 @@ class TestSourceFromDict:
         with pytest.raises(ConfigParse):
             zdrd.source_from_dict({"A": [[1.0]]})
 
+    def test_a_and_ar_coefficients_are_refused(self):
+        doc = {"A": [[0.9, 0], [0, 0.1]], "B": [[1.0]], "ar_coefficients": [[[0.3]], [[0.5]]]}
+        with pytest.raises(ConfigParse, match="'A' or 'ar_coefficients', not both"):
+            zdrd.source_from_dict(doc)
+
     def test_unknown_keys_are_rejected(self):
         doc = {"A": [[0.5]], "B": [[1.0]], "sigma_xo": [[9.0]]}
         with pytest.raises(ConfigParse, match=r"unknown source keys \['sigma_xo'\]"):
