@@ -35,7 +35,7 @@ from zdrd.coding import CHUNK, KINDS, SeedBundle, run_coding_batch
 from zdrd.experiments import default_grid, preset_config
 from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
-from zdrd.source_model import source_noise
+from zdrd.source_model import driving_rows, source_noise
 
 A4 = [
     [0.8147, 0.6324, 0.9575, 0.9572],
@@ -97,7 +97,7 @@ def example1_indices(n):
     dith = kind.dither(np.random.default_rng(2), n + 1, fe.shape[0])[..., None]
     z = np.empty(dith.shape)
     step = kernels.lattice_step(dith, kind.scale, kind.nearest, z)
-    u = np.concatenate([x0[None], draw(n) @ src.B.T])[..., None]
+    u = np.concatenate([x0[None], driving_rows(src, draw(n))])[..., None]
     kernels.feedback_loop(src.A, u, np.zeros((src.p, 1)), fe[..., None], g[..., None], step)
     return z[..., 0].astype(np.int64)
 

@@ -7,13 +7,14 @@
 
 Exit status: 0 on success, 1 when any grid point failed, 2 on bad input: a
 config, source or option that does not parse or validate, or an output path
-whose directory is missing or not writable, before any point runs; and 2 when
-the CSV cannot be written after all.
+that is a directory or whose directory is missing or not writable, before any
+point runs; and 2 when the CSV cannot be written after all.
 ZDRD_SEED=<int> overrides the configured seeds (source <int>, dither
 <int> + 1).  Only this command reads it; the library runs the config it gets.
 """
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -58,6 +59,15 @@ def _env_seed_override(config):
     return replace(config, seeds=coding.SeedBundle(source=base, dither=base + 1))
 
 
+def _unwritable(path):
+    """Why no CSV can be written at ``path``, as far as is known before the sweep."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        return f"no writable directory {folder}"
+    if os.path.isdir(path):  # as open() would raise
+        return str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "list-presets":
@@ -81,12 +91,10 @@ def main(argv=None):
     except ZdrdError as exc:  # the input, source matrices included, is at fault
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.csv_path:
-        folder = os.path.dirname(os.path.abspath(config.csv_path))
-        if not os.access(folder, os.W_OK):  # fail before the sweep, not after it
-            msg = f"error: cannot write {config.csv_path}: no writable directory {folder}"
-            print(msg, file=sys.stderr)
-            return 2
+    problem = config.csv_path and _unwritable(config.csv_path)
+    if problem:  # fail before the sweep, not after it
+        print(f"error: cannot write {config.csv_path}: {problem}", file=sys.stderr)
+        return 2
     try:
         report = experiments.run_experiment(config, per_dim=args.per_dim)
     except ZdrdError as exc:

@@ -30,12 +30,12 @@ from . import entropy_code, kernels
 from .errors import POINT_ERRORS, AlphabetOverflow, DimensionMismatch
 from .quantizers import D4_UNIT_SCALE, G4, SQRT12, d4_nearest_columns, z_nearest
 from .realization import RealizationScheme, channel_matrices
-from .source_model import GaussMarkovSource, source_noise
+from .source_model import GaussMarkovSource, driving_rows, source_noise
 
 ALPHABET_CAP = 2**20
 HALF_LOG2_PIE6 = 0.5 * math.log2(math.pi * math.e / 6.0)  # ~0.2546 bits
 HALF_LOG2_2PIE_G4 = 0.5 * math.log2(2.0 * math.pi * math.e * G4)  # ~0.1939 bits
-# rows of bw (loop steps) per horizon chunk of a coded batch, at least 2
+# loop steps per horizon chunk of a coded batch
 CHUNK = 2048
 
 
@@ -122,7 +122,8 @@ def run_coding_experiment(
     Deterministic given ``seeds``: the source path comes from seeds.source,
     the dither stream from seeds.dither; ``kind`` names the quantizer, a key
     of :data:`KINDS`.  Optionally dumps a per-step CSV trace (t,
-    indices..., codeword_length_bits, squared error).  This is
+    indices..., codeword_length_bits, sq_error), whose squared errors are
+    those that empirical_mse averages.  This is
     :func:`run_coding_batch` on one point; its error is raised.
     """
     (res,) = run_coding_batch(src, n, kind, [(scheme, seeds)], [trace_path])
@@ -141,17 +142,8 @@ def _check_point(src, scheme, kind, block):
 
 
 def _chunks(n):
-    """The ranges [a, b) of steps 0..n that the horizon chunks run.
-
-    A chunk runs CHUNK steps taking a row of B w each, the first also step 0
-    (x_0).  A last step left alone joins the chunk before it: its one-row
-    ``w @ B.T`` takes another BLAS path (gemv), whose sums differ in their
-    last bits from the rows of a longer product.
-    """
-    starts = [0, *range(CHUNK + 1, n + 1, CHUNK)]
-    if len(starts) > 1 and starts[-1] == n:
-        starts.pop()
-    return zip(starts, starts[1:] + [n + 1])
+    """The ranges [a, b) of CHUNK steps (the last maybe fewer) that cover steps 0..n."""
+    return ((a, min(a + CHUNK, n + 1)) for a in range(0, n + 1, CHUNK))
 
 
 def run_coding_batch(src, n, kind, points, trace_paths=None):
@@ -168,9 +160,10 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
 
     The horizon runs in chunks of steps (:func:`_chunks`).  Each chunk runs
     from the errors the chunk before ended with, zero before step 0, and
-    draws the next rows of every stream, so a result does not depend on the
-    chunk length.  Between chunks a point keeps only its index counts and
-    its per-step squared errors (and, when traced, its indices and errors),
+    draws the next rows of every stream; a row B w_t does not depend on the
+    rows formed with it (``source_model.driving_rows``), so a result does not
+    depend on the chunk length.  Between chunks a point keeps only its index
+    counts and its per-step squared errors (and, when traced, its indices),
     so memory grows with the horizon by 8 bytes per step and point.
 
     Returns one entry per point, in order: its CodingResult, or the error
@@ -206,11 +199,8 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
             fe[: scheme.r, :, col], g[:, : scheme.r, col] = channel_matrices(scheme)
     sq = np.empty((G, n + 1))  # squared error of every step, a row per point
     tallies = [entropy_code.RowCounts(r) for r in rs]
-    traced = {
-        col: ([], [])
-        for col, i in enumerate(live)
-        if rs[col] and trace_paths is not None and trace_paths[i] is not None
-    }
+    paths = trace_paths or [None] * len(points)
+    traced = {col: [] for col, i in enumerate(live) if rs[col] and paths[i] is not None}
     e_prev = np.zeros((p, G))  # the errors before the chunk's first step
     for a, b in _chunks(n):
         head = int(a == 0)  # step 0 takes x_0; step t > 0 takes B w_{t-1}
@@ -218,7 +208,7 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
         u[:head] = x0
         dither = np.zeros((b - a, rmax, G))
         for col, r in enumerate(rs):
-            u[head:, :, col] = noises[col](b - a - head) @ src.B.T
+            u[head:, :, col] = driving_rows(src, noises[col](b - a - head))
             if r:
                 dither[:, :r, col] = quantizer.dither(dithers[col], b - a, r)
         z = np.empty(dither.shape)  # the lattice coordinates of every step
@@ -235,8 +225,7 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
             rows = idx[:, :r, col]
             tallies[col].add(rows)
             if col in traced:
-                traced[col][0].append(rows.copy())
-                traced[col][1].append(e_col.copy())
+                traced[col].append(rows.copy())
         del idx, e  # freed before the next chunk is drawn
 
     for col, i in enumerate(live):
@@ -256,13 +245,13 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
         ent = entropy_code.empirical_entropy_bits(counts)
         out[i] = CodingResult(rate, ent, mse, n, len(counts))
         if col in traced:
-            idx_rows, e_rows = traced[col]
-            _write_trace(trace_paths[i], np.concatenate(idx_rows), lengths, np.concatenate(e_rows))
+            _write_trace(paths[i], np.concatenate(traced[col]), lengths, sq[col])
     return out
 
 
-def _write_trace(path, idx, lengths, e):
-    """Write the trace of one point; ``lengths`` is the code of its histogram."""
+def _write_trace(path, idx, lengths, sq):
+    """Write the trace of one point; ``lengths`` is the code of its histogram
+    and ``sq`` its per-step squared errors, which its MSE averages."""
     r = idx.shape[1]
     # np.unique orders the rows as count_rows does, so row t is symbol[t]
     _, symbol = np.unique(idx, axis=0, return_inverse=True)
@@ -271,5 +260,6 @@ def _write_trace(path, idx, lengths, e):
         writer.writerow(
             ["t"] + [f"index_{i}" for i in range(r)] + ["codeword_length_bits", "sq_error"]
         )
-        for t, (row, length) in enumerate(zip(idx.tolist(), lengths[symbol].tolist())):
-            writer.writerow([t, *row, length, float(np.dot(e[t], e[t]))])
+        rows = zip(idx.tolist(), lengths[symbol].tolist(), sq.tolist())
+        for t, (row, length, err) in enumerate(rows):
+            writer.writerow([t, *row, length, err])

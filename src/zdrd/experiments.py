@@ -190,6 +190,9 @@ def config_from_dict(doc) -> ExperimentConfig:
     csv_path = config_mapping(doc.get("outputs", {}), "outputs", ("csv",)).get("csv")
     if csv_path is not None and not isinstance(csv_path, str):
         raise ConfigParse(f"outputs.csv must be a path string, got {csv_path!r}")
+    name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise ConfigParse(f"name must be a string, got {name!r}")
     return ExperimentConfig(
         source=src,
         d_grid=grid,
@@ -197,7 +200,7 @@ def config_from_dict(doc) -> ExperimentConfig:
         seeds=seeds,
         quantizer=None if quantizer == "none" else quantizer,
         csv_path=csv_path,
-        name=str(doc.get("name", "custom")),
+        name=name,
     )
 
 

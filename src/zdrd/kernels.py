@@ -47,7 +47,9 @@ and k starts from -0.0, the exact additive identity, so that k is u plus
 the terms even when all of them are -0.0.
 ``tests/test_kernels.py::TestReductionOrder`` pins these facts.
 
-The quantizer is a step function ``step(t, alpha) -> beta``.
+The quantizer is a step function ``step(t, k, alpha) -> beta``; k (p, G)
+and alpha (r, G) are views of buffers the loop reuses, so a step that keeps
+them copies them.  Without a channel no step is called, and k is e.
 :func:`awgn_step` builds the Gaussian channel and :func:`lattice_step` the
 subtractive-dithered quantizer of any lattice, given its nearest-point rule
 on the ``(r, G)`` layout (``quantizers``); it writes each step's lattice
@@ -72,7 +74,8 @@ def feedback_loop(A, u, e_prev, fe=None, g=None, step=None):
     e_prev (p, G) its error before the first of them; fe (r, p, G) and
     g (p, r, G) are zero-padded to the widest active set, and ``step``
     quantizes alpha (r, G).  Without fe there is no channel.  Returns the
-    errors e (m, p, G); ``step`` is called with the row numbers, 0 first.
+    errors e (m, p, G); ``step`` is called with the row numbers, 0 first,
+    and the step's k and alpha.
     """
     p, G = e_prev.shape
     if fe is None:
@@ -104,7 +107,7 @@ def feedback_loop(A, u, e_prev, fe=None, g=None, step=None):
             continue
         np.multiply(fe_t, k_col, out=alpha_stack)
         np.add.reduce(alpha_stack, axis=0, initial=0.0, out=alpha_sum)
-        beta = step(t, alpha)
+        beta = step(t, k, alpha)
         np.multiply(g_t, beta[:, None], out=g_terms)
         np.subtract.reduce(e_stack, axis=0, out=e[t + 1])
     return e[1:]
@@ -114,7 +117,7 @@ def awgn_step(noise):
     """Channel step beta_t = alpha_t + v_t, with noise (n+1, r, G)."""
     beta = np.empty(noise.shape[1:])
 
-    def step(t, alpha):
+    def step(t, k, alpha):
         return np.add(alpha, noise[t], out=beta)
 
     return step
@@ -132,7 +135,7 @@ def lattice_step(dither, scale, nearest, z):
     scale = np.asarray(scale, float)  # a scalar as a 0-d array, cheaper for ufuncs
     beta = np.empty(dither.shape[1:])
 
-    def step(t, alpha):
+    def step(t, k, alpha):
         q = dither[t]
         zt = dithered_encode(alpha, q, scale, nearest, out=z[t])
         return dithered_decode(zt, q, scale, out=beta)
@@ -140,31 +143,17 @@ def lattice_step(dither, scale, nearest, z):
     return step
 
 
-def innovations(A, u, e_prev, fe, e):
-    """k_t and alpha_t of the steps :func:`feedback_loop` ran on u from e_prev.
-
-    Recomputed from the errors e, vectorized over time with the loop's
-    arithmetic and order, so they equal the values the loop used on a
-    horizon or any piece of it.  One loop has u, e (m, p) and fe (r, p), a
-    batch u, e (m, p, G) and fe (r, p, G).
-    """
-    e_before = np.concatenate([e_prev[None], e])[:-1]
-    a = A.reshape(A.shape + (1,) * (u.ndim - 2))
-    k = u.copy()
-    for j in range(A.shape[0]):
-        k += a[:, j] * e_before[:, j : j + 1]
-    alpha = np.zeros(k.shape[:1] + fe.shape[:1] + k.shape[2:])
-    for j in range(A.shape[0]):
-        alpha += fe[:, j] * k[:, j : j + 1]
-    return k, alpha
-
-
 def _one_loop(A, bw, x0, fe, g, step):
-    """(k, alpha, e), each (n+1, .), of one loop over a horizon: x0, then bw (n, p)."""
-    u = np.concatenate([x0[None], bw])
-    e_prev = np.zeros_like(x0)
-    e = feedback_loop(A, u[..., None], e_prev[:, None], fe[..., None], g[..., None], step)[..., 0]
-    return (*innovations(A, u, e_prev, fe, e), e)
+    """(k, alpha, e), each (n+1, .), of one loop over x0, then bw (n, p), as its steps saw them."""
+    u = np.concatenate([x0[None], bw])[..., None]
+    k, alpha = np.empty(u.shape), np.empty((u.shape[0], fe.shape[0], 1))
+
+    def recording(t, kt, at):
+        k[t], alpha[t] = kt, at
+        return step(t, kt, at)
+
+    e = feedback_loop(A, u, np.zeros_like(u[0]), fe[..., None], g[..., None], recording)
+    return (e if fe.shape[0] == 0 else k)[..., 0], alpha[..., 0], e[..., 0]
 
 
 def awgn_loop(A, bw, x0, fe, g, noise):

@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionMismatch, NotPD, OrderViolation
 from .linalg import fix_eigvec_signs, symmetrize
-from .source_model import GaussMarkovSource, Trajectory
+from .source_model import GaussMarkovSource, Trajectory, driving_rows
 
 ACTIVE_TOL = 1e-9  # a dimension is active when Ht exceeds this
 
@@ -170,7 +170,7 @@ def run_awgn_channel(scheme: RealizationScheme, traj: Trajectory, seed: int) -> 
     fe, g = channel_matrices(scheme)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((traj.samples.shape[0], scheme.r))
-    bw = traj.noise @ src.B.T
+    bw = driving_rows(src, traj.noise)
     k, alpha, beta, e = kernels.awgn_loop(src.A, bw, traj.x0, fe, g, noise)
     with np.errstate(invalid="ignore"):
         y = traj.samples - e

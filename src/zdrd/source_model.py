@@ -189,6 +189,15 @@ def source_noise(src: GaussMarkovSource, seed: int):
     return x0, lambda rows: rng.standard_normal((rows, src.q))
 
 
+def driving_rows(src: GaussMarkovSource, w):
+    """B w_t (m, p) of the noise rows w (m, q), summed as the feedback loop sums
+    (``kernels``), without BLAS, so a row does not depend on the rows beside it."""
+    bw = np.full((w.shape[0], src.p), -0.0)
+    for j in range(src.q):
+        bw += w[:, j, None] * src.B[:, j]
+    return bw
+
+
 def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
     """Simulate n steps (n+1 samples); deterministic given seed.
 
@@ -200,7 +209,7 @@ def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
     x0, draw = source_noise(src, seed)
     w = draw(n)
-    u = np.concatenate([x0[None], w @ src.B.T])
+    u = np.concatenate([x0[None], driving_rows(src, w)])
     with np.errstate(over="ignore", invalid="ignore"):
         # the feedback loop without a channel is the state recursion
         samples = kernels.feedback_loop(src.A, u[..., None], np.zeros((src.p, 1)))

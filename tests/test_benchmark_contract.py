@@ -4,7 +4,8 @@ The harness traces a sweep by wrapping the functions listed in
 ``perfbench/spans.py`` at their module attributes, and it builds its seed
 bundle from three positional seeds.  A wrap point removed from zdrd does
 not fail the harness: its per-layer metrics just read absent.  These tests
-fail instead.  The harness also finds its reference rates by ``repr(D)``,
+fail instead.  The names the harness calls directly fail every run when
+missing; a test here resolves them.  The harness also finds its reference rates by ``repr(D)``,
 so a last-bit change in a stable grid fails its gate; a test here pins
 that grid first.
 """
@@ -41,6 +42,37 @@ def test_every_wrap_point_is_callable(monkeypatch):
         if not callable(getattr(getattr(zdrd, module, None), attr, None))
     ]
     assert missing == []
+
+
+def test_names_the_harness_calls_resolve():
+    # perfbench calls these outside its wrap points (run.py, gate.py and
+    # workloads.py); without one of them every benchmark run fails
+    names = (
+        "kernels.get_backend",
+        "d_max",
+        "nrdf",
+        "build_realization",
+        "theoretical_upper_bound",
+        "SeedBundle",
+        "experiments.ExperimentConfig",
+        "experiments.default_grid",
+        "experiments.preset_config",
+        "experiments.run_experiment",
+        "source_model.new_source",
+    )
+
+    def resolve(name):
+        obj = zdrd
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        return obj
+
+    assert [name for name in names if not callable(resolve(name))] == []
+    # the gate reads these fields of a realization scheme
+    src = preset_config("example1").source
+    scheme = zdrd.build_realization(src, zdrd.nrdf(src, 1.0))
+    assert isinstance(scheme.r, int) and scheme.r == int(np.sum(scheme.active))
+    assert np.all(np.isfinite(np.log2(scheme.h_tilde[scheme.active])))
 
 
 def test_seed_bundle_takes_three_positional_seeds():

@@ -25,6 +25,7 @@ from zdrd.experiments import ExperimentConfig, preset_config, run_experiment
 from zdrd.quantizers import D4_UNIT_SCALE, G4, SQRT12
 from zdrd.realization import build_realization, channel_matrices
 from zdrd.solver import nrdf
+from zdrd.source_model import driving_rows, source_noise
 
 
 def reference_huffman_lengths(counts):
@@ -315,6 +316,26 @@ class TestCodingRuns:
         total_bits = sum(int(r[2]) for r in rows[1:])
         assert total_bits / 501 == pytest.approx(res.empirical_rate_bits_per_vector)
 
+    def test_trace_sq_error_is_what_the_mse_averages(self, tmp_path):
+        # a p = 4 trace writes each step's squared error as the batch sums it
+        # for empirical_mse; the run is rebuilt by one loop from the same seeds
+        src = preset_config("example1").source
+        scheme = build_realization(src, nrdf(src, 0.3))
+        n, path = 2000, tmp_path / "trace.csv"
+        res = run_coding_experiment(scheme, src, n, SeedBundle(5, 6), "sdusq", trace_path=path)
+        x0, draw = source_noise(src, 5)
+        dith = KINDS["sdusq"].dither(np.random.default_rng(6), n + 1, scheme.r)
+        fe, g = channel_matrices(scheme)
+        idx, _, _, _, e = kernels.sdusq_loop(
+            src.A, driving_rows(src, draw(n)), x0, fe, g, dith, np.full(scheme.r, SQRT12)
+        )
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert np.array_equal([[int(v) for v in row[1:-2]] for row in rows], idx)
+        sq = np.array([float(row[-1]) for row in rows])
+        assert np.array_equal(sq, np.sum(e * e, axis=1))
+        assert float(np.mean(sq)) == res.empirical_mse
+
     def test_result_json(self, tmp_path, scalar_half):
         scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
         res = run_coding_experiment(
@@ -391,8 +412,8 @@ class TestKinds:
 
 
 def dense_b_source(rho, seed=11, p=4):
-    """A source with spectral radius rho and a dense B: each entry of bw = w B^T
-    sums p products, so a one-row product by gemv would move it in its last bits."""
+    """A source with spectral radius rho and a dense B: each entry of B w_t sums
+    p products, which a BLAS product would round differently for one row (gemv)."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(p, p))
     A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
@@ -418,7 +439,7 @@ class TestHorizonChunks:
     # a batch runs its horizon in chunks of coding.CHUNK steps; every result
     # and trace must equal those of the same run in one chunk, whatever the
     # chunk length and wherever the horizon ends
-    @pytest.mark.parametrize("chunk", [2, 3, 97])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 97])
     @pytest.mark.parametrize("kind", ["sdusq", "d4"])
     @pytest.mark.parametrize("stability", ["stable", "unstable"])
     def test_results_do_not_depend_on_the_chunk_length(

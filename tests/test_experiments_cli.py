@@ -270,6 +270,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigParse, match=named):
             experiments.config_from_dict(doc)
 
+    @pytest.mark.parametrize("name", [None, ["a"], 3])
+    def test_name_must_be_a_string(self, name):
+        doc = {"source": {"A": [[0.5]], "B": [[1.0]]}, "d_grid": [0.5], "name": name}
+        with pytest.raises(ConfigParse, match="^name must be a string, got "):
+            experiments.config_from_dict(doc)
+
     def test_preset_n_steps_is_checked_once(self):
         # preset_config hands n_steps to ExperimentConfig unconverted
         for bad in (2.5, "7"):
@@ -354,6 +360,8 @@ class TestCli:
             {"source": {"A": [[0.5, 0.0], [0.0, 0.5]], "B": [[1.0], [0.0], [0.0]]}},
             {"source": {"A": [[0.5]], "B": [[1.0]], "sigma_x0": [[-1.0]]}},
             {"source": {"A": [[0.5]], "B": [[1.0]], "ar_coefficients": [[[0.3]], [[0.5]]]}},
+            {"name": None},
+            {"name": ["a"]},
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, field):
@@ -376,12 +384,26 @@ class TestCli:
         assert captured.err == f"error: cannot write {out}: no writable directory {out.parent}\n"
         assert captured.out == ""
 
-    def test_unwritable_out_exit_two(self, tmp_path, capsys):
-        # a path that cannot be opened for writing, here a directory, fails
-        # when the CSV is written
-        args = ["preset", "example4", "--quantizer", "none", "--grid-points", "2"]
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, monkeypatch):
+        # an output path that is a directory is found before the sweep runs,
+        # with the error open() would raise
+        monkeypatch.setattr(experiments, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+        args = ["preset", "example4", "--quantizer", "none", "--grid-points", "3"]
         assert cli.main([*args, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+        captured = capsys.readouterr()
+        with pytest.raises(IsADirectoryError) as opened:
+            open(tmp_path, "w")
+        assert captured.err == f"error: cannot write {tmp_path}: {opened.value}\n"
+        assert captured.out == ""
+
+    def test_out_under_a_file_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+        parent = tmp_path / "file.txt"
+        parent.write_text("")
+        out = parent / "x.csv"
+        assert cli.main(["preset", "example4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: no writable directory {parent}\n"
 
     def test_solve_missing_config(self, tmp_path, capsys):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2

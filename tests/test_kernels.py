@@ -167,7 +167,7 @@ def per_term_loop(A, bw, x0, fe=None, g=None, step=None):
         np.multiply(fe_t, k[:, None], out=fe_prod)
         for term in fe_prod:
             np.add(alpha, term, out=alpha)
-        beta = step(t, alpha)
+        beta = step(t, k, alpha)
         np.multiply(g_t, beta[:, None], out=g_prod)
         for term in g_prod:
             np.subtract(k, term, out=k)
@@ -183,12 +183,22 @@ def horizon_loop(A, bw, x0, fe=None, g=None, step=None):
 def per_call_lattice_step(dither, scale, nearest, z):
     """``kernels.lattice_step`` with fresh arrays each step, copied into z."""
 
-    def step(t, alpha):
+    def step(t, k, alpha):
         zt = dithered_encode(alpha, dither[t], scale, nearest)
         z[t] = zt
         return dithered_decode(zt, dither[t], scale)
 
     return step
+
+
+def recording(step, k, alpha):
+    """``step``, copying the k and alpha of each step t into k[t] and alpha[t]."""
+
+    def record(t, kt, at):
+        k[t], alpha[t] = kt, at
+        return step(t, kt, at)
+
+    return record
 
 
 def _alloc(n1, p, r):
@@ -355,8 +365,8 @@ def test_mixed_batch_rows_equal_single_runs(kind):
         step = kernels.lattice_step(noise, np.full((rmax, len(runs)), np.sqrt(12.0)), z_nearest, z)
     else:
         step = kernels.lattice_step(noise, np.full(len(runs), SCALE), d4_nearest_columns, z)
-    e = horizon_loop(A, bw, x0, fe, g, step)
-    k, alpha = kernels.innovations(A, np.concatenate([x0[None], bw]), np.zeros_like(x0), fe, e)
+    k, alpha = np.empty((N + 1, P, len(runs))), np.empty(noise.shape)
+    e = horizon_loop(A, bw, x0, fe, g, recording(step, k, alpha))
 
     for col, (r, run) in enumerate(zip(widths, runs)):
         if kind == "awgn":
@@ -532,25 +542,24 @@ def test_no_channel_equals_per_term_loop():
 def test_loop_in_pieces_equals_one_run(kind):
     # a horizon's input rows cut into pieces, each run from the last error of
     # the piece before, equal one run: the errors, the lattice coordinates and
-    # the innovations recomputed piece by piece.  Among the pieces are empty
+    # the k and alpha each step was called with.  Among the pieces are empty
     # ones, one holding the first row (x0) only and others a single row
     base = "awgn" if kind == "none" else kind
     widths = [0, 0, 0] if kind == "none" else BATCHES[base, "stable"]
     A, bw, x0, fe, g, noise = mixed_batch(base, 0.9, widths)
     u = np.concatenate([x0[None], bw])
-    fe_k = fe
-    if kind == "none":  # no channel: alpha has no columns
-        fe = g = None
-        fe_k = np.zeros((0,) + x0.shape)
 
     def run(lo, hi, e_prev):
         # rows lo..hi-1 of u from e_prev; the errors, the lattice coordinates
-        # (None without them) and the innovations (k, alpha)
+        # (None without them) and the steps' (k, alpha); with no channel no
+        # step is called, k is e and alpha has no columns
+        k, alpha = np.empty(u[lo:hi].shape), np.empty(noise[lo:hi].shape)
+        if kind == "none":
+            e = kernels.feedback_loop(A, u[lo:hi], e_prev)
+            return e, None, (e, alpha)
         step, _, z, _ = steps(base, noise[lo:hi])
-        if fe is None:
-            step = z = None
-        e = kernels.feedback_loop(A, u[lo:hi], e_prev, fe, g, step)
-        return e, z, kernels.innovations(A, u[lo:hi], e_prev, fe_k, e)
+        e = kernels.feedback_loop(A, u[lo:hi], e_prev, fe, g, recording(step, k, alpha))
+        return e, z, (k, alpha)
 
     e, z, (k, alpha) = run(0, N + 1, np.zeros_like(x0))
     cuts = [0, 0, 1, 2, 3, 250, 777, 777, N + 1]

@@ -267,7 +267,7 @@ class TestWaterfillingOracle:
         for a, D in ((0.5, 0.7), (-0.9, 3.0), (1.2, 0.4)):
             assert waterfilling_rate([a], D)[0] == scalar_ar1_nrdf(a, 1.0, D)
 
-    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize("p", [2, 4, 8, 16])
     def test_stable_modes(self, p):
         a = np.random.default_rng(100 + p).uniform(-0.95, 0.95, p)
         src = normal_source(a, p)
