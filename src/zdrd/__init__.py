@@ -40,11 +40,9 @@ from .experiments import (
     run_experiment,
 )
 from .realization import (
-    ChannelRun,
     RealizationScheme,
     build_realization,
     joint_diagonalize,
-    run_awgn_channel,
     waterfill_factors,
 )
 from .solver import NrdfSolution, nrdf, scalar_ar1_nrdf
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphabetOverflow",
     "BadDistortion",
-    "ChannelRun",
     "CodingResult",
     "ConfigParse",
     "DimensionMismatch",
@@ -92,7 +89,6 @@ __all__ = [
     "new_source",
     "nrdf",
     "preset_config",
-    "run_awgn_channel",
     "run_coding_experiment",
     "run_experiment",
     "scalar_ar1_nrdf",

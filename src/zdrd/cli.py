@@ -56,6 +56,8 @@ def _env_seed_override(config):
         base = int(raw)
     except ValueError as exc:
         raise ConfigParse(f"ZDRD_SEED must be an integer, got {raw!r}") from exc
+    if base < 0:
+        raise ConfigParse(f"ZDRD_SEED must be >= 0, got {raw!r}")
     return replace(config, seeds=coding.SeedBundle(source=base, dither=base + 1))
 
 

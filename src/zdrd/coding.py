@@ -5,7 +5,8 @@ dithered quantizers (independent scalar quantizers, or a D4 lattice on
 blocks of four coordinates), and the joint index vector of each time step
 is entropy coded memorylessly over time by a two-pass empirical Huffman
 code.  Reported numbers are bits per vector per step and the end-to-end
-mean squared error.
+mean squared error.  The Gaussian test channel (:func:`run_awgn_batch`) runs
+through the same driver, :func:`_run_loops`.
 
 For r active dimensions the measured rate is bracketed by
 
@@ -35,7 +36,7 @@ from .source_model import GaussMarkovSource, driving_rows, source_noise
 ALPHABET_CAP = 2**20
 HALF_LOG2_PIE6 = 0.5 * math.log2(math.pi * math.e / 6.0)  # ~0.2546 bits
 HALF_LOG2_2PIE_G4 = 0.5 * math.log2(2.0 * math.pi * math.e * G4)  # ~0.1939 bits
-# loop steps per horizon chunk of a coded batch
+# loop steps per horizon chunk of a closed-loop batch
 CHUNK = 2048
 
 
@@ -72,8 +73,8 @@ def _kind(kind):
 
 @dataclass(frozen=True)
 class SeedBundle:
-    source: int
-    dither: int
+    source: int  # x_0 and the driving noise
+    dither: int  # the dither, or the Gaussian channel's noise
     channel: int = 0  # seeds nothing; kept so that three positional seeds still build a bundle
 
 
@@ -132,11 +133,12 @@ def run_coding_experiment(
     return res
 
 
-def _check_point(src, scheme, kind, block):
+def _point_error(src, scheme, kind, block):
+    """The error that fails a point before it runs, or None."""
     if scheme.E.shape[0] != src.p:
-        raise DimensionMismatch("scheme dimension does not match source")
+        return DimensionMismatch("scheme dimension does not match source")
     if scheme.r % block != 0:
-        raise DimensionMismatch(
+        return DimensionMismatch(
             f"the {kind.upper()} quantizer needs r divisible by {block}, got r={scheme.r}"
         )
 
@@ -146,95 +148,109 @@ def _chunks(n):
     return ((a, min(a + CHUNK, n + 1)) for a in range(0, n + 1, CHUNK))
 
 
-def run_coding_batch(src, n, kind, points, trace_paths=None):
-    """Run the quantized loops of several schemes of ``src`` in lockstep.
+def _run_loops(src, n, points, kind, block, draw, step, sink=None):
+    """Run the closed loops of several schemes of ``src`` in lockstep, steps 0..n.
 
-    ``kind`` names the one quantizer of the batch, a key of :data:`KINDS`;
-    an unknown kind raises ValueError before any work.  ``points`` is a
-    sequence of (scheme, seeds).  Every point draws its own source path and
-    dither stream as :func:`run_coding_experiment` describes, its loop runs
-    in :func:`kernels.feedback_loop` with the others, and its indices get
-    their own histogram and Huffman code, so each result equals that of the
-    point run alone.  A point with r = 0 transmits nothing, and its
-    reproduction free-runs on the predictor.
+    The one driver of every closed loop.  ``points`` is a sequence of
+    (scheme, seeds).  A point draws x_0 and w from seeds.source
+    (``source_model.source_noise``), and its channel rows by
+    ``draw(rng, rows, r)`` from a generator seeded with seeds.dither.  The
+    horizon runs in chunks (:func:`_chunks`), each from the errors of the
+    chunk before; a row B w_t does not depend on the rows formed with it
+    (``source_model.driving_rows``), nor a loop on the loops beside it
+    (``kernels``), so each result equals its point run alone in one chunk.
+    ``step(noise, z)`` is a chunk's step on its (rows, rmax, G) channel rows;
+    a lattice step writes its coordinates into ``z``, whose (rows, r) part
+    of point i goes to ``sink(i, z_i)`` until an error it raises fails i.
 
-    The horizon runs in chunks of steps (:func:`_chunks`).  Each chunk runs
-    from the errors the chunk before ended with, zero before step 0, and
-    draws the next rows of every stream; a row B w_t does not depend on the
-    rows formed with it (``source_model.driving_rows``), so a result does not
-    depend on the chunk length.  Between chunks a point keeps only its index
-    counts and its per-step squared errors (and, when traced, its indices),
-    so memory grows with the horizon by 8 bytes per step and point.
-
-    Returns one entry per point, in order: its CodingResult, or the error
-    (one of ``errors.POINT_ERRORS``) that failed it.  ``trace_paths``
-    optionally names a per-step CSV trace for each point.
+    Returns per point its squared errors ||e_t||^2 of steps 0..n, 8 bytes a
+    step, or the error (one of ``errors.POINT_ERRORS``) that failed it.
     """
-    quantizer = _kind(kind)
-    p = src.p
-    out = [None] * len(points)
-    live = []
-    for i, (scheme, _) in enumerate(points):
-        try:
-            _check_point(src, scheme, kind, quantizer.block)
-            live.append(i)
-        except POINT_ERRORS as exc:
-            out[i] = exc
+    out = [_point_error(src, scheme, kind, block) for scheme, _ in points]
+    live = [i for i, res in enumerate(out) if res is None]
     if not live:
         return out
 
-    G = len(live)
+    p, G = src.p, len(live)
     rs = [points[i][0].r for i in live]
     rmax = max(rs)
     x0 = np.empty((p, G))
     fe = np.zeros((rmax, p, G))
     g = np.zeros((p, rmax, G))
-    noises, dithers = [], []
+    sources, channels = [], []
     for col, i in enumerate(live):
         scheme, seeds = points[i]
-        x0[:, col], draw = source_noise(src, seeds.source)
-        noises.append(draw)
-        dithers.append(np.random.default_rng(seeds.dither))
+        x0[:, col], source = source_noise(src, seeds.source)
+        sources.append(source)
+        channels.append(np.random.default_rng(seeds.dither))
         if scheme.r:
             fe[: scheme.r, :, col], g[:, : scheme.r, col] = channel_matrices(scheme)
     sq = np.empty((G, n + 1))  # squared error of every step, a row per point
-    tallies = [entropy_code.RowCounts(r) for r in rs]
-    paths = trace_paths or [None] * len(points)
-    traced = {col: [] for col, i in enumerate(live) if rs[col] and paths[i] is not None}
     e_prev = np.zeros((p, G))  # the errors before the chunk's first step
     for a, b in _chunks(n):
         head = int(a == 0)  # step 0 takes x_0; step t > 0 takes B w_{t-1}
         u = np.empty((b - a, p, G))
         u[:head] = x0
-        dither = np.zeros((b - a, rmax, G))
+        noise = np.zeros((b - a, rmax, G))
         for col, r in enumerate(rs):
-            u[head:, :, col] = driving_rows(src, noises[col](b - a - head))
+            u[head:, :, col] = driving_rows(src, sources[col](b - a - head))
             if r:
-                dither[:, :r, col] = quantizer.dither(dithers[col], b - a, r)
-        z = np.empty(dither.shape)  # the lattice coordinates of every step
-        step = kernels.lattice_step(dither, quantizer.scale, quantizer.nearest, z)
-        e = kernels.feedback_loop(src.A, u, e_prev, fe, g, step)
-        idx = z.astype(np.int64)
-        del u, dither, step, z
+                noise[:, :r, col] = draw(channels[col], b - a, r)
+        z = np.empty(noise.shape)
+        e = kernels.feedback_loop(src.A, u, e_prev, fe, g, step(noise, z))
+        del u, noise
         e_prev = e[-1].copy()
-        for col, r in enumerate(rs):
+        for col, (i, r) in enumerate(zip(live, rs)):
             e_col = e[:, :, col]
             sq[col, a:b] = np.sum(e_col * e_col, axis=1)
-            if not r:
-                continue
-            rows = idx[:, :r, col]
-            tallies[col].add(rows)
-            if col in traced:
-                traced[col].append(rows.copy())
-        del idx, e  # freed before the next chunk is drawn
-
+            if r and sink is not None and out[i] is None:
+                try:
+                    sink(i, z[:, :r, col])
+                except POINT_ERRORS as exc:
+                    out[i] = exc
+        del z, e  # freed before the next chunk is drawn
     for col, i in enumerate(live):
-        r = rs[col]
-        mse = float(np.mean(sq[col]))
-        if r == 0:
+        out[i] = sq[col] if out[i] is None else out[i]
+    return out
+
+
+def run_coding_batch(src, n, kind, points, trace_paths=None):
+    """Run the quantized loops of several schemes of ``src`` in lockstep.
+
+    ``kind`` names the batch's quantizer, a key of :data:`KINDS`; an unknown
+    kind raises ValueError before any work.  The points (scheme, seeds) run
+    in :func:`_run_loops`, and each point's indices get their own counts and
+    Huffman code.  A point fails with AlphabetOverflow once a lattice
+    coordinate reaches 2^52 in magnitude or its joint alphabet exceeds
+    ALPHABET_CAP.  Returns per point its CodingResult, or the error that
+    failed it; ``trace_paths`` optionally names a trace for each point.
+    """
+    quantizer = _kind(kind)
+    tallies = [entropy_code.RowCounts(scheme.r) for scheme, _ in points]
+    paths = trace_paths or [None] * len(points)
+    traced = {i: [] for i, path in enumerate(paths) if path is not None}
+
+    def step(dither, z):
+        return kernels.lattice_step(dither, quantizer.scale, quantizer.nearest, z)
+
+    def sink(i, z):
+        # floats this large have no fractional bits, and past 2^63 int64 wraps
+        if not np.all(np.abs(z) < 2.0**52):  # a nan fails too
+            raise AlphabetOverflow("a lattice coordinate reached 2^52 or is nan")
+        idx = z.astype(np.int64)
+        tallies[i].add(idx)
+        if i in traced:
+            traced[i].append(idx)
+
+    out = _run_loops(src, n, points, kind, quantizer.block, quantizer.dither, step, sink)
+    for i, sq in enumerate(out):
+        if isinstance(sq, Exception):
+            continue
+        mse = float(np.mean(sq))
+        if points[i][0].r == 0:
             out[i] = CodingResult(0.0, 0.0, mse, n, 0)
             continue
-        counts = tallies[col].histogram()
+        counts = tallies[i].histogram()
         if len(counts) > ALPHABET_CAP:
             out[i] = AlphabetOverflow(
                 f"observed joint alphabet {len(counts)} exceeds cap {ALPHABET_CAP}"
@@ -244,9 +260,21 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
         rate = int(counts @ lengths) / (n + 1)  # steps 0..n each send one codeword
         ent = entropy_code.empirical_entropy_bits(counts)
         out[i] = CodingResult(rate, ent, mse, n, len(counts))
-        if col in traced:
-            _write_trace(paths[i], np.concatenate(traced[col]), lengths, sq[col])
+        if i in traced:
+            _write_trace(paths[i], np.concatenate(traced[i]), lengths, sq)
     return out
+
+
+def run_awgn_batch(src, n, points):
+    """Run the Gaussian test channels of several schemes of ``src`` in lockstep.
+
+    Each point (scheme, seeds) runs as in :func:`run_coding_batch`, but its
+    channel adds unit-variance noise v_t drawn from seeds.dither.  Returns per
+    point its MSE, the mean of ||x_t - y_t||^2 over steps 0..n, or its error.
+    """
+    draw = lambda rng, rows, r: rng.standard_normal((rows, r))  # noqa: E731
+    out = _run_loops(src, n, points, "awgn", 1, draw, lambda noise, z: kernels.awgn_step(noise))
+    return [sq if isinstance(sq, Exception) else float(np.mean(sq)) for sq in out]
 
 
 def _write_trace(path, idx, lengths, sq):

@@ -104,8 +104,12 @@ class ExperimentConfig:
             raise ConfigParse("n_steps must be >= 1")
         if self.quantizer not in (None, *KINDS):
             raise ConfigParse(f"unknown quantizer {self.quantizer!r}")
+        seeds = {k: _integer(getattr(self.seeds, k), f"seeds.{k}") for k in ("source", "dither")}
+        if min(seeds.values()) < 0:
+            raise ConfigParse(f"seeds must be >= 0, got {seeds}")
         object.__setattr__(self, "d_grid", grid)
         object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "seeds", replace(self.seeds, **seeds))
 
 
 def _integer(value, what):
@@ -180,10 +184,7 @@ def config_from_dict(doc) -> ExperimentConfig:
     except KeyError as exc:
         raise ConfigParse(f"config missing key {exc}") from exc
     seeds_doc = config_mapping(doc.get("seeds", {}), "seeds", ("source", "dither"))
-    seeds = SeedBundle(
-        source=_integer(seeds_doc.get("source", DEFAULT_SEEDS.source), "seeds.source"),
-        dither=_integer(seeds_doc.get("dither", DEFAULT_SEEDS.dither), "seeds.dither"),
-    )
+    seeds = replace(DEFAULT_SEEDS, **seeds_doc)  # ExperimentConfig checks them
     quantizer = doc.get("quantizer")
     if isinstance(quantizer, dict):
         quantizer = config_mapping(quantizer, "quantizer", ("kind",)).get("kind")
@@ -220,21 +221,30 @@ def _solve_point(src, d, quantizer, seeds, row_index):
         scheme = build_realization(src, sol)
         r = scheme.r
         upper = theoretical_upper_bound(sol.rate_bits, r, quantizer or "sdusq")
-        job = None
-        if quantizer is not None:
-            row_seeds = SeedBundle(
-                source=seeds.source + 1000 * row_index,
-                dither=seeds.dither + 1000 * row_index,
-            )
-            job = (scheme, row_seeds)
         row = ExperimentRow(float(d), float(sol.rate_bits), float(upper), None, None, r, "ok")
-        return row, job
+        row = _finite_row(row)
+        if quantizer is None or row.status != "ok":
+            return row, None
+        row_seeds = SeedBundle(
+            source=seeds.source + 1000 * row_index,
+            dither=seeds.dither + 1000 * row_index,
+        )
+        return row, (scheme, row_seeds)
     except POINT_ERRORS as exc:  # sweeps survive isolated failures
         return _failed_row(d, exc), None
 
 
 def _failed_row(d, exc):
     return ExperimentRow(float(d), None, None, None, None, None, failure_status(exc))
+
+
+def _finite_row(row):
+    """``row``, or the row failed by a FloatingPointError that names its first
+    number that is not finite: a row reads ok only when its numbers are finite."""
+    for name, value in zip(CSV_HEADER[1:5], astuple(row)[1:5]):
+        if value is not None and not math.isfinite(value):
+            return _failed_row(row.d_target, FloatingPointError(f"{name} is {value}"))
+    return row
 
 
 def run_experiment(config: ExperimentConfig, per_dim=False) -> ExperimentReport:
@@ -259,11 +269,8 @@ def run_experiment(config: ExperimentConfig, per_dim=False) -> ExperimentReport:
             if isinstance(res, Exception):
                 rows[i] = _failed_row(rows[i].d_target, res)
             else:
-                rows[i] = replace(
-                    rows[i],
-                    rate_op_bits=float(res.empirical_rate_bits_per_vector),
-                    d_empirical=float(res.empirical_mse),
-                )
+                op, mse = float(res.empirical_rate_bits_per_vector), float(res.empirical_mse)
+                rows[i] = _finite_row(replace(rows[i], rate_op_bits=op, d_empirical=mse))
     if per_dim:
         rows = [_normalize_row(row, src.p) for row in rows]
     report = ExperimentReport(

@@ -4,8 +4,11 @@ Every closed-loop simulation in this package is a per-step feedback
 recursion that cannot be vectorized over time.  It is vectorized over
 loops instead: :func:`feedback_loop` advances G loops of one source (the
 grid points of a sweep) side by side on arrays of shape ``(p, G)`` and
-``(r, G)``, one step at a time.  All randomness is drawn by the callers
-and passed in as arrays, one stream per loop.
+``(r, G)``, one step at a time.  All randomness is passed in as arrays, one
+stream per loop.  The package's one driver, ``coding._run_loops``, draws the
+streams of both channels, runs the horizon in chunks and forms the squared
+errors; :func:`awgn_loop`, :func:`sdusq_loop` and :func:`d4_loop` run one
+loop over a horizon, for tests that compare them with scalar references.
 
 The loops run in innovations/error coordinates, one step per input row u_t,
 

@@ -17,9 +17,12 @@ information (Ht_i = 0): the rate allocation has shut them off, and only the
 r active coordinates are wired through the channel.
 
 The channel input is the innovation k_t = x_t - A y_{t-1}; alpha_t = Phi E k_t
-restricted to active coordinates crosses the unit-variance AWGN (or, in
-:mod:`zdrd.coding`, a dithered quantizer), and the output is scaled back by
-E^{-1} Theta.
+restricted to active coordinates crosses the unit-variance AWGN or a
+dithered quantizer, and the output is scaled back by E^{-1} Theta.  This
+module only builds the scheme; :func:`channel_matrices` gives the two
+matrices a loop needs, and every closed loop, over either channel, runs
+through the one driver of :mod:`zdrd.coding` (``run_awgn_batch``,
+``run_coding_batch``).
 """
 
 import json
@@ -27,10 +30,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionMismatch, NotPD, OrderViolation
 from .linalg import fix_eigvec_signs, symmetrize
-from .source_model import GaussMarkovSource, Trajectory, driving_rows
+from .source_model import GaussMarkovSource
 
 ACTIVE_TOL = 1e-9  # a dimension is active when Ht exceeds this
 
@@ -44,8 +46,6 @@ class RealizationScheme:
     h_tilde: np.ndarray  # per-coordinate gains, zero at inactive coordinates
     theta: np.ndarray
     phi: np.ndarray
-    H: np.ndarray  # = E^{-1} diag(h_tilde) E = I - pi lam^{-1}
-    sigma_v: np.ndarray  # = pi H^T
     active: np.ndarray  # boolean mask
     r: int
 
@@ -56,16 +56,6 @@ class RealizationScheme:
     def to_json(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
-
-
-@dataclass(frozen=True)
-class ChannelRun:
-    x: np.ndarray  # (n+1, p) source states
-    y: np.ndarray  # (n+1, p) reproductions
-    k: np.ndarray  # (n+1, p) innovations  x_t - A y_{t-1}
-    alpha: np.ndarray  # (n+1, r) channel inputs
-    beta: np.ndarray  # (n+1, r) channel outputs
-    empirical_mse: float
 
 
 def joint_diagonalize(pi, lam):
@@ -126,19 +116,14 @@ def build_realization(src: GaussMarkovSource, sol) -> RealizationScheme:
     """Assemble the full scheme from a solved (pi, lam) pair."""
     E, pi_t, lam_t = joint_diagonalize(sol.pi, sol.lam)
     h, theta, phi, active, r = waterfill_factors(pi_t, lam_t)
-    E_inv = np.linalg.inv(E)
-    H = E_inv @ np.diag(h) @ E
-    sigma_v = symmetrize(sol.pi @ H.T)
     return RealizationScheme(
         E=E,
-        E_inv=E_inv,
+        E_inv=np.linalg.inv(E),
         pi_tilde=pi_t,
         lambda_tilde=lam_t,
         h_tilde=h,
         theta=theta,
         phi=phi,
-        H=H,
-        sigma_v=sigma_v,
         active=active,
         r=r,
     )
@@ -150,45 +135,3 @@ def channel_matrices(scheme: RealizationScheme):
     fe = (scheme.phi[:, None] * scheme.E)[act]
     g = (scheme.E_inv * scheme.theta[None, :])[:, act]
     return np.ascontiguousarray(fe), np.ascontiguousarray(g)
-
-
-def run_awgn_channel(scheme: RealizationScheme, traj: Trajectory, seed: int) -> ChannelRun:
-    """Drive the scheme with unit-variance Gaussian channel noise.
-
-    The loop runs in innovations/error coordinates (exact rearrangement of
-    the reproduction recursion, see :mod:`zdrd.kernels`), so unstable
-    sources are handled at any horizon; y is reported as x - e and inherits
-    float overflow from x when the raw state left float64 range.
-    empirical_mse averages ||x_t - y_t||^2 over the whole run.
-    """
-    p = scheme.E.shape[0]
-    if traj.samples.shape[1] != p:
-        raise DimensionMismatch(
-            f"trajectory dimension {traj.samples.shape[1]} does not match scheme ({p})"
-        )
-    src = traj.source
-    fe, g = channel_matrices(scheme)
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((traj.samples.shape[0], scheme.r))
-    bw = driving_rows(src, traj.noise)
-    k, alpha, beta, e = kernels.awgn_loop(src.A, bw, traj.x0, fe, g, noise)
-    with np.errstate(invalid="ignore"):
-        y = traj.samples - e
-    mse = float(np.mean(np.sum(e * e, axis=1)))
-    return ChannelRun(x=traj.samples, y=y, k=k, alpha=alpha, beta=beta, empirical_mse=mse)
-
-
-def steady_state_update(lam, H, sigma_v, A, BBt):
-    """One predicted-covariance update with fixed gains.
-
-    Sigma -> A (Sigma - Sigma H^T (H Sigma H^T + sigma_v)^+ H Sigma) A^T + BB^T.
-    The innovation covariance may be singular when coordinates are inactive,
-    hence the pseudoinverse.
-    """
-    lam = np.asarray(lam, float)
-    S = H @ lam @ H.T + sigma_v
-    # rcond above the solver-gap scale: inactive directions are exact zeros
-    # of the innovation covariance that carry only numerical noise
-    gain = lam @ H.T @ np.linalg.pinv(symmetrize(S), rcond=1e-9)
-    filt = lam - gain @ H @ lam
-    return symmetrize(A @ filt @ A.T + BBt)

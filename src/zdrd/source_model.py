@@ -79,16 +79,14 @@ class StabilityReport:
 class Trajectory:
     """A simulated run: samples[t] is the state at time t, 0 <= t <= n.
 
-    ``noise`` keeps the driving w_t sequence (shape (n, q)) and ``x0`` the
-    initial state, so downstream closed-loop runs can re-drive the exact
-    same source even when an unstable state sequence leaves float64 range.
-    ``source`` is the generating model.
+    ``source`` is the generating model.  The run's streams are those of
+    ``source_noise(source, seed)``; a closed loop draws them itself, chunk by
+    chunk (``coding``), so it needs no trajectory and never forms the raw
+    state, which an unstable source pushes past float64 range.
     """
 
     samples: np.ndarray
     seed: int
-    noise: np.ndarray
-    x0: np.ndarray
     source: "GaussMarkovSource"
 
     @property
@@ -202,18 +200,16 @@ def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
     """Simulate n steps (n+1 samples); deterministic given seed.
 
     For unstable sources the raw state grows geometrically and leaves
-    float64 range after enough steps; the stored driving noise keeps such
-    trajectories usable by the bounded closed-loop runs.
+    float64 range after enough steps.
     """
     if n < 0:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
     x0, draw = source_noise(src, seed)
-    w = draw(n)
-    u = np.concatenate([x0[None], driving_rows(src, w)])
+    u = np.concatenate([x0[None], driving_rows(src, draw(n))])
     with np.errstate(over="ignore", invalid="ignore"):
         # the feedback loop without a channel is the state recursion
         samples = kernels.feedback_loop(src.A, u[..., None], np.zeros((src.p, 1)))
-    return Trajectory(samples=samples[..., 0], seed=int(seed), noise=w, x0=x0, source=src)
+    return Trajectory(samples=samples[..., 0], seed=int(seed), source=src)
 
 
 def source_from_dict(doc) -> GaussMarkovSource:

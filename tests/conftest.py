@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 import zdrd
+from zdrd import kernels
+from zdrd.linalg import symmetrize
+from zdrd.realization import channel_matrices
+from zdrd.source_model import driving_rows, source_noise
 
 STABLE_4D_A = np.array(
     [
@@ -27,6 +31,40 @@ def random_source(p, seed, rho=0.9):
     A = rng.normal(size=(p, p))
     A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
     return zdrd.new_source(A, np.eye(p), np.eye(p))
+
+
+def awgn_reference(src, scheme, n, seeds):
+    """(k, alpha, beta, e) of one ``kernels.awgn_loop`` over steps 0..n, on the
+    streams ``coding.run_awgn_batch`` draws from ``seeds``: the source path
+    from seeds.source and the channel noise from seeds.dither."""
+    x0, draw = source_noise(src, seeds.source)
+    noise = np.random.default_rng(seeds.dither).standard_normal((n + 1, scheme.r))
+    fe, g = channel_matrices(scheme)
+    return kernels.awgn_loop(src.A, driving_rows(src, draw(n)), x0, fe, g, noise)
+
+
+def fixed_gains(scheme, sol):
+    """(H, sigma_v) of a scheme: H = E^{-1} diag(h_tilde) E = I - pi lam^{-1}
+    and sigma_v = pi H^T, the gain and noise covariance of the realization read
+    as a fixed-gain filter, which only the steady-state checks use."""
+    H = scheme.E_inv @ np.diag(scheme.h_tilde) @ scheme.E
+    return H, symmetrize(sol.pi @ H.T)
+
+
+def steady_state_update(lam, H, sigma_v, A, BBt):
+    """One predicted-covariance update with fixed gains.
+
+    Sigma -> A (Sigma - Sigma H^T (H Sigma H^T + sigma_v)^+ H Sigma) A^T + BB^T.
+    The innovation covariance may be singular when coordinates are inactive,
+    hence the pseudoinverse.
+    """
+    lam = np.asarray(lam, float)
+    S = H @ lam @ H.T + sigma_v
+    # rcond above the solver-gap scale: inactive directions are exact zeros
+    # of the innovation covariance that carry only numerical noise
+    gain = lam @ H.T @ np.linalg.pinv(symmetrize(S), rcond=1e-9)
+    filt = lam - gain @ H @ lam
+    return symmetrize(A @ filt @ A.T + BBt)
 
 
 @pytest.fixture(scope="session")

@@ -17,13 +17,16 @@ from zdrd import experiments, kernels
 from zdrd.coding import (
     HALF_LOG2_PIE6,
     SeedBundle,
+    run_awgn_batch,
     run_coding_batch,
     run_coding_experiment,
     theoretical_upper_bound,
 )
 from zdrd.quantizers import SQRT12
-from zdrd.realization import build_realization, channel_matrices, steady_state_update
+from zdrd.realization import build_realization, channel_matrices
 from zdrd.solver import FORM_A, FORM_B, nrdf, scalar_ar1_nrdf
+
+from conftest import fixed_gains, steady_state_update
 
 
 def _report(criterion, ok, detail):
@@ -108,9 +111,8 @@ def test_criterion_5_realization_fidelity(scalar_half, stable_ar2, unstable_ar2,
     ok = True
     for i, (label, src, D) in enumerate(cases):
         scheme = build_realization(src, nrdf(src, D))
-        traj = zdrd.simulate(src, 100_000, seed=9000 + i)
-        run = zdrd.run_awgn_channel(scheme, traj, seed=9100 + i)
-        rel = abs(run.empirical_mse - D) / D
+        (mse,) = run_awgn_batch(src, 100_000, [(scheme, SeedBundle(9000 + i, 9100 + i))])
+        rel = abs(mse - D) / D
         ok = ok and rel < 0.02
         details.append(f"{label}: {100 * rel:.2f}%")
     _report("5 realization fidelity", ok, "; ".join(details) + " (tol 2%)")
@@ -212,10 +214,10 @@ def test_criterion_8_property_suites(stable4, unstable_ar2, scalar_half, tmp_pat
     ric_worst = 0.0
     for src, D in [(stable4, 1.0), (unstable_ar2, 0.7)]:
         sol = nrdf(src, D)
-        scheme = build_realization(src, sol)
+        H, sigma_v = fixed_gains(build_realization(src, sol), sol)
         sigma = sol.lam.copy()
         for _ in range(20):
-            sigma = steady_state_update(sigma, scheme.H, scheme.sigma_v, src.A, src.B @ src.B.T)
+            sigma = steady_state_update(sigma, H, sigma_v, src.A, src.B @ src.B.T)
             ric_worst = max(ric_worst, np.linalg.norm(sigma - sol.lam))
     ric_ok = ric_worst < 1e-6
     details.append(f"riccati fixed point {ric_worst:.1e}")

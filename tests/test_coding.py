@@ -27,6 +27,8 @@ from zdrd.realization import build_realization, channel_matrices
 from zdrd.solver import nrdf
 from zdrd.source_model import driving_rows, source_noise
 
+from conftest import awgn_reference
+
 
 def reference_huffman_lengths(counts):
     """Heap Huffman construction the two-queue code must reproduce exactly:
@@ -264,6 +266,25 @@ class TestCodingRuns:
         capped = run_coding_batch(stable4, 3000, "sdusq", points)
         assert isinstance(capped[0], AlphabetOverflow)
         assert capped[2:] == got[2:]
+        # the Gaussian channel of the same points, through the same driver:
+        # each MSE is that of the point alone, and that of one awgn_loop on
+        # the same streams, bit for bit
+        mses = coding.run_awgn_batch(stable4, 3000, points)
+        assert isinstance(mses[1], DimensionMismatch)
+        for mse, (sch, seeds) in zip(mses[:1] + mses[2:], points[:1] + points[2:]):
+            assert mse == coding.run_awgn_batch(stable4, 3000, [(sch, seeds)])[0]
+            e = awgn_reference(stable4, sch, 3000, seeds)[-1]
+            assert mse == np.mean(np.sum(e * e, axis=1))
+
+    def test_lattice_coordinates_past_2_52_fail_their_point(self, scalar_half):
+        # at D = 1e-300 the coordinates pass 2^63, where an int64 cast wraps
+        # and the rate read 1 bit against a lower bound of 498; the point
+        # fails instead, and the other point of its batch runs on
+        schemes = [build_realization(scalar_half, nrdf(scalar_half, d)) for d in (1e-300, 0.5)]
+        points = [(sch, SeedBundle(1 + i, 2 + i)) for i, sch in enumerate(schemes)]
+        huge, fine = run_coding_batch(scalar_half, 100, "sdusq", points)
+        assert isinstance(huge, AlphabetOverflow) and "2^52" in str(huge)
+        assert fine == run_coding_experiment(schemes[1], scalar_half, 100, points[1][1], "sdusq")
 
     def test_d4_needs_four_active_dims(self, stable_ar2):
         scheme = build_realization(stable_ar2, nrdf(stable_ar2, 0.5))  # r = 1
@@ -440,11 +461,12 @@ class TestHorizonChunks:
     # and trace must equal those of the same run in one chunk, whatever the
     # chunk length and wherever the horizon ends
     @pytest.mark.parametrize("chunk", [1, 2, 3, 97])
-    @pytest.mark.parametrize("kind", ["sdusq", "d4"])
+    @pytest.mark.parametrize("kind", ["sdusq", "d4", "awgn"])
     @pytest.mark.parametrize("stability", ["stable", "unstable"])
     def test_results_do_not_depend_on_the_chunk_length(
         self, monkeypatch, tmp_path, chunk, kind, stability
     ):
+        # kind "awgn" is the Gaussian test channel, whose results are MSEs
         src, points = chunk_case(stability, kind)
         default = coding.CHUNK
         for n in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
@@ -452,12 +474,18 @@ class TestHorizonChunks:
             runs = []
             for length in (default, chunk):
                 monkeypatch.setattr(coding, "CHUNK", length)
+                if kind == "awgn":
+                    runs.append((coding.run_awgn_batch(src, n, points), None))
+                    continue
                 paths = [tmp_path / f"{length}-{i}.csv" for i in range(len(points))]
                 results = run_coding_batch(src, n, kind, points, paths)
                 traces = [p.read_bytes() if p.exists() else None for p in paths]
                 runs.append((results, traces))
             assert runs[0] == runs[1]
             results, traces = runs[0]
+            if kind == "awgn":
+                assert all(isinstance(mse, float) and np.isfinite(mse) for mse in results)
+                continue
             assert all(isinstance(res, coding.CodingResult) for res in results)
             assert traces[0] is not None and (traces[-1] is None) == (stability == "stable")
 

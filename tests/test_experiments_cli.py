@@ -114,6 +114,8 @@ class TestRunExperiment:
         assert experiments.run_experiment(cfg).rows == base.rows
         monkeypatch.setenv("ZDRD_SEED", "not-an-int")
         assert experiments.run_experiment(cfg).rows == base.rows
+        monkeypatch.setenv("ZDRD_SEED", "-1")
+        assert experiments.run_experiment(cfg).rows == base.rows
 
     def test_failed_coded_row(self, tmp_path, capsys):
         # the D4 quantizer needs r divisible by 4: near d_max example1 keeps r = 1
@@ -362,6 +364,8 @@ class TestCli:
             {"source": {"A": [[0.5]], "B": [[1.0]], "ar_coefficients": [[[0.3]], [[0.5]]]}},
             {"name": None},
             {"name": ["a"]},
+            {"seeds": {"source": -1}},
+            {"seeds": {"dither": -2}},
         ],
     )
     def test_malformed_values_exit_two(self, tmp_path, capsys, field):
@@ -439,6 +443,27 @@ class TestCli:
         monkeypatch.setenv("ZDRD_SEED", "not-an-int")
         assert cli.main([*args, str(tmp_path / "bad.csv")]) == 2
         assert "ZDRD_SEED must be an integer" in capsys.readouterr().err
+        monkeypatch.setenv("ZDRD_SEED", "-1")
+        assert cli.main([*args, str(tmp_path / "negative.csv")]) == 2
+        assert capsys.readouterr().err == "error: ZDRD_SEED must be >= 0, got '-1'\n"
+
+    @pytest.mark.parametrize(
+        "A, D, status",
+        [
+            # the bounds overflow; the row read ok with D_empirical nan
+            (1e200, 0.5, "failed:FloatingPointError: rate_lower_bits is inf"),
+            # the lattice coordinates pass 2^63; the row read ok at 1 bit
+            (0.5, 1e-300, "failed:AlphabetOverflow: a lattice coordinate reached 2^52 or is nan"),
+        ],
+    )
+    def test_rows_that_are_not_finite_fail(self, tmp_path, A, D, status):
+        source = {"A": [[A]], "B": [[1.0]]}
+        doc = {"source": source, "d_grid": [D], "n_steps": 100, "quantizer": "sdusq"}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 1
+        (row,) = experiments.read_csv(out)
+        assert row.status == status and row.rate_lower_bits is None
 
     def test_failed_rows_exit_one(self, tmp_path):
         doc = {

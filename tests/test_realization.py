@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zdrd
+from zdrd.coding import SeedBundle, run_awgn_batch
 from zdrd.errors import DimensionMismatch, NotPD, OrderViolation
 from zdrd.realization import (
     build_realization,
     channel_matrices,
     joint_diagonalize,
-    run_awgn_channel,
-    steady_state_update,
     waterfill_factors,
 )
 from zdrd.solver import nrdf
+
+from conftest import awgn_reference, fixed_gains, steady_state_update
 
 
 def random_pd(rng, p, scale=1.0):
@@ -113,12 +114,14 @@ class TestBuildRealization:
         sol = nrdf(src, zdrd.d_max(src) * 2)
         scheme = build_realization(src, sol)
         assert scheme.r == 0
-        assert np.allclose(scheme.H, 0.0)
-        assert np.allclose(scheme.sigma_v, 0.0)
+        H, sigma_v = fixed_gains(scheme, sol)
+        assert np.allclose(H, 0.0)
+        assert np.allclose(sigma_v, 0.0)
 
     def test_scalar_gain(self, scalar_half):
-        scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
-        assert scheme.H[0, 0] == pytest.approx(5.0 / 9.0, abs=1e-12)
+        sol = nrdf(scalar_half, 0.5)
+        H, _ = fixed_gains(build_realization(scalar_half, sol), sol)
+        assert H[0, 0] == pytest.approx(5.0 / 9.0, abs=1e-12)
 
     def test_stable4_all_active_below_threshold(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
@@ -132,11 +135,12 @@ class TestBuildRealization:
     def test_scheme_invariants(self, unstable4):
         sol = nrdf(unstable4, 1.0)
         s = build_realization(unstable4, sol)
+        H, sigma_v = fixed_gains(s, sol)
         assert np.linalg.norm(s.E @ s.E_inv - np.eye(4)) < 1e-10
         H_direct = np.eye(4) - sol.pi @ np.linalg.inv(sol.lam)
-        assert np.linalg.norm(s.H - H_direct) < 1e-8
+        assert np.linalg.norm(H - H_direct) < 1e-8
         assert np.all(np.abs(s.h_tilde - s.theta * s.phi) <= 1e-10)
-        assert np.linalg.norm(s.sigma_v - sol.pi @ s.H.T) < 1e-12
+        assert np.linalg.norm(sigma_v - sol.pi @ H.T) < 1e-12
 
     def test_rate_decomposes_over_active_dimensions(self, unstable_ar2):
         sol = nrdf(unstable_ar2, 0.8)
@@ -148,11 +152,11 @@ class TestBuildRealization:
     def test_riccati_fixed_point(self, stable4, unstable_ar2, unstable4):
         for src, d in [(stable4, 1.0), (unstable_ar2, 0.7), (unstable4, 1.2)]:
             sol = nrdf(src, d)
-            s = build_realization(src, sol)
+            H, sigma_v = fixed_gains(build_realization(src, sol), sol)
             BBt = src.B @ src.B.T
             sigma = sol.lam.copy()
             for _ in range(25):
-                sigma = steady_state_update(sigma, s.H, s.sigma_v, src.A, BBt)
+                sigma = steady_state_update(sigma, H, sigma_v, src.A, BBt)
                 assert np.linalg.norm(sigma - sol.lam) < 1e-6
 
     def test_scheme_json_roundtrip(self, tmp_path, stable4):
@@ -172,74 +176,77 @@ class TestBuildRealization:
 
 
 class TestAwgnChannel:
+    # the MSE tests run coding.run_awgn_batch; the structural ones run one
+    # kernels.awgn_loop on the same streams, and simulate gives the raw states
     def test_scalar_mse_tracks_target(self, scalar_half):
         sol = nrdf(scalar_half, 0.5)
         scheme = build_realization(scalar_half, sol)
-        traj = zdrd.simulate(scalar_half, 100_000, seed=1)
-        run = run_awgn_channel(scheme, traj, seed=2)
-        assert abs(run.empirical_mse - 0.5) / 0.5 < 0.02
+        (mse,) = run_awgn_batch(scalar_half, 100_000, [(scheme, SeedBundle(1, 2))])
+        assert abs(mse - 0.5) / 0.5 < 0.02
 
     def test_zero_rate_mse_reaches_dmax(self):
         src = zdrd.new_source([[0.3]], [[1.0]], [[1.0]])
         dmax = zdrd.d_max(src)
         scheme = build_realization(src, nrdf(src, 2 * dmax))
-        traj = zdrd.simulate(src, 100_000, seed=3)
-        run = run_awgn_channel(scheme, traj, seed=4)
-        assert abs(run.empirical_mse - dmax) / dmax < 0.03
+        (mse,) = run_awgn_batch(src, 100_000, [(scheme, SeedBundle(3, 4))])
+        assert abs(mse - dmax) / dmax < 0.03
 
     def test_determinism(self, scalar_half):
         scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
-        traj = zdrd.simulate(scalar_half, 2000, seed=5)
-        a = run_awgn_channel(scheme, traj, seed=6)
-        b = run_awgn_channel(scheme, traj, seed=6)
-        assert a.empirical_mse == b.empirical_mse
-        assert np.array_equal(a.y, b.y)
+        points = [(scheme, SeedBundle(5, 6))]
+        a = run_awgn_batch(scalar_half, 2000, points)
+        b = run_awgn_batch(scalar_half, 2000, points)
+        assert a == b
+        runs = [awgn_reference(scalar_half, scheme, 2000, SeedBundle(5, 6))[-1] for _ in "ab"]
+        assert np.array_equal(*runs)
 
     def test_dimension_mismatch(self, scalar_half, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
-        traj = zdrd.simulate(scalar_half, 100, seed=1)
-        with pytest.raises(DimensionMismatch):
-            run_awgn_channel(scheme, traj, seed=1)
+        (res,) = run_awgn_batch(scalar_half, 100, [(scheme, SeedBundle(1, 1))])
+        assert isinstance(res, DimensionMismatch)
 
     def test_reproduction_recursion_holds(self, stable4):
         # y_t = A y_{t-1} + G beta_t, the decoder side of the realization
         sol = nrdf(stable4, 1.0)
         scheme = build_realization(stable4, sol)
-        traj = zdrd.simulate(stable4, 300, seed=8)
-        run = run_awgn_channel(scheme, traj, seed=9)
+        _, _, beta, e = awgn_reference(stable4, scheme, 300, SeedBundle(8, 9))
+        y = zdrd.simulate(stable4, 300, seed=8).samples - e
         _, G = channel_matrices(scheme)
         yprev = np.zeros(4)
         for t in range(301):
-            expected = stable4.A @ yprev + G @ run.beta[t]
-            assert np.allclose(run.y[t], expected, atol=1e-9)
-            yprev = run.y[t]
+            expected = stable4.A @ yprev + G @ beta[t]
+            assert np.allclose(y[t], expected, atol=1e-9)
+            yprev = y[t]
 
     def test_innovations_match_definition(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
-        traj = zdrd.simulate(stable4, 300, seed=10)
-        run = run_awgn_channel(scheme, traj, seed=11)
+        k, _, _, e = awgn_reference(stable4, scheme, 300, SeedBundle(10, 11))
+        x = zdrd.simulate(stable4, 300, seed=10).samples
+        y = x - e
         for t in range(1, 301):
-            k_def = traj.samples[t] - stable4.A @ run.y[t - 1]
-            assert np.allclose(run.k[t], k_def, atol=1e-9)
+            k_def = x[t] - stable4.A @ y[t - 1]
+            assert np.allclose(k[t], k_def, atol=1e-9)
 
     def test_error_uncorrelated_with_reproduction(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
-        traj = zdrd.simulate(stable4, 100_000, seed=12)
-        run = run_awgn_channel(scheme, traj, seed=13)
-        err = run.x - run.y
-        c = (err[500:].T @ run.y[500:]) / (run.x.shape[0] - 500)
+        e = awgn_reference(stable4, scheme, 100_000, SeedBundle(12, 13))[-1]
+        x = zdrd.simulate(stable4, 100_000, seed=12).samples
+        y = x - e
+        err = x - y
+        c = (err[500:].T @ y[500:]) / (x.shape[0] - 500)
         assert np.max(np.abs(c)) <= 0.02
 
     def test_unstable_source_long_horizon(self, unstable4):
         sol = nrdf(unstable4, 1.0)
         scheme = build_realization(unstable4, sol)
-        traj = zdrd.simulate(unstable4, 100_000, seed=14)
-        run = run_awgn_channel(scheme, traj, seed=15)
-        assert np.isfinite(run.empirical_mse)
-        assert abs(run.empirical_mse - 1.0) < 0.02
+        k, _, _, e = awgn_reference(unstable4, scheme, 100_000, SeedBundle(14, 15))
+        mse = float(np.mean(np.sum(e * e, axis=1)))
+        assert np.isfinite(mse)
+        assert abs(mse - 1.0) < 0.02
         # raw states overflowed, the bounded statistics did not
+        traj = zdrd.simulate(unstable4, 100_000, seed=14)
         assert not np.all(np.isfinite(traj.samples))
-        assert np.all(np.isfinite(run.k))
+        assert np.all(np.isfinite(k))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

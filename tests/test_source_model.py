@@ -9,6 +9,7 @@ from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 import zdrd
 from zdrd.errors import ConfigParse, DimensionMismatch, NotPSD
 from zdrd.linalg import as_matrix, check_psd, discrete_lyapunov
+from zdrd.source_model import source_noise
 
 from conftest import STABLE_4D_A, UNSTABLE_4D_A, random_source
 
@@ -113,10 +114,12 @@ class TestAugmentAr:
         a1, a2 = 0.3, 0.5
         src = zdrd.augment_ar([[[a1]], [[a2]]], [[1.0]])
         traj = zdrd.simulate(src, 500, seed=11)
-        x, xp = traj.x0[0], traj.x0[1]
+        x0, draw = source_noise(src, 11)  # the streams simulate drew
+        w = draw(500)
+        x, xp = x0[0], x0[1]
         direct = [x]
         for t in range(500):
-            acc = traj.noise[t, 0]
+            acc = w[t, 0]
             acc += a1 * x
             acc += a2 * xp
             xp, x = x, acc
