@@ -4,8 +4,9 @@
 For each kind of ``coding.KINDS`` it runs ``kernels.feedback_loop`` with
 ``kernels.lattice_step`` on the unstable 4-d source at D = 1 (r = 4 active
 dimensions) for G loops at once, G in {1, 4, 20}, each loop with its own
-source path and the kind's own dither draw.  It prints loop steps per
-second (G loops times the horizon, over the wall time) and microseconds per
+input rows (``source_model.source_rows``, seeds 0..G-1) and the kind's own
+dither draw.  It prints loop steps per second (G loops times the horizon,
+over the wall time) and microseconds per
 lockstep step (the wall time over the horizon, whatever G).  A kind whose
 block does not divide r runs on block-diagonal copies of the source, so a
 new kind is measured without editing this script.  The D4 dither row gives
@@ -35,7 +36,7 @@ from zdrd.coding import CHUNK, KINDS, SeedBundle, run_coding_batch
 from zdrd.experiments import default_grid, preset_config
 from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
-from zdrd.source_model import driving_rows, source_noise
+from zdrd.source_model import source_rows
 
 A4 = [
     [0.8147, 0.6324, 0.9575, 0.9572],
@@ -93,11 +94,10 @@ def example1_indices(n):
     src = preset_config("example1").source
     fe, g = channel_matrices(build_realization(src, nrdf(src, default_grid(src)[0])))
     kind = KINDS["sdusq"]
-    x0, draw = source_noise(src, 1)
     dith = kind.dither(np.random.default_rng(2), n + 1, fe.shape[0])[..., None]
     z = np.empty(dith.shape)
     step = kernels.lattice_step(dith, kind.scale, kind.nearest, z)
-    u = np.concatenate([x0[None], driving_rows(src, draw(n))])[..., None]
+    u = source_rows(src, 1)(n + 1)[..., None]
     kernels.feedback_loop(src.A, u, np.zeros((src.p, 1)), fe[..., None], g[..., None], step)
     return z[..., 0].astype(np.int64)
 
@@ -123,7 +123,7 @@ def main():
         r, p = fe1.shape
         rng = np.random.default_rng(0)
         for G in BATCHES:
-            u = rng.standard_normal((args.n + 1, p, G))  # x0, then the rows of B w
+            u = np.stack([source_rows(src, i)(args.n + 1) for i in range(G)], axis=-1)
             e_prev = np.zeros((p, G))
             fe = np.repeat(fe1[..., None], G, axis=-1)
             g = np.repeat(g1[..., None], G, axis=-1)

@@ -49,7 +49,6 @@ from .solver import NrdfSolution, nrdf, scalar_ar1_nrdf
 from .source_model import (
     GaussMarkovSource,
     StabilityReport,
-    Trajectory,
     augment_ar,
     d_max,
     new_source,
@@ -79,7 +78,6 @@ __all__ = [
     "SeedBundle",
     "SolverDivergence",
     "StabilityReport",
-    "Trajectory",
     "ZdrdError",
     "augment_ar",
     "build_realization",

@@ -31,7 +31,7 @@ from . import entropy_code, kernels
 from .errors import POINT_ERRORS, AlphabetOverflow, DimensionMismatch
 from .quantizers import D4_UNIT_SCALE, G4, SQRT12, d4_nearest_columns, z_nearest
 from .realization import RealizationScheme, channel_matrices
-from .source_model import GaussMarkovSource, driving_rows, source_noise
+from .source_model import GaussMarkovSource, source_rows
 
 ALPHABET_CAP = 2**20
 HALF_LOG2_PIE6 = 0.5 * math.log2(math.pi * math.e / 6.0)  # ~0.2546 bits
@@ -148,17 +148,18 @@ def _chunks(n):
     return ((a, min(a + CHUNK, n + 1)) for a in range(0, n + 1, CHUNK))
 
 
+@np.errstate(all="ignore")  # a loop that overflows fails by its sink or by its MSE
 def _run_loops(src, n, points, kind, block, draw, step, sink=None):
     """Run the closed loops of several schemes of ``src`` in lockstep, steps 0..n.
 
     The one driver of every closed loop.  ``points`` is a sequence of
-    (scheme, seeds).  A point draws x_0 and w from seeds.source
-    (``source_model.source_noise``), and its channel rows by
+    (scheme, seeds).  A point's input rows, x_0 and then B w_t, come from
+    ``source_model.source_rows(src, seeds.source)``, and its channel rows by
     ``draw(rng, rows, r)`` from a generator seeded with seeds.dither.  The
     horizon runs in chunks (:func:`_chunks`), each from the errors of the
-    chunk before; a row B w_t does not depend on the rows formed with it
-    (``source_model.driving_rows``), nor a loop on the loops beside it
-    (``kernels``), so each result equals its point run alone in one chunk.
+    chunk before; both streams drawn in pieces equal one draw, and a loop
+    does not depend on the loops beside it (``kernels``), so each result
+    equals its point run alone in one chunk.
     ``step(noise, z)`` is a chunk's step on its (rows, rmax, G) channel rows;
     a lattice step writes its coordinates into ``z``, whose (rows, r) part
     of point i goes to ``sink(i, z_i)`` until an error it raises fails i.
@@ -174,26 +175,22 @@ def _run_loops(src, n, points, kind, block, draw, step, sink=None):
     p, G = src.p, len(live)
     rs = [points[i][0].r for i in live]
     rmax = max(rs)
-    x0 = np.empty((p, G))
     fe = np.zeros((rmax, p, G))
     g = np.zeros((p, rmax, G))
     sources, channels = [], []
     for col, i in enumerate(live):
         scheme, seeds = points[i]
-        x0[:, col], source = source_noise(src, seeds.source)
-        sources.append(source)
+        sources.append(source_rows(src, seeds.source))
         channels.append(np.random.default_rng(seeds.dither))
         if scheme.r:
             fe[: scheme.r, :, col], g[:, : scheme.r, col] = channel_matrices(scheme)
     sq = np.empty((G, n + 1))  # squared error of every step, a row per point
     e_prev = np.zeros((p, G))  # the errors before the chunk's first step
     for a, b in _chunks(n):
-        head = int(a == 0)  # step 0 takes x_0; step t > 0 takes B w_{t-1}
         u = np.empty((b - a, p, G))
-        u[:head] = x0
         noise = np.zeros((b - a, rmax, G))
         for col, r in enumerate(rs):
-            u[head:, :, col] = driving_rows(src, sources[col](b - a - head))
+            u[:, :, col] = sources[col](b - a)
             if r:
                 noise[:, :r, col] = draw(channels[col], b - a, r)
         z = np.empty(noise.shape)

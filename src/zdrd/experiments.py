@@ -104,6 +104,11 @@ class ExperimentConfig:
             raise ConfigParse("n_steps must be >= 1")
         if self.quantizer not in (None, *KINDS):
             raise ConfigParse(f"unknown quantizer {self.quantizer!r}")
+        if self.quantizer is not None:
+            try:  # a coded point records its squared error of every step
+                np.empty((len(grid), n_steps + 1))
+            except (MemoryError, ValueError) as exc:
+                raise ConfigParse(f"n_steps {n_steps} is too long to record: {exc}") from exc
         seeds = {k: _integer(getattr(self.seeds, k), f"seeds.{k}") for k in ("source", "dither")}
         if min(seeds.values()) < 0:
             raise ConfigParse(f"seeds must be >= 0, got {seeds}")
@@ -214,6 +219,7 @@ def config_from_json(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+@np.errstate(all="ignore")  # a bound that overflows fails its row in _finite_row
 def _solve_point(src, d, quantizer, seeds, row_index):
     """Bounds of one grid point, and its coding job (scheme, seeds) or None."""
     try:

@@ -17,9 +17,10 @@ The loops run in innovations/error coordinates, one step per input row u_t,
     beta_t = alpha_t + v_t       (or the dithered-quantizer output)
     e_t = k_t - g @ beta_t
 
-A horizon's rows are u_0 = x_0 and u_t = B w_{t-1}, from e_{-1} = 0 (its
-A terms add exact zeros to x_0); a piece of a horizon runs from the last
-error of the piece before.  This rearranges the reproduction recursion
+A horizon's rows are u_0 = x_0 and u_t = B w_{t-1}, all made by
+``source_model.source_rows``, from e_{-1} = 0 (its A terms add exact zeros
+to x_0); a piece of a horizon runs from the last error of the piece
+before.  This rearranges the reproduction recursion
 y_t = A y_{t-1} + g beta_t exactly, with e_t = x_t - y_t.  Unstable sources
 push x_t itself past float64 range long before 1e5 steps; e_t and k_t stay
 stationary, so rates and distortions remain computable.  With no channel

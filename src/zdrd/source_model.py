@@ -5,8 +5,8 @@ w_t ~ N(0, I) i.i.d. and x_0 ~ N(0, sigma_x0).  The driving-noise covariance
 is fixed to the identity; any other covariance is absorbed into B.
 
 Randomness comes from NumPy's PCG64 generator (``numpy.random.default_rng``)
-with ziggurat Gaussian sampling, so a seed pins a trajectory bit-for-bit
-across runs of the same build.
+with ziggurat Gaussian sampling, so a seed pins a run's input rows
+(:func:`source_rows`) bit-for-bit across runs of the same build.
 """
 
 from dataclasses import dataclass, field
@@ -73,25 +73,6 @@ class StabilityReport:
     eigenvalues: np.ndarray  # complex, descending magnitude
     is_stable: bool
     rate_floor_bits: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A simulated run: samples[t] is the state at time t, 0 <= t <= n.
-
-    ``source`` is the generating model.  The run's streams are those of
-    ``source_noise(source, seed)``; a closed loop draws them itself, chunk by
-    chunk (``coding``), so it needs no trajectory and never forms the raw
-    state, which an unstable source pushes past float64 range.
-    """
-
-    samples: np.ndarray
-    seed: int
-    source: "GaussMarkovSource"
-
-    @property
-    def n(self):
-        return self.samples.shape[0] - 1
 
 
 def new_source(A, B, sigma_x0) -> GaussMarkovSource:
@@ -175,41 +156,43 @@ def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:
     return S
 
 
-def source_noise(src: GaussMarkovSource, seed: int):
-    """(x0, draw) of a run from ``seed``: x0 = F N(0, I), F F^T = sigma_x0,
-    then ``draw(rows)`` returns the next (rows, q) rows of the driving noise
-    w, all drawn in that order from one PCG64 stream, so a horizon drawn in
-    pieces equals one draw.  F = V sqrt(ev) by one eigh of the validated
-    sigma_x0, ev clipped at 0."""
+def source_rows(src: GaussMarkovSource, seed: int):
+    """``rows(m)``: the next m input rows (m, p) of the feedback loop on a run
+    from ``seed``.  Row 0 is x_0 = F z, F = V sqrt(ev) by one eigh of the
+    validated sigma_x0, ev clipped at 0; row t > 0 is B w_{t-1}, summed as
+    the loop sums (``kernels``), one rounded product per term in index order,
+    without BLAS, so a row does not depend on the rows beside it.  All come
+    from one PCG64 stream, p normals for z, then q per row of w, so a
+    horizon drawn in pieces equals one draw."""
     rng = np.random.default_rng(seed)
     ev, V = np.linalg.eigh(src.sigma_x0)
     x0 = (V * np.sqrt(np.clip(ev, 0.0, None))) @ rng.standard_normal(src.p)
-    return x0, lambda rows: rng.standard_normal((rows, src.q))
+    given = 0  # rows given out so far
+
+    def rows(m):
+        nonlocal given
+        head = int(given == 0 < m)  # row 0 of the run is x_0
+        given += m
+        u = np.full((m, src.p), -0.0)
+        u[:head] = x0
+        w = rng.standard_normal((m - head, src.q))
+        for j in range(src.q):
+            u[head:] += w[:, j, None] * src.B[:, j]
+        return u
+
+    return rows
 
 
-def driving_rows(src: GaussMarkovSource, w):
-    """B w_t (m, p) of the noise rows w (m, q), summed as the feedback loop sums
-    (``kernels``), without BLAS, so a row does not depend on the rows beside it."""
-    bw = np.full((w.shape[0], src.p), -0.0)
-    for j in range(src.q):
-        bw += w[:, j, None] * src.B[:, j]
-    return bw
-
-
-def simulate(src: GaussMarkovSource, n: int, seed: int) -> Trajectory:
-    """Simulate n steps (n+1 samples); deterministic given seed.
-
-    For unstable sources the raw state grows geometrically and leaves
-    float64 range after enough steps.
-    """
+def simulate(src: GaussMarkovSource, n: int, seed: int) -> np.ndarray:
+    """The states x_0..x_n (n + 1, p) of a run from ``seed``: the feedback
+    loop without a channel, which is the state recursion, over
+    ``source_rows(src, seed)``.  For unstable sources the raw state grows
+    geometrically and leaves float64 range after enough steps."""
     if n < 0:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
-    x0, draw = source_noise(src, seed)
-    u = np.concatenate([x0[None], driving_rows(src, draw(n))])
+    u = source_rows(src, seed)(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the feedback loop without a channel is the state recursion
-        samples = kernels.feedback_loop(src.A, u[..., None], np.zeros((src.p, 1)))
-    return Trajectory(samples=samples[..., 0], seed=int(seed), source=src)
+        return kernels.feedback_loop(src.A, u[..., None], np.zeros((src.p, 1)))[..., 0]
 
 
 def source_from_dict(doc) -> GaussMarkovSource:
@@ -229,7 +212,7 @@ def source_from_dict(doc) -> GaussMarkovSource:
         sigma = None if sigma is None else np.asarray(sigma, float)
         if "ar_coefficients" in doc:
             return augment_ar([np.asarray(M, float) for M in doc["ar_coefficients"]], B, sigma)
-        A = np.asarray(doc["A"], float)
+        A = as_matrix(doc["A"], "A")
         return new_source(A, B, np.eye(A.shape[0]) if sigma is None else sigma)
     except KeyError as exc:
         raise ConfigParse(f"source description missing key {exc}") from exc

@@ -5,7 +5,7 @@ import zdrd
 from zdrd import kernels
 from zdrd.linalg import symmetrize
 from zdrd.realization import channel_matrices
-from zdrd.source_model import driving_rows, source_noise
+from zdrd.source_model import source_rows
 
 STABLE_4D_A = np.array(
     [
@@ -37,10 +37,10 @@ def awgn_reference(src, scheme, n, seeds):
     """(k, alpha, beta, e) of one ``kernels.awgn_loop`` over steps 0..n, on the
     streams ``coding.run_awgn_batch`` draws from ``seeds``: the source path
     from seeds.source and the channel noise from seeds.dither."""
-    x0, draw = source_noise(src, seeds.source)
+    u = source_rows(src, seeds.source)(n + 1)
     noise = np.random.default_rng(seeds.dither).standard_normal((n + 1, scheme.r))
     fe, g = channel_matrices(scheme)
-    return kernels.awgn_loop(src.A, driving_rows(src, draw(n)), x0, fe, g, noise)
+    return kernels.awgn_loop(src.A, u[1:], u[0], fe, g, noise)
 
 
 def fixed_gains(scheme, sol):

@@ -25,7 +25,7 @@ from zdrd.experiments import ExperimentConfig, preset_config, run_experiment
 from zdrd.quantizers import D4_UNIT_SCALE, G4, SQRT12
 from zdrd.realization import build_realization, channel_matrices
 from zdrd.solver import nrdf
-from zdrd.source_model import driving_rows, source_noise
+from zdrd.source_model import source_rows
 
 from conftest import awgn_reference
 
@@ -344,11 +344,11 @@ class TestCodingRuns:
         scheme = build_realization(src, nrdf(src, 0.3))
         n, path = 2000, tmp_path / "trace.csv"
         res = run_coding_experiment(scheme, src, n, SeedBundle(5, 6), "sdusq", trace_path=path)
-        x0, draw = source_noise(src, 5)
+        u = source_rows(src, 5)(n + 1)
         dith = KINDS["sdusq"].dither(np.random.default_rng(6), n + 1, scheme.r)
         fe, g = channel_matrices(scheme)
         idx, _, _, _, e = kernels.sdusq_loop(
-            src.A, driving_rows(src, draw(n)), x0, fe, g, dith, np.full(scheme.r, SQRT12)
+            src.A, u[1:], u[0], fe, g, dith, np.full(scheme.r, SQRT12)
         )
         with open(path) as fh:
             rows = list(csv.reader(fh))[1:]

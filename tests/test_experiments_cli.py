@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -464,6 +467,50 @@ class TestCli:
         assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 1
         (row,) = experiments.read_csv(out)
         assert row.status == status and row.rate_lower_bits is None
+
+    def test_extreme_sources_fail_without_warnings(self, tmp_path):
+        # numpy's floating-point state is scoped to each point's solve and to
+        # the loop driver: each row says why it failed, and stderr holds no
+        # RuntimeWarning (shown by default, and asked for here)
+        root = os.path.dirname(os.path.dirname(zdrd.__file__))
+        paths = filter(None, [root, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        cases = [
+            ({"A": [[0.5]], "B": [[1e200]]}, "failed:FloatingPointError: rate_lower_bits is inf"),
+            (
+                {"A": [[1e100]], "B": [[1.0]]},
+                "failed:AlphabetOverflow: a lattice coordinate reached 2^52 or is nan",
+            ),
+        ]
+        for k, (source, status) in enumerate(cases):
+            doc = {"source": source, "d_grid": [0.5], "n_steps": 100, "quantizer": "sdusq"}
+            cfg_path, out = tmp_path / f"cfg{k}.json", tmp_path / f"out{k}.csv"
+            cfg_path.write_text(json.dumps(doc))
+            args = ["solve", "--config", str(cfg_path), "--out", str(out)]
+            run = subprocess.run(
+                [sys.executable, "-W", "default::RuntimeWarning", "-m", "zdrd.cli", *args],
+                env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 1, run.stderr
+            assert "RuntimeWarning" not in run.stderr
+            (row,) = experiments.read_csv(out)
+            assert row.status == status
+
+    def test_unallocatable_horizon_exits_two_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(experiments, "nrdf", lambda *args: solves.append(args))
+        doc = {
+            "source": {"A": [[0.5]], "B": [[1.0]]},
+            "d_grid": [0.5, 1.0],
+            "n_steps": 1e15,
+            "quantizer": "sdusq",
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_steps 1000000000000000 is too long to record: ")
+        assert solves == []
 
     def test_failed_rows_exit_one(self, tmp_path):
         doc = {

@@ -19,7 +19,7 @@ import pytest
 import zdrd
 from zdrd import kernels
 from zdrd.quantizers import d4_nearest_columns, dithered_decode, dithered_encode, z_nearest
-from zdrd.source_model import new_source, simulate, source_noise
+from zdrd.source_model import new_source, simulate
 
 
 def uniform_dither(rng, deltas, n):
@@ -266,12 +266,14 @@ def test_no_channel_is_the_state_recursion():
 
 def test_simulate_matches_state_recursion():
     src = new_source(np.eye(3) * 0.5 + 0.1, [[1.0, 0.0], [0.5, 1.0], [0.0, 2.0]], np.eye(3))
-    traj = simulate(src, 500, seed=4)
-    x0, draw = source_noise(src, 4)
-    w = draw(500)
+    # the draws in their documented order: p normals for x_0 (sigma_x0 = I,
+    # so x_0 is them), then q per row of w
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal(3)
+    w = rng.standard_normal((500, 2))
     want = np.empty((501, 3))
     _state_loop(src.A, w @ src.B.T, x0, want)
-    assert np.array_equal(traj.samples, want)
+    assert np.array_equal(simulate(src, 500, seed=4), want)
 
 
 def test_awgn_loop_exact():

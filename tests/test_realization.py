@@ -210,7 +210,7 @@ class TestAwgnChannel:
         sol = nrdf(stable4, 1.0)
         scheme = build_realization(stable4, sol)
         _, _, beta, e = awgn_reference(stable4, scheme, 300, SeedBundle(8, 9))
-        y = zdrd.simulate(stable4, 300, seed=8).samples - e
+        y = zdrd.simulate(stable4, 300, seed=8) - e
         _, G = channel_matrices(scheme)
         yprev = np.zeros(4)
         for t in range(301):
@@ -221,7 +221,7 @@ class TestAwgnChannel:
     def test_innovations_match_definition(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
         k, _, _, e = awgn_reference(stable4, scheme, 300, SeedBundle(10, 11))
-        x = zdrd.simulate(stable4, 300, seed=10).samples
+        x = zdrd.simulate(stable4, 300, seed=10)
         y = x - e
         for t in range(1, 301):
             k_def = x[t] - stable4.A @ y[t - 1]
@@ -230,7 +230,7 @@ class TestAwgnChannel:
     def test_error_uncorrelated_with_reproduction(self, stable4):
         scheme = build_realization(stable4, nrdf(stable4, 1.0))
         e = awgn_reference(stable4, scheme, 100_000, SeedBundle(12, 13))[-1]
-        x = zdrd.simulate(stable4, 100_000, seed=12).samples
+        x = zdrd.simulate(stable4, 100_000, seed=12)
         y = x - e
         err = x - y
         c = (err[500:].T @ y[500:]) / (x.shape[0] - 500)
@@ -244,8 +244,8 @@ class TestAwgnChannel:
         assert np.isfinite(mse)
         assert abs(mse - 1.0) < 0.02
         # raw states overflowed, the bounded statistics did not
-        traj = zdrd.simulate(unstable4, 100_000, seed=14)
-        assert not np.all(np.isfinite(traj.samples))
+        x = zdrd.simulate(unstable4, 100_000, seed=14)
+        assert not np.all(np.isfinite(x))
         assert np.all(np.isfinite(k))
 
 

@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 import zdrd
 from zdrd.errors import ConfigParse, DimensionMismatch, NotPSD
 from zdrd.linalg import as_matrix, check_psd, discrete_lyapunov
-from zdrd.source_model import source_noise
+from zdrd.source_model import source_rows
 
 from conftest import STABLE_4D_A, UNSTABLE_4D_A, random_source
 
@@ -113,10 +113,12 @@ class TestAugmentAr:
     def test_augmentation_preserves_dynamics(self):
         a1, a2 = 0.3, 0.5
         src = zdrd.augment_ar([[[a1]], [[a2]]], [[1.0]])
-        traj = zdrd.simulate(src, 500, seed=11)
-        x0, draw = source_noise(src, 11)  # the streams simulate drew
-        w = draw(500)
-        x, xp = x0[0], x0[1]
+        x_sim = zdrd.simulate(src, 500, seed=11)
+        # the draws in their documented order: p normals for x_0 (sigma_x0 = I,
+        # so x_0 is them), then q per row of w
+        rng = np.random.default_rng(11)
+        x, xp = rng.standard_normal(2)
+        w = rng.standard_normal((500, 2))
         direct = [x]
         for t in range(500):
             acc = w[t, 0]
@@ -124,7 +126,7 @@ class TestAugmentAr:
             acc += a2 * xp
             xp, x = x, acc
             direct.append(acc)
-        assert np.allclose(traj.samples[:, 0], direct, rtol=0, atol=1e-12)
+        assert np.allclose(x_sim[:, 0], direct, rtol=0, atol=1e-12)
 
     def test_augmented_floor_matches_companion(self, unstable_ar2):
         rep = zdrd.stability_report(unstable_ar2)
@@ -247,34 +249,77 @@ class TestMatrixChecks:
         with pytest.raises(error, match=message):
             check(M, "M")
 
+    def test_huge_entries_stay_finite(self):
+        # M + M.T overflowed to inf, with a RuntimeWarning, near the float64 maximum
+        M = [[1e308, 1e307], [1e307, 1e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.array_equal(check_psd(M, "M"), M)
+
 
 class TestSimulate:
     def test_zero_steps(self, scalar_half):
-        traj = zdrd.simulate(scalar_half, 0, seed=1)
-        assert traj.samples.shape == (1, 1)
+        assert zdrd.simulate(scalar_half, 0, seed=1).shape == (1, 1)
         with pytest.raises(DimensionMismatch, match="n must be >= 0, got -1"):
             zdrd.simulate(scalar_half, -1, 0)
 
     def test_determinism(self, stable4):
         a = zdrd.simulate(stable4, 200, seed=5)
         b = zdrd.simulate(stable4, 200, seed=5)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_run(self, stable4):
         a = zdrd.simulate(stable4, 200, seed=5)
         b = zdrd.simulate(stable4, 200, seed=6)
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
 
     def test_stationary_variance(self, scalar_half):
-        traj = zdrd.simulate(scalar_half, 100_000, seed=9)
-        var = np.var(traj.samples[1000:, 0])
+        x = zdrd.simulate(scalar_half, 100_000, seed=9)
+        var = np.var(x[1000:, 0])
         assert abs(var - 4.0 / 3.0) / (4.0 / 3.0) < 0.03
 
     def test_sample_covariance_matches_lyapunov(self, stable4):
-        traj = zdrd.simulate(stable4, 50_000, seed=10)
-        emp = np.cov(traj.samples[100:].T)
+        x = zdrd.simulate(stable4, 50_000, seed=10)
+        emp = np.cov(x[100:].T)
         S = solve_discrete_lyapunov(stable4.A, np.eye(4))
         assert np.linalg.norm(emp - S) / np.linalg.norm(S) < 0.05
+
+
+class TestSourceRows:
+    @pytest.fixture
+    def dense(self):
+        # a dense B with q != p and a sigma_x0 that is not the identity
+        B = [[1.0, -0.3, 2.5], [0.7, 1.9, -1.1]]
+        return zdrd.new_source([[0.9, 0.4], [-0.2, 0.7]], B, [[2.0, 0.6], [0.6, 0.5]])
+
+    def test_pieces_equal_one_draw(self, dense):
+        rows = source_rows(dense, 3)
+        pieces = [rows(m) for m in (0, 1, 2, 0, 97)]
+        assert [piece.shape for piece in pieces] == [(0, 2), (1, 2), (2, 2), (0, 2), (97, 2)]
+        whole = source_rows(dense, 3)(100)
+        assert np.array_equal(np.concatenate(pieces), whole)
+        # x_0 is the first row, and only the first
+        assert not any(np.array_equal(row, whole[0]) for row in whole[1:])
+        assert np.array_equal(source_rows(dense, 3)(1)[0], whole[0])
+
+    def test_rows_match_per_term_reference(self, dense):
+        m, seed = 50, 17
+        u = source_rows(dense, seed)(m + 1)
+        # the draws in their documented order: p normals for x_0, then
+        # (m, q) normals for w
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(dense.p)
+        w = rng.standard_normal((m, dense.q))
+        ev, V = np.linalg.eigh(dense.sigma_x0)
+        assert np.allclose(u[0], (V * np.sqrt(ev)) @ z, rtol=1e-15, atol=0)
+        bw = np.empty((m, dense.p))
+        for t in range(m):
+            for i in range(dense.p):
+                acc = -0.0
+                for j in range(dense.q):
+                    acc += w[t, j] * dense.B[i, j]
+                bw[t, i] = acc
+        assert np.array_equal(u[1:], bw)
 
 
 class TestSourceFromDict:
