@@ -2,10 +2,10 @@
 """Benchmark the lockstep feedback loop of every quantizer kind, the D4 dither and ``simulate``.
 
 For each kind of ``coding.KINDS`` it runs ``kernels.feedback_loop`` with
-``kernels.lattice_step`` on the unstable 4-d source at D = 1 (r = 4 active
-dimensions) for G loops at once, G in {1, 4, 20}, each loop with its own
-input rows (``source_model.source_rows``, seeds 0..G-1) and the kind's own
-dither draw.  It prints loop steps per second (G loops times the horizon,
+``kernels.lattice_step`` on ``example3``'s unstable 4-d source at D = 1
+(r = 4 active dimensions) for G loops at once, G in {1, 4, 20}, each loop
+with its own input rows (``source_model.source_rows``, seeds 0..G-1) and
+the kind's own dither draw.  It prints loop steps per second (G loops times the horizon,
 over the wall time) and microseconds per
 lockstep step (the wall time over the horizon, whatever G).  A kind whose
 block does not divide r runs on block-diagonal copies of the source, so a
@@ -38,12 +38,6 @@ from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
 from zdrd.source_model import source_rows
 
-A4 = [
-    [0.8147, 0.6324, 0.9575, 0.9572],
-    [0.9058, 0.0975, 0.9649, 0.4854],
-    [0.1270, 0.2785, 0.1576, 0.8003],
-    [0.9134, 0.5469, 0.9706, 0.1419],
-]
 R4 = 4  # active dimensions of one copy of the source at D = 1
 BATCHES = (1, 4, 20)
 SIM_STEPS = 100_000
@@ -69,15 +63,15 @@ def block_diag(block, copies):
 
 
 def channel(copies):
-    """The source of ``copies`` copies of A4 and its (fe, g) at D = copies."""
-    A = block_diag(np.array(A4), copies)
+    """The source of ``copies`` copies of the unstable 4-d source and its (fe, g) at D = copies."""
+    A = block_diag(preset_config("example3").source.A, copies)
     src = new_source(A, np.eye(A.shape[0]), np.eye(A.shape[0]))
     return src, channel_matrices(build_realization(src, nrdf(src, float(copies))))
 
 
 def coded_peak(n):
     """Traced peak bytes of one coded batch of PEAK_POINTS points over n steps."""
-    src = new_source(A4, np.eye(R4), np.eye(R4))
+    src = preset_config("example3").source
     scheme = build_realization(src, nrdf(src, 1.0))
     points = [(scheme, SeedBundle(i, 100 + i)) for i in range(PEAK_POINTS)]
     tracemalloc.start()

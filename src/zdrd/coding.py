@@ -246,6 +246,8 @@ def run_coding_batch(src, n, kind, points, trace_paths=None):
         mse = float(np.mean(sq))
         if points[i][0].r == 0:
             out[i] = CodingResult(0.0, 0.0, mse, n, 0)
+            if i in traced:  # no indices: one empty symbol, sent in 0 bits
+                _write_trace(paths[i], np.empty((n + 1, 0), np.int64), np.zeros(1, np.int64), sq)
             continue
         counts = tallies[i].histogram()
         if len(counts) > ALPHABET_CAP:

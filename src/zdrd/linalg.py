@@ -18,7 +18,8 @@ def as_matrix(M, name="matrix"):
 
 
 def symmetrize(M):
-    return 0.5 * (M + M.T)
+    """(M + M^T) / 2, halved before the sum so that it stays finite up to the float64 maximum."""
+    return 0.5 * M + 0.5 * M.T
 
 
 def check_psd(M, name="matrix"):
@@ -29,7 +30,7 @@ def check_psd(M, name="matrix"):
     scale = max(1.0, np.abs(M).max())
     if np.abs(M - M.T).max() > SYM_TOL * scale:
         raise NotPSD(f"{name} is not symmetric (residual > {SYM_TOL})")
-    S = 0.5 * M + 0.5 * M.T  # symmetrize(M), whose M + M.T overflows past 9e307
+    S = symmetrize(M)
     w = eigvalsh_checked(S, name)
     if w.min() < PSD_EIG_TOL:
         raise NotPSD(f"{name} has eigenvalue {w.min():.3e} < {PSD_EIG_TOL}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigParse, DimensionMismatch, NotPSD, config_mapping
-from .linalg import as_matrix, check_psd, discrete_lyapunov, sorted_eig
+from .linalg import as_matrix, check_psd, discrete_lyapunov, sorted_eig, symmetrize
 
 # eigenvalues with |mu| >= 1 - MARGINAL_TOL count as on or outside the unit
 # circle: eig returns |mu| = 1 - 1e-16 for a rotation, whose Lyapunov system
@@ -63,7 +63,7 @@ class GaussMarkovSource:
         if not stability_report(self).is_stable:
             return None
         S = discrete_lyapunov(self.A, self.B @ self.B.T)
-        S = 0.5 * (S + S.T)
+        S = symmetrize(S)
         S.setflags(write=False)
         return S
 

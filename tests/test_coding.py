@@ -357,6 +357,23 @@ class TestCodingRuns:
         assert np.array_equal(sq, np.sum(e * e, axis=1))
         assert float(np.mean(sq)) == res.empirical_mse
 
+    def test_zero_rate_point_writes_its_trace(self, tmp_path):
+        # at D = d_max nothing is sent: no index columns, every codeword 0
+        # bits, and sq_error the squared states, which the MSE averages
+        src = preset_config("example1").source
+        scheme = build_realization(src, nrdf(src, zdrd.d_max(src)))
+        assert scheme.r == 0
+        n, path = 50, tmp_path / "trace.csv"
+        res = run_coding_experiment(scheme, src, n, SeedBundle(1, 2), "sdusq", trace_path=path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "codeword_length_bits", "sq_error"]
+        assert [row[:2] for row in rows[1:]] == [[str(t), "0"] for t in range(n + 1)]
+        x = zdrd.simulate(src, n, seed=1)
+        sq = np.array([float(row[2]) for row in rows[1:]])
+        assert np.array_equal(sq, np.sum(x * x, axis=1))
+        assert float(np.mean(sq)) == res.empirical_mse
+
     def test_result_json(self, tmp_path, scalar_half):
         scheme = build_realization(scalar_half, nrdf(scalar_half, 0.5))
         res = run_coding_experiment(
@@ -487,7 +504,7 @@ class TestHorizonChunks:
                 assert all(isinstance(mse, float) and np.isfinite(mse) for mse in results)
                 continue
             assert all(isinstance(res, coding.CodingResult) for res in results)
-            assert traces[0] is not None and (traces[-1] is None) == (stability == "stable")
+            assert None not in traces  # the stable batch's zero-rate point included
 
     def test_counts_of_pieces_merge(self):
         # few distinct rows, which merge with every piece, and mostly distinct

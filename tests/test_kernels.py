@@ -1,11 +1,14 @@
 """Exactness of the lockstep feedback loop.
 
-The scalar loops below are the per-point implementations the lockstep
-kernel replaced, kept verbatim as references: every output of the kernel
-must equal theirs bit for bit, and a loop's row of a batch must equal the
-same loop run alone.  ``per_term_loop`` adds every term of every sum by
-its own numpy call; the kernel, which takes each sum as one reduction,
-must equal it bit for bit too, signs of zero included.
+Every output of the kernel is compared with one reference, kept in
+``conftest``: ``reference_loop``, which adds the terms of every sum, each
+its own rounded product, one at a time in index order, driven by
+``reference_step``, whose Gaussian, Z and D4 steps round by
+``sign_floor`` and ``d4_rule`` and call nothing in ``zdrd.quantizers`` or
+``zdrd.kernels``.  A single loop must equal the reference in its indices,
+k, alpha, beta and e; a batch, or a horizon run in pieces, in its errors
+and lattice coordinates bit for bit, signs of zero included; and a loop's
+row of a batch must equal the same loop run alone.
 """
 
 import os
@@ -17,9 +20,11 @@ import numpy as np
 import pytest
 
 import zdrd
-from zdrd import kernels
-from zdrd.quantizers import d4_nearest_columns, dithered_decode, dithered_encode, z_nearest
+from zdrd import kernels, quantizers
+from zdrd.quantizers import d4_nearest_columns, z_nearest
 from zdrd.source_model import new_source, simulate
+
+from conftest import reference_loop, reference_step
 
 
 def uniform_dither(rng, deltas, n):
@@ -27,206 +32,42 @@ def uniform_dither(rng, deltas, n):
     return (rng.random((n, len(deltas))) - 0.5) * deltas
 
 
-def _state_loop(A, bw, x0, out):
-    """States of x(t+1) = A x(t) + bw(t); bw rows precomputed as B @ w_t."""
-    n1, p = out.shape
-    for i in range(p):
-        out[0, i] = x0[i]
-    for t in range(1, n1):
-        for i in range(p):
-            acc = bw[t - 1, i]
-            for j in range(p):
-                acc += A[i, j] * out[t - 1, j]
-            out[t, i] = acc
-
-
-def _round_half(a):
-    """floor(a + 1/2) for a >= 0, exactly: floor(a), plus one when the exact
-    remainder a - floor(a) is at least 1/2.  (The float sum a + 1/2 rounds up
-    for the double below 1/2 and for odd integers from 2^52.)"""
-    f = np.floor(a)
-    return f + 1.0 if a - f >= 0.5 else f
-
-
-def _channel_loop(A, bw, x0, fe, g, noise, deltas, quantized, idx, k, alpha, beta, e):
-    """Feedback loop for the AWGN channel and the dithered scalar quantizer."""
-    n1, p = k.shape
-    r = alpha.shape[1]
-    eprev = np.zeros(p)
-    for t in range(n1):
-        if t == 0:
-            for i in range(p):
-                k[t, i] = x0[i]
-        else:
-            for i in range(p):
-                acc = bw[t - 1, i]
-                for j in range(p):
-                    acc += A[i, j] * eprev[j]
-                k[t, i] = acc
-        for i in range(r):
-            acc = 0.0
-            for j in range(p):
-                acc += fe[i, j] * k[t, j]
-            alpha[t, i] = acc
-        if quantized:
-            for i in range(r):
-                z = (alpha[t, i] + noise[t, i]) / deltas[i]
-                ji = _round_half(z) if z >= 0.0 else -_round_half(-z)
-                idx[t, i] = np.int64(ji)
-                beta[t, i] = ji * deltas[i] - noise[t, i]
-        else:
-            for i in range(r):
-                beta[t, i] = alpha[t, i] + noise[t, i]
-        for i in range(p):
-            acc = k[t, i]
-            for j in range(r):
-                acc -= g[i, j] * beta[t, j]
-            e[t, i] = acc
-            eprev[i] = acc
-
-
-def _d4_loop(A, bw, x0, fe, g, dither, scale, idx, k, alpha, beta, e):
-    """Feedback loop quantizing each block of four coordinates to scale*D4."""
-    n1, p = k.shape
-    r = alpha.shape[1]
-    nblk = r // 4
-    eprev = np.zeros(p)
-    z = np.zeros(4)
-    for t in range(n1):
-        if t == 0:
-            for i in range(p):
-                k[t, i] = x0[i]
-        else:
-            for i in range(p):
-                acc = bw[t - 1, i]
-                for j in range(p):
-                    acc += A[i, j] * eprev[j]
-                k[t, i] = acc
-        for i in range(r):
-            acc = 0.0
-            for j in range(p):
-                acc += fe[i, j] * k[t, j]
-            alpha[t, i] = acc
-        for b in range(nblk):
-            o = 4 * b
-            ssum = 0.0
-            worst = -1.0
-            wk = 0
-            for i in range(4):
-                xi = (alpha[t, o + i] + dither[t, o + i]) / scale
-                fi = _round_half(xi) if xi >= 0.0 else -_round_half(-xi)
-                z[i] = fi
-                ssum += fi
-                d = abs(xi - fi)
-                if d > worst:
-                    worst = d
-                    wk = i
-            if np.int64(ssum) % 2 != 0:
-                xk = (alpha[t, o + wk] + dither[t, o + wk]) / scale
-                if xk >= z[wk]:
-                    z[wk] += 1.0
-                else:
-                    z[wk] -= 1.0
-            for i in range(4):
-                idx[t, o + i] = np.int64(z[i])
-                beta[t, o + i] = z[i] * scale - dither[t, o + i]
-        for i in range(p):
-            acc = k[t, i]
-            for j in range(r):
-                acc -= g[i, j] * beta[t, j]
-            e[t, i] = acc
-            eprev[i] = acc
-
-
-def per_term_loop(A, bw, x0, fe=None, g=None, step=None):
-    """``kernels.feedback_loop`` with every term of every sum added by its own call."""
-    n1 = bw.shape[0] + 1
-    p, G = x0.shape
-    if fe is None:
-        fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
-    r = fe.shape[0]
-    a_t = np.ascontiguousarray(A.T)[:, :, None]
-    fe_t = np.ascontiguousarray(fe.transpose(1, 0, 2))
-    g_t = np.ascontiguousarray(g.transpose(1, 0, 2))
-    a_prod = np.empty((p, p, G))
-    fe_prod = np.empty((p, r, G))
-    g_prod = np.empty((r, p, G))
-    e = np.empty((n1, p, G))
-    alpha = np.empty((r, G))
-    e[0] = x0
-    for t in range(n1):
-        k = e[t]  # holds k_t until the channel output is subtracted
-        if t:
-            np.copyto(k, bw[t - 1])
-            np.multiply(a_t, e[t - 1][:, None], out=a_prod)
-            for term in a_prod:
-                np.add(k, term, out=k)
-        if not r:
-            continue
-        alpha.fill(0.0)
-        np.multiply(fe_t, k[:, None], out=fe_prod)
-        for term in fe_prod:
-            np.add(alpha, term, out=alpha)
-        beta = step(t, k, alpha)
-        np.multiply(g_t, beta[:, None], out=g_prod)
-        for term in g_prod:
-            np.subtract(k, term, out=k)
-    return e
-
-
-def horizon_loop(A, bw, x0, fe=None, g=None, step=None):
-    """``kernels.feedback_loop`` over a horizon: the rows x0, bw..., from a zero error."""
+def horizon_loop(A, bw, x0, fe=None, g=None, step=None, loop=None):
+    """A loop, ``kernels.feedback_loop`` unless given, over a horizon: the
+    rows x0, bw..., from a zero error."""
     u = np.concatenate([x0[None], bw])
-    return kernels.feedback_loop(A, u, np.zeros_like(x0), fe, g, step)
+    return (loop or kernels.feedback_loop)(A, u, np.zeros_like(x0), fe, g, step)
 
 
-def per_call_lattice_step(dither, scale, nearest, z):
-    """``kernels.lattice_step`` with fresh arrays each step, copied into z."""
-
-    def step(t, k, alpha):
-        zt = dithered_encode(alpha, dither[t], scale, nearest)
-        z[t] = zt
-        return dithered_decode(zt, dither[t], scale)
-
-    return step
-
-
-def recording(step, k, alpha):
-    """``step``, copying the k and alpha of each step t into k[t] and alpha[t]."""
+def recording(step, k, alpha, beta=None):
+    """``step``, copying the k and alpha of each step t into k[t] and alpha[t],
+    and what it returns into beta[t] if beta is given."""
 
     def record(t, kt, at):
         k[t], alpha[t] = kt, at
-        return step(t, kt, at)
+        bt = step(t, kt, at)
+        if beta is not None:
+            beta[t] = bt
+        return bt
 
     return record
 
 
-def _alloc(n1, p, r):
-    return (
-        np.empty((n1, r), dtype=np.int64),
-        np.empty((n1, p)),
-        np.empty((n1, r)),
-        np.empty((n1, r)),
-        np.empty((n1, p)),
+def reference_one_loop(kind, A, bw, x0, fe, g, noise, scale=None):
+    """What ``kernels.{kind}_loop`` returns for one loop, ((idx,) k, alpha,
+    beta, e), by the reference loop and step of ``kind``."""
+    k = np.empty((len(bw) + 1, len(x0), 1))
+    alpha, beta, z = (np.empty(noise.shape + (1,)) for _ in range(3))
+    if scale is not None:
+        scale = np.asarray(scale, float)[..., None]
+    step = recording(reference_step(kind, noise[..., None], scale, z), k, alpha, beta)
+    e = horizon_loop(
+        A, bw[..., None], x0[:, None], fe[..., None], g[..., None], step, loop=reference_loop
     )
-
-
-def ref_awgn(A, bw, x0, fe, g, noise):
-    idx, k, alpha, beta, e = _alloc(bw.shape[0] + 1, A.shape[0], fe.shape[0])
-    _channel_loop(A, bw, x0, fe, g, noise, np.ones(fe.shape[0]), False, idx, k, alpha, beta, e)
-    return k, alpha, beta, e
-
-
-def ref_sdusq(A, bw, x0, fe, g, dither, deltas):
-    out = _alloc(bw.shape[0] + 1, A.shape[0], fe.shape[0])
-    _channel_loop(A, bw, x0, fe, g, dither, deltas, True, *out)
-    return out
-
-
-def ref_d4(A, bw, x0, fe, g, dither, scale):
-    out = _alloc(bw.shape[0] + 1, A.shape[0], fe.shape[0])
-    _d4_loop(A, bw, x0, fe, g, dither, scale, *out)
-    return out
+    out = (e if fe.shape[0] == 0 else k, alpha, beta, e)
+    if kind != "awgn":
+        out = (z.astype(np.int64),) + out
+    return tuple(a[..., 0] for a in out)
 
 
 def assert_all_equal(got, want):
@@ -258,8 +99,7 @@ def loop_inputs(seed, r, p=P, n=N):
 
 def test_no_channel_is_the_state_recursion():
     A, bw, x0, *_ = loop_inputs(0, 0)
-    want = np.empty((N + 1, P))
-    _state_loop(A, bw, x0, want)
+    want = horizon_loop(A, bw[..., None], x0[:, None], loop=reference_loop)[..., 0]
     e = horizon_loop(A, bw[..., None], x0[:, None])
     assert np.array_equal(e[..., 0], want)
 
@@ -271,8 +111,7 @@ def test_simulate_matches_state_recursion():
     rng = np.random.default_rng(4)
     x0 = rng.standard_normal(3)
     w = rng.standard_normal((500, 2))
-    want = np.empty((501, 3))
-    _state_loop(src.A, w @ src.B.T, x0, want)
+    want = horizon_loop(src.A, (w @ src.B.T)[..., None], x0[:, None], loop=reference_loop)[..., 0]
     assert np.array_equal(simulate(src, 500, seed=4), want)
 
 
@@ -280,7 +119,7 @@ def test_awgn_loop_exact():
     A, bw, x0, fe, g, rng = loop_inputs(1, 4)
     noise = rng.standard_normal((N + 1, 4))
     got = kernels.awgn_loop(A, bw, x0, fe, g, noise)
-    assert_all_equal(got, ref_awgn(A, bw, x0, fe, g, noise))
+    assert_all_equal(got, reference_one_loop("awgn", A, bw, x0, fe, g, noise))
 
 
 def test_sdusq_loop_exact():
@@ -288,14 +127,14 @@ def test_sdusq_loop_exact():
     deltas = np.sqrt(12.0) * np.array([1.0, 0.5, 2.0, 1.0])
     dith = uniform_dither(rng, deltas, N + 1)
     got = kernels.sdusq_loop(A, bw, x0, fe, g, dith, deltas)
-    assert_all_equal(got, ref_sdusq(A, bw, x0, fe, g, dith, deltas))
+    assert_all_equal(got, reference_one_loop("sdusq", A, bw, x0, fe, g, dith, deltas))
 
 
 def test_d4_loop_exact_generic():
     A, bw, x0, fe, g, rng = loop_inputs(3, 8)
     dith = kernels.d4_dither(rng, SCALE, (N + 1) * 2).reshape(N + 1, 8)
     got = kernels.d4_loop(A, bw, x0, fe, g, dith, SCALE)
-    assert_all_equal(got, ref_d4(A, bw, x0, fe, g, dith, SCALE))
+    assert_all_equal(got, reference_one_loop("d4", A, bw, x0, fe, g, dith, SCALE))
 
 
 def test_d4_loop_exact_at_ties():
@@ -308,7 +147,7 @@ def test_d4_loop_exact_at_ties():
     dith = np.vstack([generic, ties]) * scale
     fe = np.zeros((4, P))
     got = kernels.d4_loop(A, bw, x0, fe, g, dith, scale)
-    assert_all_equal(got, ref_d4(A, bw, x0, fe, g, dith, scale))
+    assert_all_equal(got, reference_one_loop("d4", A, bw, x0, fe, g, dith, scale))
 
 
 def test_loops_exact_next_to_half():
@@ -321,9 +160,9 @@ def test_loops_exact_next_to_half():
     fe, ones = np.zeros((4, P)), np.ones(4)
     assert np.any(dith == h) and np.any(dith == -h)
     got = kernels.sdusq_loop(A, bw, x0, fe, g, dith, ones)
-    assert_all_equal(got, ref_sdusq(A, bw, x0, fe, g, dith, ones))
+    assert_all_equal(got, reference_one_loop("sdusq", A, bw, x0, fe, g, dith, ones))
     got = kernels.d4_loop(A, bw, x0, fe, g, dith, 1.0)
-    assert_all_equal(got, ref_d4(A, bw, x0, fe, g, dith, 1.0))
+    assert_all_equal(got, reference_one_loop("d4", A, bw, x0, fe, g, dith, 1.0))
 
 
 def _batch(arrays, shape):
@@ -337,7 +176,7 @@ def _batch(arrays, shape):
 @pytest.mark.parametrize("kind", ["awgn", "sdusq", "d4"])
 def test_mixed_batch_rows_equal_single_runs(kind):
     # G = 5 loops of one source with different active-set sizes; each row of
-    # the padded batch must equal its own G = 1 run and the scalar reference
+    # the padded batch must equal its own G = 1 run and the reference
     widths = [0, 4, 8, 4, 0] if kind == "d4" else [0, 2, 4, 2, 0]
     rmax = max(widths)
     rng = np.random.default_rng(5)
@@ -372,13 +211,13 @@ def test_mixed_batch_rows_equal_single_runs(kind):
     for col, (r, run) in enumerate(zip(widths, runs)):
         if kind == "awgn":
             single = kernels.awgn_loop(A, *run)
-            want = ref_awgn(A, *run)
+            want = reference_one_loop(kind, A, *run)
         elif kind == "sdusq":
             single = kernels.sdusq_loop(A, *run, np.full(r, np.sqrt(12.0)))
-            want = ref_sdusq(A, *run, np.full(r, np.sqrt(12.0)))
+            want = reference_one_loop(kind, A, *run, np.full(r, np.sqrt(12.0)))
         else:
             single = kernels.d4_loop(A, *run, SCALE)
-            want = ref_d4(A, *run, SCALE)
+            want = reference_one_loop(kind, A, *run, SCALE)
         assert_all_equal(single, want)
         assert np.array_equal(e[:, :, col], single[-1])
         assert np.array_equal(k[:, :, col], single[-4])
@@ -475,15 +314,15 @@ def mixed_batch(kind, rho, widths, p=P, n=N, seed=30):
 
 
 def steps(kind, noise):
-    """The kernel's step and the per-call reference step of one kind, each
-    with the array its lattice coordinates go to (None for the AWGN channel)."""
+    """The kernel's step and the reference step of one kind, each with the
+    array its lattice coordinates go to (None for the AWGN channel)."""
     if kind == "awgn":
-        return kernels.awgn_step(noise), kernels.awgn_step(noise), None, None
+        return kernels.awgn_step(noise), reference_step(kind, noise), None, None
     scale, nearest = (np.sqrt(12.0), z_nearest) if kind == "sdusq" else (SCALE, d4_nearest_columns)
     z, ref_z = np.empty(noise.shape), np.empty(noise.shape)
     return (
         kernels.lattice_step(noise, scale, nearest, z),
-        per_call_lattice_step(noise, scale, nearest, ref_z),
+        reference_step(kind, noise, scale, ref_z),
         z,
         ref_z,
     )
@@ -492,7 +331,7 @@ def steps(kind, noise):
 def assert_loops_equal(A, bw, x0, fe, g, noise, kind):
     step, ref_step, z, ref_z = steps(kind, noise)
     e = horizon_loop(A, bw, x0, fe, g, step)
-    ref_e = per_term_loop(A, bw, x0, fe, g, ref_step)
+    ref_e = horizon_loop(A, bw, x0, fe, g, ref_step, loop=reference_loop)
     assert np.abs(e).max() < 100.0  # the loops stayed bounded
     assert_same_bits(e, ref_e)
     if kind != "awgn":
@@ -536,7 +375,7 @@ def test_no_channel_equals_per_term_loop():
     bw[:, 0] = -0.0
     e = horizon_loop(A, bw, x0)
     assert np.any(np.signbit(e[1:, 0]) & (e[1:, 0] == 0.0))
-    assert_same_bits(e, per_term_loop(A, bw, x0))
+    assert_same_bits(e, horizon_loop(A, bw, x0, loop=reference_loop))
 
 
 @pytest.mark.parametrize("kind", ["none", "awgn", "sdusq", "d4"])
@@ -578,6 +417,28 @@ def test_loop_in_pieces_equals_one_run(kind):
         assert all(zp is None for _, zp, _ in pieces)
     else:
         assert_same_bits(np.concatenate([zp for _, zp, _ in pieces]), z)
+
+
+def test_references_call_no_library_rule(monkeypatch):
+    # the reference loop and its three steps run with the library's
+    # quantizer rules and loop made to raise; the inputs are drawn first
+    names = ["z_nearest", "d4_nearest", "d4_nearest_columns", "dithered_encode", "dithered_decode"]
+    runs = []
+    for kind in ["awgn", "sdusq", "d4"]:
+        A, bw, x0, fe, g, noise = mixed_batch(kind, 0.9, BATCHES[kind, "stable"], n=50)
+        runs.append((A, bw, x0, fe, g, steps(kind, noise)[1]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference called the library")
+
+    for name in names:
+        monkeypatch.setattr(quantizers, name, refuse)
+    monkeypatch.setattr(kernels, "feedback_loop", refuse)
+    # a name bound into the references' module would escape the patches
+    assert not set(names + ["feedback_loop"]) & set(reference_loop.__globals__)
+    for A, bw, x0, fe, g, ref_step in runs:
+        e = horizon_loop(A, bw, x0, fe, g, ref_step, loop=reference_loop)
+        assert e.shape == (51,) + x0.shape and np.all(np.isfinite(e))
 
 
 def test_kernel_bench_runs_without_scipy():

@@ -1,6 +1,4 @@
-import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,49 +22,7 @@ from zdrd.quantizers import (
 from zdrd.realization import build_realization
 from zdrd.solver import nrdf
 
-
-def d4_quantize(point, scale=1.0):
-    """Nearest point of scale*D4, exact even at ties: the exhaustive reference.
-
-    Candidates are built per coordinate from the two enclosing integers
-    (three when the coordinate is already integral), filtered to even sum;
-    among minimal-distance candidates the lexicographically smallest wins.
-    It agrees with ``d4_nearest`` away from ties.  Returns the lattice point
-    (not the integer coordinates).
-    """
-    x = np.asarray(point, float) / scale
-    if x.shape != (4,):
-        raise DimensionMismatch(f"D4 operates on 4-vectors, got shape {x.shape}")
-    options = []
-    for xi in x:
-        f = np.floor(xi)
-        if f == xi:
-            options.append((xi - 1.0, xi, xi + 1.0))
-        else:
-            options.append((f, f + 1.0))
-    best = None
-    for cand in itertools.product(*options):
-        if int(sum(cand)) % 2 != 0:
-            continue
-        d = sum((xi - ci) ** 2 for xi, ci in zip(x, cand))
-        key = (d, cand)
-        if best is None or key < best:
-            best = key
-    return np.array(best[1]) * scale
-
-
-def previous_d4_nearest(x, axis=-1, out=None):
-    """The D4 rule as it was written before it was made leaner, kept verbatim
-    as the reference the rule must equal bit for bit, signs of zero included."""
-    x = np.asarray(x, float)
-    if x.shape[axis] != 4:
-        raise DimensionMismatch(f"D4 operates on blocks of 4, got shape {x.shape} on axis {axis}")
-    f = z_nearest(x)
-    d = x - f  # never -0.0, so its sign says on which side of f x lies
-    odd = np.remainder(np.add.reduce(f, axis=axis, keepdims=True), 2.0) != 0.0
-    worst = np.abs(d).argmax(axis=axis, keepdims=True)
-    flip = (np.arange(4).reshape((4,) + (1,) * (x.ndim - 1 - axis % x.ndim)) == worst) & odd
-    return np.add(f, np.where(flip, np.copysign(1.0, d), 0.0), out=out)
+from conftest import d4_quantize, d4_rule, half_away, sign_floor
 
 
 def d4_roots():
@@ -83,25 +39,10 @@ def d4_roots():
     return np.array(roots)
 
 
-def sign_floor(z):
-    """sign(z) * floor(|z| + 1/2), exactly: floor(|z|), plus one when the exact
-    difference |z| - floor(|z|) is at least 1/2.  (The float sum |z| + 1/2
-    rounds up for the double below 1/2 and for odd integers from 2^52.)"""
-    a = np.abs(z)
-    f = np.floor(a)
-    return np.sign(z) * (f + (a - f >= 0.5))
-
-
 def sign_floor_encode(alpha, dither, deltas):
     """Cell indices of alpha + dither by sign(z) * floor(|z| + 1/2): the reference rule."""
     z = (np.asarray(alpha, float) + np.asarray(dither, float)) / np.asarray(deltas, float)
     return sign_floor(z).astype(np.int64)
-
-
-def half_away(x):
-    """The integer nearest to the float x, ties away from zero, by exact rationals."""
-    q = Fraction(abs(x)) + Fraction(1, 2)
-    return math.copysign(float(q.numerator // q.denominator), x)
 
 
 def hard_floats(rng):
@@ -314,11 +255,11 @@ class TestD4:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
-        assert_same(d4_nearest(x), previous_d4_nearest(x))
+        assert_same(d4_nearest(x), d4_rule(x))
         # the loop's (r // 4, 4, G) column layout, by view and in place
         cols = x.reshape(20, -1)  # r = 20: five blocks per column
         blocks = cols.reshape(5, 4, -1)
-        want = previous_d4_nearest(blocks, axis=1)
+        want = d4_rule(blocks, axis=1)
         assert_same(d4_nearest(blocks, axis=1), want)
         assert_same(d4_nearest_columns(cols), want.reshape(cols.shape))
         inplace = cols.copy()

@@ -8,7 +8,7 @@ from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
 import zdrd
 from zdrd.errors import ConfigParse, DimensionMismatch, NotPSD
-from zdrd.linalg import as_matrix, check_psd, discrete_lyapunov
+from zdrd.linalg import as_matrix, check_psd, discrete_lyapunov, symmetrize
 from zdrd.source_model import source_rows
 
 from conftest import STABLE_4D_A, UNSTABLE_4D_A, random_source
@@ -255,6 +255,7 @@ class TestMatrixChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert np.array_equal(check_psd(M, "M"), M)
+            assert np.array_equal(symmetrize(np.array(M)), M)
 
 
 class TestSimulate:
