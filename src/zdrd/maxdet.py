@@ -40,22 +40,40 @@ geometrically by T_GROWTH = 100 per stage, a long-step schedule, until
 nu / t falls below the duality-gap target GAP_TARGET, nu being the total
 barrier degree.  Total Newton steps are flat for factors of roughly 10-100
 (Boyd & Vandenberghe, Convex Optimization, 11.3.3); this repository's scan
-of 158 solves was flat from 50 to 150.  An example1 form_b point at D = 1
-takes 47 Newton steps in 7 stages, against 104 in 18 stages at factor 5;
-the gap target is the same for both.  Suboptimality of the returned point
+of 158 solves was flat from 50 to 150.  Suboptimality of the returned point
 is at most the reported gap.
+
+Stage starts: stage 1 starts from phase 1's point and stage 2 from the
+first centre.  With x_j the centre of stage j, every later stage k starts
+at x_{k-1} + (x_{k-1} - x_{k-2}) / T_GROWTH: the value at its t of the
+barrier trajectory's expansion x(t) = a + b/t (Fiacco & McCormick 1968,
+SUMT) fitted through the last two centres.  If that point lies outside the
+cone the stage starts from x_{k-1}.  An example1 form_b point at D = 1
+takes 35 Newton steps in 7 stages; started from the last centre it took
+47, and 104 in 18 stages at factor 5.
+
+Line search: steps halve from 1 until psi_t falls by the Armijo fraction
+1/4 of the decrement.  With G(x) = L L^T, G(x + s dx) = L (I + s M) L^T,
+M = sum_j dx_j W_j the whitened step (below), so a diagonal entry
+1 + s d_i of I + s M at or below 0 proves the candidate infeasible.  A step
+with 1 + s min_i d_i <= -SKIP_MARGIN (delta = 1e-2, over the G and Q
+blocks) is skipped without being factored and counts as a halving; the
+margin absorbs the rounding of the whitened diagonals.  The skip never
+changes the accepted step, only the factorizations spent to find it.
 
 Each visited point is assembled and Cholesky-factored once (``_factors``);
 a point outside the cone has no factors.  The factors give psi_t (twice
 the log-diagonal sums), so the line search tests a candidate with one
 factorization, and the accepted candidate's factors are those of the next
-iterate: its potential and Newton system reuse them.  Phase 1 hands over the
-factors of the starting point the same way.
+iterate: its potential and Newton system reuse them.  Phase 1 and an
+extrapolated stage start hand over the factors of their point the same way.
+``SolverStats.factorizations`` counts every attempt.
 
 Newton system (Vandenberghe, Boyd & Wu 1998): with the Cholesky factor
 G = L L^T of the current iterate each basis block is whitened,
 W_j = L^-1 F_j L^-T, and flattened to a row; then g_j = -tr W_j and
-H = W W^T, and likewise for the Q block with weight 1 + t/2.  This costs
+H = W W^T, and likewise for the Q block with weight 1 + t/2.  The diagonals
+of the W_j, which the traces sum, also give the line search's d_i.  This costs
 O(n S^3 + n^2 S^2) per step instead of the O(n S^4) of contracting explicit
 inverses, and H is exactly symmetric.
 
@@ -78,6 +96,7 @@ MAX_OUTER = 500
 MAX_INNER = 50
 INNER_TOL = 1e-5  # half squared Newton decrement, intermediate stages
 INNER_TOL_FINAL = 1e-9
+SKIP_MARGIN = 1e-2  # delta of the line search's infeasibility test (module docstring)
 
 
 def sym_basis(p):
@@ -120,7 +139,8 @@ class SolverStats:
 
     stages: int = 0  # centering stages, one per value of t
     newton_steps: int = 0  # Newton systems formed and solved
-    backtracks: int = 0  # line-search step halvings
+    backtracks: int = 0  # line-search step halvings, skipped steps included
+    factorizations: int = 0  # Cholesky attempts: phase 1, stage starts, line-search candidates
 
 
 @dataclass
@@ -209,7 +229,7 @@ def _potential(factors, t):
 
 
 def phase1_point(prob: MaxdetProblem):
-    """A strictly feasible x with its factors: (x, (Lg, Lq)).
+    """A strictly feasible x, its factors and the Cholesky attempts: (x, (Lg, Lq), k).
 
     Pi0 is a scaled solution of the contracted stationarity equation
     P = s A P A^T + s BB^T with s = 1/(2 max(1, rho(A))^2): such P
@@ -231,6 +251,7 @@ def phase1_point(prob: MaxdetProblem):
     if not np.isfinite(tr) or tr <= 0:
         raise InfeasibleModel("phase-1 produced a degenerate candidate")
     c = min(0.9 * D / tr, 0.95)
+    attempts = 0
     for _ in range(8):
         Pi0 = c * Pstar
         T = prob.top(Pi0, np.zeros((m, m))) + prob.top_C
@@ -242,8 +263,9 @@ def phase1_point(prob: MaxdetProblem):
         Q0 = 0.99 * symmetrize(Sb)
         x = np.concatenate([vech(Pi0), vech(Q0)])
         factors = _factors(prob, x)
+        attempts += 1
         if factors is not None:
-            return x, factors
+            return x, factors, attempts
         c *= 0.5
     raise InfeasibleModel("phase-1 cannot find a strictly feasible point")
 
@@ -255,20 +277,53 @@ def _whitened(L, dA):
 
 
 def _newton_system(prob: MaxdetProblem, factors, t):
-    """Gradient and Hessian of psi_t at the point with Cholesky factors (Lg, Lq).
+    """Gradient, Hessian and whitened diagonals of psi_t at the point with factors (Lg, Lq).
 
     With G = L L^T and W_j = L^-1 F_j L^-T, the barrier -logdet G has
     gradient -tr W_j and Hessian <W_j, W_l>, so H is one Gram product and
-    exactly symmetric.
+    exactly symmetric.  The third value holds the diagonals of the W_j,
+    the G block's then the Q block's, one row per variable: dx times it is
+    the diagonal of the whitened step, which the line search reads.
     """
     Lg, Lq = factors
     S, m = Lg.shape[0], prob.m
     w = 1.0 + 0.5 * t
     Wg = _whitened(Lg, prob.fused_dA)
     Wq = _whitened(Lq, prob.q_dA)
-    g = -Wg[:, :: S + 1].sum(axis=1) - w * Wq[:, :: m + 1].sum(axis=1)
+    dg, dq = Wg[:, :: S + 1], Wq[:, :: m + 1]
+    g = -dg.sum(axis=1) - w * dq.sum(axis=1)
     H = Wg @ Wg.T + w * (Wq @ Wq.T)
-    return g, H
+    return g, H, np.concatenate([dg, dq], axis=1)
+
+
+def _line_search(prob: MaxdetProblem, x, dx, dmin, t, base, gdx):
+    """Armijo backtracking along dx from step 1, halving the step.
+
+    ``dmin`` is the least diagonal entry of the whitened step
+    sum_j dx_j W_j over both blocks.  A step s with
+    1 + s dmin <= -SKIP_MARGIN is skipped unfactored: the whitened
+    candidate I + s sum_j dx_j W_j, a congruence of G(x + s dx), then has a
+    diagonal entry at or below -SKIP_MARGIN, so the candidate lies outside
+    the cone.  A skipped step counts as a halving like a refused one.
+
+    Returns (halvings, factorizations, accepted); ``accepted`` is the
+    candidate's (x, factors, potential), or None once the step falls below
+    1e-16.
+    """
+    halvings = factorizations = 0
+    step = 1.0
+    while step > 1e-16:
+        if 1.0 + step * dmin > -SKIP_MARGIN:
+            x_cand = x + step * dx
+            f_cand = _factors(prob, x_cand)
+            factorizations += 1
+            if f_cand is not None:
+                cand = _potential(f_cand, t)
+                if cand <= base + 0.25 * step * gdx:
+                    return halvings, factorizations, (x_cand, f_cand, cand)
+        step *= 0.5
+        halvings += 1
+    return halvings, factorizations, None
 
 
 def solve_maxdet(prob: MaxdetProblem):
@@ -278,18 +333,27 @@ def solve_maxdet(prob: MaxdetProblem):
     centering slack; all LMI blocks of the returned point are strictly
     positive definite.  ``stats`` is the solve's :class:`SolverStats`.
     """
-    x, factors = phase1_point(prob)
+    x, factors, factorizations = phase1_point(prob)
     n = prob.n
     nu = float(prob.nu)
     t = 1.0
     last_lam2 = np.inf
     newton_steps = backtracks = 0
+    centres = []  # the last two stages' centres, oldest first
     for stage in range(1, MAX_OUTER + 1):
         final = nu / t <= GAP_TARGET
         tol = INNER_TOL_FINAL if final else INNER_TOL
+        if len(centres) == 2:
+            # x(t) = a + b/t through the last two centres, evaluated at t
+            x_start = x + (x - centres[0]) / T_GROWTH
+            if not np.array_equal(x_start, x):  # else the last stage took no step
+                f_start = _factors(prob, x_start)
+                factorizations += 1
+                if f_start is not None:
+                    x, factors = x_start, f_start
         base = _potential(factors, t)
         for _ in range(MAX_INNER):
-            g, H = _newton_system(prob, factors, t)
+            g, H, diag = _newton_system(prob, factors, t)
             newton_steps += 1
             try:
                 L = np.linalg.cholesky(H)
@@ -303,28 +367,23 @@ def solve_maxdet(prob: MaxdetProblem):
             last_lam2 = lam2
             if 0.5 * lam2 <= tol:
                 break
-            gdx = float(g @ dx)
-            step = 1.0
-            while step > 1e-16:
-                x_cand = x + step * dx
-                f_cand = _factors(prob, x_cand)
-                if f_cand is not None:
-                    cand = _potential(f_cand, t)
-                    if cand <= base + 0.25 * step * gdx:
-                        break
-                step *= 0.5
-                backtracks += 1
-            else:
+            dmin = float(np.min(dx @ diag))
+            halvings, tried, accepted = _line_search(prob, x, dx, dmin, t, base, float(g @ dx))
+            backtracks += halvings
+            factorizations += tried
+            if accepted is None:
                 break
-            x, factors = x_cand, f_cand
+            x, factors, cand = accepted
             if base - cand < 1e-13 * (1.0 + abs(base)):
                 break
             base = cand  # same factors and t: the next iterate's potential
+        centres = [*centres[-1:], x]
         if final:
             Pi = unvech(x[: prob.nb_pi], prob.p)
             Qm = unvech(x[prob.nb_pi :], prob.m)
             slack = np.sqrt(max(last_lam2, 0.0)) * np.sqrt(nu) / t
-            return Pi, Qm, nu / t + slack, SolverStats(stage, newton_steps, backtracks)
+            stats = SolverStats(stage, newton_steps, backtracks, factorizations)
+            return Pi, Qm, nu / t + slack, stats
         t *= T_GROWTH
     raise SolverDivergence(
         f"barrier path following exceeded {MAX_OUTER} stages (gap target {GAP_TARGET})"

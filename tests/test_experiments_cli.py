@@ -165,26 +165,27 @@ class TestRunExperiment:
             (
                 "example1",  # sdusq; the top point is d_max, r = 0
                 [
-                    ("10.39080459770115", "0.08106578852421714"),
-                    ("6.920539730134933", "0.5717712521366963"),
+                    ("10.39080459770115", "0.08106578852378926"),
+                    ("6.920539730134933", "0.5717712521366785"),
                     ("0.0", "4.049072449711452"),
                 ],
             ),
             (
                 "example3",  # D4
                 [
-                    ("10.586206896551724", "0.060065998327189264"),
-                    ("7.690654672663668", "0.4265477034432415"),
-                    ("4.204897551224388", "3.0231101877472617"),
+                    ("10.61319340329835", "0.06008558183222957"),
+                    ("7.695152423788106", "0.42375040190383884"),
+                    ("4.1834082958520735", "3.0007992608595146"),
                 ],
             ),
         ],
     )
     def test_operational_rates_pinned(self, name, expected):
-        # exact values, recorded with the long-step barrier schedule; any change
-        # to the loop's arithmetic order shows here.  So does a last-bit move
-        # of Pi: on the unstable example3 sub-quantum differences in e grow
-        # like A between index flips, and the first flip re-draws the run
+        # exact values, recorded with the long-step barrier schedule and its
+        # extrapolated stage starts; any change to the loop's arithmetic order
+        # shows here.  So does a last-bit move of Pi: on the unstable example3
+        # sub-quantum differences in e grow like A between index flips, and
+        # the first flip re-draws the run
         report = experiments.run_experiment(
             experiments.preset_config(name, n_steps=2000, points=3)
         )

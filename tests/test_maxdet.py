@@ -12,7 +12,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 import zdrd
-from zdrd import maxdet
+from zdrd import experiments, maxdet
 from zdrd.errors import InfeasibleModel
 from zdrd.solver import FORM_A, FORM_B, nrdf, scalar_ar1_nrdf
 
@@ -196,24 +196,37 @@ class TestNewtonSystem:
     def test_matches_einsum_reference(self, build, p):
         src = random_source(p, seed=10 + p)
         prob = build(src.A, src.B, 0.3 * zdrd.d_max(src))
-        x, factors = maxdet.phase1_point(prob)
+        x, factors, _ = maxdet.phase1_point(prob)
+        S = factors[0].shape[0]
         for t in (1.0, 25.0, 3125.0, 1e8):
-            g, H = maxdet._newton_system(prob, factors, t)
+            g, H, diag = maxdet._newton_system(prob, factors, t)
             g_ref, H_ref = einsum_newton_system(prob, x, t)
             # small entries come from cancelling sums, so the tolerance is
             # also taken relative to the largest entry
             for got, ref in ((g, g_ref), (H, H_ref)):
                 np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
             assert np.array_equal(H, H.T)
+            # the whitened diagonals' traces are the gradient's terms
+            assert diag.shape == (prob.n, S + prob.m)
+            w = 1.0 + 0.5 * t
+            assert np.array_equal(g, -diag[:, :S].sum(axis=1) - w * diag[:, S:].sum(axis=1))
 
 
 class TestFactorOnce:
     # repr(rate_bits), repr(kkt_residual) recorded with the long-step schedule
-    # (T_GROWTH = 100); refactors of the Newton loop must keep them bit-identical
+    # (T_GROWTH = 100) and extrapolated stage starts; refactors of the Newton
+    # loop must keep them bit-identical
     PINNED = {
-        "example1": ("np.float64(4.008097225683425)", "2.2273634342367272e-11"),
-        "example4": ("np.float64(1.1995005938112158)", "1.1826164617638543e-11"),
-        "random6": ("np.float64(6.139276284214832)", "3.283074420946421e-11"),
+        "example1": ("np.float64(4.008097225683299)", "2.274833271458085e-11"),
+        "example4": ("np.float64(1.1995005938112435)", "1.1365192169273197e-11"),
+        "random6": ("np.float64(6.139276284214853)", "3.102303344065739e-11"),
+    }
+    # rate_bits of the same solves when every stage started from the last
+    # centre: a change of stage start may move a rate only within the gap
+    LAST_CENTRE_START_RATES = {
+        "example1": 4.008097225683425,
+        "example4": 1.1995005938112158,
+        "random6": 6.139276284214832,
     }
     # rate_bits of the same solves under the earlier short-step schedule
     # (T_GROWTH = 5): a schedule change may move a rate only within the gap
@@ -233,8 +246,9 @@ class TestFactorOnce:
         }
         got = {k: (repr(s.rate_bits), repr(s.kkt_residual)) for k, s in sols.items()}
         assert got == self.PINNED
-        for k, rate in self.SHORT_STEP_RATES.items():
-            assert abs(sols[k].rate_bits - rate) < 1e-9
+        for old in (self.LAST_CENTRE_START_RATES, self.SHORT_STEP_RATES):
+            for k, rate in old.items():
+                assert abs(sols[k].rate_bits - rate) < 1e-9
 
     @pytest.mark.parametrize("build", [maxdet.form_a_problem, maxdet.form_b_problem])
     def test_each_point_factored_once(self, build, stable4, monkeypatch):
@@ -246,9 +260,10 @@ class TestFactorOnce:
             return factors(prob, x)
 
         monkeypatch.setattr(maxdet, "_factors", recording)
-        maxdet.solve_maxdet(build(stable4.A, stable4.B, 1.0))
+        stats = maxdet.solve_maxdet(build(stable4.A, stable4.B, 1.0))[3]
         assert len(seen) > 20
         assert len(set(seen)) == len(seen)
+        assert stats.factorizations == len(seen)
 
     def test_scipy_stays_out_of_the_newton_loop(self):
         # scipy is a test dependency only: the library binds none of its names,
@@ -272,28 +287,90 @@ class TestFactorOnce:
 
 class TestSolverStats:
     def test_newton_step_budget(self, stable4, monkeypatch):
-        # the long-step schedule solves this point in 47 Newton steps; the
-        # earlier T_GROWTH = 5 took 104 (pinned below), so the budget fails it
-        systems = []
-        newton_system = maxdet._newton_system
+        # the long-step schedule with extrapolated stage starts solves this
+        # point in 35 Newton steps (47 when each stage started from the last
+        # centre); T_GROWTH = 5 takes 46 (pinned below), so the budget fails it
+        systems, factored = [], []
+        newton_system, factors = maxdet._newton_system, maxdet._factors
 
         def counting(*args):
             systems.append(args)
             return newton_system(*args)
 
+        def counting_factors(*args):
+            factored.append(args)
+            return factors(*args)
+
         monkeypatch.setattr(maxdet, "_newton_system", counting)
+        monkeypatch.setattr(maxdet, "_factors", counting_factors)
         stats = nrdf(stable4, 1.0, form=FORM_B).stats
         assert stats.newton_steps == len(systems)
-        assert stats.newton_steps <= 60
-        assert stats == maxdet.SolverStats(stages=7, newton_steps=47, backtracks=79)
+        assert stats.factorizations == len(factored)
+        assert stats.newton_steps <= 45
+        assert stats == maxdet.SolverStats(
+            stages=7, newton_steps=35, backtracks=15, factorizations=36
+        )
         monkeypatch.setattr(maxdet, "T_GROWTH", 5.0)
         short = nrdf(stable4, 1.0, form=FORM_B).stats
-        assert short == maxdet.SolverStats(stages=18, newton_steps=104, backtracks=56)
+        assert short == maxdet.SolverStats(
+            stages=18, newton_steps=46, backtracks=12, factorizations=56
+        )
 
     def test_closed_form_and_zero_rate_report_zeros(self, scalar_half, stable4):
         for sol in (nrdf(scalar_half, 0.5), nrdf(stable4, zdrd.d_max(stable4))):
-            assert sol.stats == maxdet.SolverStats(0, 0, 0)
-            assert sol.to_dict()["stats"] == {"stages": 0, "newton_steps": 0, "backtracks": 0}
+            assert sol.stats == maxdet.SolverStats(0, 0, 0, 0)
+            assert sol.to_dict()["stats"] == {
+                "stages": 0,
+                "newton_steps": 0,
+                "backtracks": 0,
+                "factorizations": 0,
+            }
+
+
+@pytest.fixture(scope="module")
+def grid_solves():
+    """Every default-grid point of the four presets and of random_source(p,
+    seed=3), p in (6, 8), solved while each line-search step that the
+    certificate skips is factored after all.
+
+    Returns (solutions by source, skipped steps, skipped steps that factored).
+    """
+    skipped, factored = [], []
+    line_search = maxdet._line_search
+
+    def checking(prob, x, dx, dmin, t, base, gdx):
+        step = 1.0
+        while step > 1e-16 and 1.0 + step * dmin <= -maxdet.SKIP_MARGIN:
+            skipped.append(step)
+            if maxdet._factors(prob, x + step * dx) is not None:
+                factored.append((t, step, dmin))
+            step *= 0.5
+        return line_search(prob, x, dx, dmin, t, base, gdx)
+
+    sources = {name: experiments.preset_config(name).source for name in experiments.list_presets()}
+    sources.update({f"random{p}": random_source(p, seed=3) for p in (6, 8)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maxdet, "_line_search", checking)
+        sols = {
+            name: [nrdf(src, D) for D in experiments.default_grid(src)]
+            for name, src in sources.items()
+        }
+    return sols, skipped, factored
+
+
+class TestGridSolves:
+    def test_skipped_steps_lie_outside_the_cone(self, grid_solves):
+        # a false skip would silently discard a feasible step
+        _, skipped, factored = grid_solves
+        assert len(skipped) > 1000
+        assert factored == []
+
+    def test_preset_points_are_centred(self, grid_solves):
+        sols, _, _ = grid_solves
+        for name in experiments.list_presets():
+            assert len(sols[name]) == experiments.GRID_POINTS
+            for sol in sols[name]:
+                assert sol.kkt_residual <= maxdet.GAP_TARGET, (name, sol.distortion_target)
 
 
 class TestBruteForceOracle:
@@ -318,7 +395,7 @@ class TestPhase1AndErrors:
     def test_phase1_point_is_strictly_feasible(self, unstable4):
         for D in (0.05, 1.0, 2.9):
             prob = maxdet.form_b_problem(unstable4.A, unstable4.B, D)
-            x, _ = maxdet.phase1_point(prob)
+            x, _, _ = maxdet.phase1_point(prob)
             G = prob.fused_C + np.tensordot(x, prob.fused_dA, axes=1)
             Q = np.tensordot(x, prob.q_dA, axes=1)
             assert np.linalg.eigvalsh(G)[0] > 0
