@@ -2,21 +2,23 @@
 
 The unit-variance AWGN legs of the realization are replaced by subtractive-
 dithered quantizers (independent scalar quantizers, or a D4 lattice on
-blocks of four coordinates), and the joint index vector of each time step
-is entropy coded memorylessly over time by a two-pass empirical Huffman
-code.  Reported numbers are bits per vector per step and the end-to-end
-mean squared error.  The Gaussian test channel (:func:`run_awgn_batch`) runs
-through the same driver, :func:`_run_loops`.
+blocks of four coordinates).  Reported numbers are bits per vector per step
+and the end-to-end mean squared error.  The Gaussian test channel
+(:func:`run_awgn_batch`) runs through the same driver, :func:`_run_loops`.
 
-For r active dimensions the measured rate is bracketed by
+The reported rate is a two-pass empirical Huffman code of each step's joint
+index over the run, with lengths from the run's plug-in histogram; it does
+not pay for its codebook and does not condition on the dither.  A per-step
+code conditioned on the dither, over r active dimensions, has a rate in
 
     R(D_emp)  <=  rate  <=  R(D_emp) + (r/2) log2(pi e / 6) + 1      (scalar)
     R(D_emp)  <=  rate  <=  R(D_emp) + (r/2) log2(2 pi e G4) + 1     (D4 lattice)
 
-up to Monte-Carlo noise and the gap between dither-conditioned and
-unconditioned coding (the implemented coder does not condition on the
-dither, which can push very-low-rate points slightly past the idealized
-upper bound).
+up to Monte-Carlo noise (upper end: :func:`theoretical_upper_bound`).  The
+two-pass rate can leave this bracket.  Once 2^rate nears the number of
+steps n it tracks log2 n: 16.6 bits below the converse on a p = 16 source
+at 0.02 d_max, n = 5000.  And it read 3.060 bits, above the additive bound
+3.035, on example1 at D = 2.83, n = 1e5.
 """
 
 import csv

@@ -54,26 +54,17 @@ _UNSTABLE_4D_A = [
 ]
 
 
-def _preset_sources():
-    eye4 = np.eye(4)
-    return {
-        "example1": new_source(_STABLE_4D_A, eye4, eye4),
-        "example2": augment_ar([[[0.3]], [[0.5]]], [[1.0]]),
-        "example3": new_source(_UNSTABLE_4D_A, eye4, eye4),
-        "example4": augment_ar([[[1.2]], [[0.5]]], [[1.0]]),
-    }
-
-
-_PRESET_QUANTIZER = {
-    "example1": "sdusq",
-    "example2": "sdusq",
-    "example3": "d4",
-    "example4": "sdusq",
+# name -> (source builder, default quantizer)
+_PRESETS = {
+    "example1": (lambda: new_source(_STABLE_4D_A, np.eye(4), np.eye(4)), "sdusq"),
+    "example2": (lambda: augment_ar([[[0.3]], [[0.5]]], [[1.0]]), "sdusq"),
+    "example3": (lambda: new_source(_UNSTABLE_4D_A, np.eye(4), np.eye(4)), "d4"),
+    "example4": (lambda: augment_ar([[[1.2]], [[0.5]]], [[1.0]]), "sdusq"),
 }
 
 
 def list_presets():
-    return sorted(_preset_sources())
+    return sorted(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -159,14 +150,14 @@ def default_grid(src: GaussMarkovSource, points: int = GRID_POINTS):
 
 
 def preset_config(name, quantizer="default", n_steps=None, csv_path=None, points=GRID_POINTS):
-    sources = _preset_sources()
-    if name not in sources:
+    if name not in _PRESETS:
         raise ConfigParse(f"unknown preset {name!r}; choose from {list_presets()}")
-    src = sources[name]
+    build, default_quantizer = _PRESETS[name]
     if _integer(points, "grid points") < 1:
         raise ConfigParse(f"grid points must be >= 1, got {points!r}")
+    src = build()
     if quantizer == "default":
-        quantizer = _PRESET_QUANTIZER[name]
+        quantizer = default_quantizer
     elif quantizer == "none":
         quantizer = None
     return ExperimentConfig(

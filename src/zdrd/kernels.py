@@ -9,6 +9,8 @@ stream per loop.  The package's one driver, ``coding._run_loops``, draws the
 streams of both channels, runs the horizon in chunks and forms the squared
 errors; :func:`awgn_loop`, :func:`sdusq_loop` and :func:`d4_loop` run one
 loop over a horizon, for tests that compare them with scalar references.
+Each returns the k and alpha its steps saw, the beta they returned and the
+errors e; the lattice loops return their lattice coordinates first.
 
 The loops run in innovations/error coordinates, one step per input row u_t,
 
@@ -148,32 +150,34 @@ def lattice_step(dither, scale, nearest, z):
 
 
 def _one_loop(A, bw, x0, fe, g, step):
-    """(k, alpha, e), each (n+1, .), of one loop over x0, then bw (n, p), as its steps saw them."""
+    """(k, alpha, beta, e), each (n+1, .), of one loop over x0, then bw (n, p).
+
+    k and alpha are as the steps saw them, and beta as they returned it.
+    """
     u = np.concatenate([x0[None], bw])[..., None]
-    k, alpha = np.empty(u.shape), np.empty((u.shape[0], fe.shape[0], 1))
+    r = fe.shape[0]
+    k, (alpha, beta) = np.empty(u.shape), np.empty((2, u.shape[0], r, 1))
 
     def recording(t, kt, at):
         k[t], alpha[t] = kt, at
-        return step(t, kt, at)
+        beta[t] = step(t, kt, at)  # a copy: the step may reuse its buffer
+        return beta[t]
 
     e = feedback_loop(A, u, np.zeros_like(u[0]), fe[..., None], g[..., None], recording)
-    return (e if fe.shape[0] == 0 else k)[..., 0], alpha[..., 0], e[..., 0]
+    return (e if r == 0 else k)[..., 0], alpha[..., 0], beta[..., 0], e[..., 0]
 
 
 def awgn_loop(A, bw, x0, fe, g, noise):
     """One loop over the unit Gaussian channel; returns (k, alpha, beta, e)."""
-    k, alpha, e = _one_loop(A, bw, x0, fe, g, awgn_step(noise[..., None]))
-    return k, alpha, alpha + noise, e
+    return _one_loop(A, bw, x0, fe, g, awgn_step(noise[..., None]))
 
 
 def _lattice_loop(A, bw, x0, fe, g, dither, scale, nearest):
     """One loop through :func:`lattice_step`; returns (idx, k, alpha, beta, e)."""
-    scale = np.asarray(scale, float)
     z = np.empty(dither.shape + (1,))
-    step = lattice_step(dither[..., None], scale[..., None], nearest, z)
-    k, alpha, e = _one_loop(A, bw, x0, fe, g, step)
-    idx = z[..., 0].astype(np.int64)
-    return idx, k, alpha, dithered_decode(idx, dither, scale), e
+    step = lattice_step(dither[..., None], np.asarray(scale, float)[..., None], nearest, z)
+    k, alpha, beta, e = _one_loop(A, bw, x0, fe, g, step)
+    return z[..., 0].astype(np.int64), k, alpha, beta, e  # z is written by the loop's steps
 
 
 def sdusq_loop(A, bw, x0, fe, g, dither, deltas):

@@ -327,9 +327,10 @@ def _line_search(prob: MaxdetProblem, x, dx, dmin, t, base, gdx):
 
 
 def solve_maxdet(prob: MaxdetProblem):
-    """Run the barrier path follower; returns (Pi, Q, kkt_residual_nats, stats).
+    """Run the barrier path follower; returns (Pi, kkt_residual_nats, stats).
 
-    The residual is the duality-gap bound nu/t at the final stage plus the
+    Pi is exactly symmetric (:func:`unvech` writes both triangles).  The
+    residual is the duality-gap bound nu/t at the final stage plus the
     centering slack; all LMI blocks of the returned point are strictly
     positive definite.  ``stats`` is the solve's :class:`SolverStats`.
     """
@@ -380,10 +381,9 @@ def solve_maxdet(prob: MaxdetProblem):
         centres = [*centres[-1:], x]
         if final:
             Pi = unvech(x[: prob.nb_pi], prob.p)
-            Qm = unvech(x[prob.nb_pi :], prob.m)
             slack = np.sqrt(max(last_lam2, 0.0)) * np.sqrt(nu) / t
             stats = SolverStats(stage, newton_steps, backtracks, factorizations)
-            return Pi, Qm, nu / t + slack, stats
+            return Pi, nu / t + slack, stats
         t *= T_GROWTH
     raise SolverDivergence(
         f"barrier path following exceeded {MAX_OUTER} stages (gap target {GAP_TARGET})"

@@ -154,8 +154,7 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolut
         return _scalar_solution(src, D)
 
     build = maxdet.form_b_problem if form == FORM_B else maxdet.form_a_problem
-    pi, _, kkt, stats = maxdet.solve_maxdet(build(src.A, src.B, D))
-    pi = symmetrize(pi)
+    pi, kkt, stats = maxdet.solve_maxdet(build(src.A, src.B, D))
     lam = symmetrize(src.A @ pi @ src.A.T + src.B @ src.B.T)
     return NrdfSolution(
         distortion_target=D,

@@ -139,10 +139,8 @@ def d_max(src: GaussMarkovSource) -> float:
     is zero.  Unstable and marginally stable sources have no stationary
     covariance: returns +inf.
     """
-    try:
-        return float(np.trace(stationary_covariance(src)))
-    except NotPSD:
-        return float("inf")
+    S = src._stationary  # None unless the source is stable
+    return float("inf") if S is None else float(np.trace(S))
 
 
 def stationary_covariance(src: GaussMarkovSource) -> np.ndarray:

@@ -29,7 +29,8 @@ class TestPresets:
         ]
 
     def test_matrices_match_reference(self):
-        sources = experiments._preset_sources()
+        names = experiments.list_presets()
+        sources = {name: experiments.preset_config(name).source for name in names}
         assert np.array_equal(sources["example1"].A, STABLE_4D_A)
         assert np.array_equal(sources["example3"].A, UNSTABLE_4D_A)
         assert np.allclose(sources["example2"].A, [[0.3, 0.5], [1.0, 0.0]])
@@ -46,7 +47,7 @@ class TestPresets:
     def test_default_grids(self):
         g1 = experiments.preset_config("example1", quantizer="none").d_grid
         assert len(g1) == 20
-        dm = zdrd.d_max(experiments._preset_sources()["example1"])
+        dm = zdrd.d_max(experiments.preset_config("example1").source)
         assert g1[0] == pytest.approx(0.02 * dm)
         assert g1[-1] == pytest.approx(dm)
         g3 = experiments.preset_config("example3", quantizer="none").d_grid
@@ -72,7 +73,7 @@ class TestRunExperiment:
                 assert all(lo >= 0.611 - 1e-4 for lo in lows)
 
     def test_example1_dimension_drop(self):
-        src = experiments._preset_sources()["example1"]
+        src = experiments.preset_config("example1").source
         cfg = experiments.ExperimentConfig(
             source=src, d_grid=(3.9, 4.0), quantizer=None, name="example1-drop"
         )
@@ -122,7 +123,7 @@ class TestRunExperiment:
 
     def test_failed_coded_row(self, tmp_path, capsys):
         # the D4 quantizer needs r divisible by 4: near d_max example1 keeps r = 1
-        src = experiments._preset_sources()["example1"]
+        src = experiments.preset_config("example1").source
         grid = (0.5, 0.999 * zdrd.d_max(src))
         path = tmp_path / "d4.csv"
         cfg = experiments.ExperimentConfig(
@@ -295,7 +296,7 @@ class TestConfigParsing:
             experiments.config_from_dict({"d_grid": [0.5]})
 
     def test_n_steps_at_least_one(self):
-        src = experiments._preset_sources()["example4"]
+        src = experiments.preset_config("example4").source
         with pytest.raises(ConfigParse, match="^n_steps must be >= 1$"):
             experiments.ExperimentConfig(source=src, d_grid=(0.5,), n_steps=0)
 
@@ -412,6 +413,23 @@ class TestCli:
         assert cli.main(["preset", "example4", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out}: no writable directory {parent}\n"
+
+    def test_csv_write_failure_after_the_sweep_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the path passes the check before the sweep; writing it fails after
+        written = []
+
+        def write_csv(report, path):
+            written.append(report)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiments, "write_csv", write_csv)
+        out = tmp_path / "x.csv"
+        args = ["preset", "example4", "--quantizer", "none", "--grid-points", "3"]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert len(written) == 1 and len(written[0].rows) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: disk full\n"
+        assert captured.out == ""
 
     def test_solve_missing_config(self, tmp_path, capsys):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2

@@ -106,7 +106,7 @@ class TestScalarOracle:
         assert np.allclose(sol.pi, sol.lam)
         # the barrier itself also lands at (numerically) zero rate
         prob = maxdet.form_b_problem(src.A, src.B, dmax * 1.5)
-        pi, _, _, _ = maxdet.solve_maxdet(prob)
+        pi, _, _ = maxdet.solve_maxdet(prob)
         lam = src.A @ pi @ src.A.T + src.B @ src.B.T
         rate = 0.5 * (np.linalg.slogdet(lam)[1] - np.linalg.slogdet(pi)[1]) / np.log(2)
         assert 0.0 <= rate < 1e-7
@@ -260,7 +260,7 @@ class TestFactorOnce:
             return factors(prob, x)
 
         monkeypatch.setattr(maxdet, "_factors", recording)
-        stats = maxdet.solve_maxdet(build(stable4.A, stable4.B, 1.0))[3]
+        stats = maxdet.solve_maxdet(build(stable4.A, stable4.B, 1.0))[2]
         assert len(seen) > 20
         assert len(set(seen)) == len(seen)
         assert stats.factorizations == len(seen)

@@ -8,8 +8,8 @@ from zdrd.coding import theoretical_upper_bound
 from zdrd.errors import BadDistortion, ConfigParse, InfeasibleModel
 from zdrd.experiments import (
     ExperimentConfig,
-    _preset_sources,
     default_grid,
+    list_presets,
     preset_config,
     run_experiment,
 )
@@ -27,6 +27,7 @@ def assert_solution_invariants(src, sol):
     lam_expected = src.A @ sol.pi @ src.A.T + src.B @ src.B.T
     rel = np.linalg.norm(sol.lam - lam_expected) / max(np.linalg.norm(lam_expected), 1e-30)
     assert rel < 1e-8
+    assert np.array_equal(sol.pi, sol.pi.T)  # exactly: nrdf returns Pi as the solve built it
     assert np.linalg.eigvalsh(sol.pi)[0] > 0
     lam_scale = np.linalg.norm(lam_expected, 2)
     assert np.linalg.eigvalsh(lam_expected - sol.pi)[0] >= -FEAS_TOL * lam_scale
@@ -164,7 +165,7 @@ class TestNrdf:
             for d in grid:
                 assert_solution_invariants(src, nrdf(src, d))
         # every preset's 6-point grid in each form its source admits
-        for src in _preset_sources().values():
+        for src in (preset_config(name).source for name in list_presets()):
             for d in default_grid(src, 6):
                 for form in solvable_forms(src):
                     assert_solution_invariants(src, nrdf(src, d, form=form))

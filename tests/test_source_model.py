@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
 import zdrd
-from zdrd.errors import ConfigParse, DimensionMismatch, NotPSD
-from zdrd.linalg import as_matrix, check_psd, discrete_lyapunov, symmetrize
+from zdrd.errors import ConfigParse, DimensionMismatch, EigenFailure, NotPSD
+from zdrd.linalg import (
+    as_matrix,
+    check_psd,
+    discrete_lyapunov,
+    eigvalsh_checked,
+    sorted_eig,
+    symmetrize,
+)
 from zdrd.source_model import source_rows
 
 from conftest import STABLE_4D_A, UNSTABLE_4D_A, random_source
@@ -248,6 +255,31 @@ class TestMatrixChecks:
     def test_rejects(self, check, M, error, message):
         with pytest.raises(error, match=message):
             check(M, "M")
+
+    @pytest.mark.parametrize(
+        "numpy_call, check, message",
+        [
+            (
+                "eigvalsh",
+                lambda: eigvalsh_checked(np.eye(2), "M"),
+                "symmetric eigensolver failed on M: no convergence",
+            ),
+            (
+                "eigvals",
+                lambda: sorted_eig(np.eye(2)),
+                "eigenvalue iteration did not converge: no convergence",
+            ),
+        ],
+        ids=["eigvalsh_checked", "sorted_eig"],
+    )
+    def test_eigensolver_failure(self, monkeypatch, numpy_call, check, message):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, numpy_call, fail)
+        with pytest.raises(EigenFailure, match=f"^{message}$") as raised:
+            check()
+        assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
 
     def test_huge_entries_stay_finite(self):
         # M + M.T overflowed to inf, with a RuntimeWarning, near the float64 maximum
