@@ -44,7 +44,8 @@ class ConfigParse(ZdrdError, ValueError):
 
 
 class AlphabetOverflow(ZdrdError, RuntimeError):
-    """The observed joint quantizer alphabet exceeded ``coding.ALPHABET_CAP``."""
+    """A coded point's joint alphabet exceeded ``coding.ALPHABET_CAP``, or one
+    of its lattice coordinates reached 2^52 in magnitude or is nan."""
 
 
 def config_mapping(doc, what, keys):

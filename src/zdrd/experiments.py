@@ -24,15 +24,18 @@ from .realization import build_realization
 from .solver import nrdf
 from .source_model import GaussMarkovSource, augment_ar, d_max, new_source, source_from_dict
 
-CSV_HEADER = [
-    "D_target",
-    "rate_lower_bits",
-    "rate_upper_bits",
-    "rate_op_bits",
-    "D_empirical",
-    "r_active",
-    "status",
-]
+# the report CSV's columns in ExperimentRow field order: (header, parse of a
+# cell, required); an empty cell of a column not required reads as None
+_COLUMNS = (
+    ("D_target", float, True),
+    ("rate_lower_bits", float, False),
+    ("rate_upper_bits", float, False),
+    ("rate_op_bits", float, False),
+    ("D_empirical", float, False),
+    ("r_active", int, False),
+    ("status", str, True),
+)
+CSV_HEADER = [header for header, _, _ in _COLUMNS]
 
 DEFAULT_SEEDS = SeedBundle(source=20240, dither=20241)
 DEFAULT_N_STEPS = 100_000
@@ -78,6 +81,10 @@ class ExperimentConfig:
     name: str = "custom"
 
     def __post_init__(self):
+        if self.csv_path is not None and not isinstance(self.csv_path, str):
+            raise ConfigParse(f"outputs.csv must be a path string, got {self.csv_path!r}")
+        if not isinstance(self.name, str):
+            raise ConfigParse(f"name must be a string, got {self.name!r}")
         try:
             if isinstance(self.d_grid, str) or any(isinstance(d, bool) for d in self.d_grid):
                 raise TypeError(f"got {self.d_grid!r}")
@@ -184,20 +191,14 @@ def config_from_dict(doc) -> ExperimentConfig:
     quantizer = doc.get("quantizer")
     if isinstance(quantizer, dict):
         quantizer = config_mapping(quantizer, "quantizer", ("kind",)).get("kind")
-    csv_path = config_mapping(doc.get("outputs", {}), "outputs", ("csv",)).get("csv")
-    if csv_path is not None and not isinstance(csv_path, str):
-        raise ConfigParse(f"outputs.csv must be a path string, got {csv_path!r}")
-    name = doc.get("name", "custom")
-    if not isinstance(name, str):
-        raise ConfigParse(f"name must be a string, got {name!r}")
     return ExperimentConfig(
         source=src,
         d_grid=grid,
         n_steps=doc.get("n_steps", DEFAULT_N_STEPS),
         seeds=seeds,
         quantizer=None if quantizer == "none" else quantizer,
-        csv_path=csv_path,
-        name=name,
+        csv_path=config_mapping(doc.get("outputs", {}), "outputs", ("csv",)).get("csv"),
+        name=doc.get("name", "custom"),
     )
 
 
@@ -308,27 +309,25 @@ def write_csv(report: ExperimentReport, path):
 
 
 def read_csv(path):
-    """Parse a report CSV back into rows (exact float round trip)."""
-    rows = []
+    """Parse a report CSV back into rows (exact float round trip); a file
+    that is not a report raises ConfigParse naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ConfigParse(f"unexpected CSV header {header}")
-        for rec in reader:
-            d, lo, up, op, demp, r, status = rec
-            rows.append(
-                ExperimentRow(
-                    d_target=float(d),
-                    rate_lower_bits=float(lo) if lo else None,
-                    rate_upper_bits=float(up) if up else None,
-                    rate_op_bits=float(op) if op else None,
-                    d_empirical=float(demp) if demp else None,
-                    r_active=int(r) if r else None,
-                    status=status,
-                )
-            )
-    return rows
+        try:
+            header = next(reader)
+            if header == CSV_HEADER:
+                return [_report_row(cells) for cells in reader]
+        except (StopIteration, ValueError, csv.Error) as exc:
+            where = f"{path}, line {reader.line_num or 1}"  # line 1 of an empty file too
+            raise ConfigParse(f"malformed report {where}: {str(exc) or 'no header'}") from exc
+    raise ConfigParse(f"unexpected CSV header {header}")
+
+
+def _report_row(cells):
+    if len(cells) != len(_COLUMNS):
+        raise ValueError(f"{len(cells)} cells, expected {len(_COLUMNS)}")
+    cols = zip(_COLUMNS, cells)
+    return ExperimentRow(*(parse(c) if c or required else None for (_, parse, required), c in cols))
 
 
 def format_report(report: ExperimentReport):

@@ -102,13 +102,13 @@ def waterfill_factors(pi_tilde, lambda_tilde):
         raise DimensionMismatch("profile lengths differ")
     if np.any(pi_tilde > lambda_tilde + ACTIVE_TOL):
         raise OrderViolation("pi_tilde exceeds lambda_tilde beyond tolerance")
-    if np.any(pi_tilde <= 0) or np.any(lambda_tilde <= 0):
+    if not (np.all(pi_tilde > 0) and np.all(lambda_tilde > 0)):  # nan fails too
         raise NotPD("profiles must be strictly positive")
     h = 1.0 - pi_tilde / lambda_tilde
     active = h > ACTIVE_TOL
-    h = np.where(active, h, 0.0)
-    theta = np.where(active, np.sqrt(pi_tilde * h), 0.0)
-    phi = np.where(active, np.sqrt(h / np.where(active, pi_tilde, 1.0)), 0.0)
+    h = np.where(active, h, 0.0)  # so theta and phi are 0 where h is
+    theta = np.sqrt(pi_tilde * h)
+    phi = np.sqrt(h / pi_tilde)
     return h, theta, phi, active, int(active.sum())
 
 

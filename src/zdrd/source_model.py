@@ -77,7 +77,7 @@ class StabilityReport:
 
 def new_source(A, B, sigma_x0) -> GaussMarkovSource:
     """Build and validate a source; raises DimensionMismatch / NotPSD."""
-    return GaussMarkovSource(np.asarray(A, float), np.asarray(B, float), np.asarray(sigma_x0, float))
+    return GaussMarkovSource(A, B, sigma_x0)
 
 
 def stability_report(src: GaussMarkovSource) -> StabilityReport:
@@ -205,13 +205,11 @@ def source_from_dict(doc) -> GaussMarkovSource:
     if "A" in doc and "ar_coefficients" in doc:
         raise ConfigParse("source description takes 'A' or 'ar_coefficients', not both")
     try:
-        B = np.asarray(doc["B"], float)
         sigma = doc.get("sigma_x0")
-        sigma = None if sigma is None else np.asarray(sigma, float)
         if "ar_coefficients" in doc:
-            return augment_ar([np.asarray(M, float) for M in doc["ar_coefficients"]], B, sigma)
-        A = as_matrix(doc["A"], "A")
-        return new_source(A, B, np.eye(A.shape[0]) if sigma is None else sigma)
+            return augment_ar(doc["ar_coefficients"], doc["B"], sigma)
+        A = as_matrix(doc["A"], "A")  # its size gives the default sigma_x0
+        return new_source(A, doc["B"], np.eye(A.shape[0]) if sigma is None else sigma)
     except KeyError as exc:
         raise ConfigParse(f"source description missing key {exc}") from exc
     except (ValueError, TypeError) as exc:

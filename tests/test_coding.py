@@ -337,6 +337,35 @@ class TestCodingRuns:
         total_bits = sum(int(r[2]) for r in rows[1:])
         assert total_bits / 501 == pytest.approx(res.empirical_rate_bits_per_vector)
 
+    @pytest.mark.parametrize("name, kind, D", [("example1", "sdusq", 0.3), ("example3", "d4", 1.0)])
+    def test_trace_code_lengths_are_exact(self, tmp_path, monkeypatch, name, kind, D):
+        # the trace finds row t's codeword by np.unique's order of the rows,
+        # and the code is built on the histogram in count_rows' order; short
+        # chunks merge the counts several times before the code is built
+        coded = []
+        huffman = entropy_code.huffman_lengths
+
+        def recording_huffman(counts):
+            coded.append((counts, huffman(counts)))
+            return coded[-1][1]
+
+        monkeypatch.setattr(entropy_code, "huffman_lengths", recording_huffman)
+        monkeypatch.setattr(coding, "CHUNK", 300)
+        src = preset_config(name).source
+        scheme = build_realization(src, nrdf(src, D))
+        n, path = 2000, tmp_path / "trace.csv"
+        res = run_coding_experiment(scheme, src, n, SeedBundle(5, 6), kind, trace_path=path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        idx = np.array([[int(v) for v in row[1:-2]] for row in rows])
+        bits = np.array([int(row[-2]) for row in rows])
+        keys, counts = entropy_code.count_rows(idx)
+        ((histogram, lengths),) = coded
+        assert len(keys) > 2 and np.array_equal(histogram, counts)
+        rank = {key: i for i, key in enumerate(map(tuple, keys.tolist()))}
+        assert np.array_equal(bits, lengths[[rank[tuple(row)] for row in idx.tolist()]])
+        assert int(bits.sum()) / (n + 1) == res.empirical_rate_bits_per_vector
+
     def test_trace_sq_error_is_what_the_mse_averages(self, tmp_path):
         # a p = 4 trace writes each step's squared error as the batch sums it
         # for empirical_mse; the run is rebuilt by one loop from the same seeds

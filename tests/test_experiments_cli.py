@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +306,45 @@ class TestConfigParsing:
         path = tmp_path / "other.csv"
         path.write_text("D,rate\n0.5,1.0\n")
         with pytest.raises(ConfigParse, match=r"unexpected CSV header \['D', 'rate'\]"):
+            experiments.read_csv(path)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"csv_path": 4}, "^outputs.csv must be a path string, got 4$"),
+            ({"name": None}, "^name must be a string, got None$"),
+        ],
+        ids=["csv_path", "name"],
+    )
+    def test_configs_built_in_code_are_checked(self, field, message):
+        # csv_path=4 wrote the report into file descriptor 4, then closed it
+        src = experiments.preset_config("example4").source
+        with pytest.raises(ConfigParse, match=message):
+            experiments.ExperimentConfig(src, (0.5,), quantizer=None, **field)
+        cfg = experiments.ExperimentConfig(src, (0.5,), quantizer=None)
+        with pytest.raises(ConfigParse, match=message):
+            replace(cfg, **field)
+
+    @pytest.mark.parametrize(
+        "body, line, why",
+        [
+            ("", 1, "no header"),
+            ("{head}0.5,1.0,2.0\n", 3, "3 cells, expected 7"),
+            ("{head}0.5,1.0,2.0,,,1,ok,8\n", 3, "8 cells, expected 7"),
+            ("{head}0.5,one,,,,,ok\n", 3, "could not convert string to float: 'one'"),
+            ("{head}0.5,,,,,1.5,ok\n", 3, "invalid literal for int"),
+            ("{head},,,,,,ok\n", 3, "could not convert string to float: ''"),
+            ("{head}0.5,,,,,," + "x" * 200_000 + "\n", 3, "field larger than field limit"),
+        ],
+        ids=["empty", "short", "long", "float", "int", "no-target", "csv-error"],
+    )
+    def test_read_csv_names_the_line_of_a_malformed_file(self, tmp_path, body, line, why):
+        # line 2 is a good row; the parse of line 3 fails
+        head = ",".join(experiments.CSV_HEADER) + "\n0.5,1.0,2.0,,,1,ok\n"
+        path = tmp_path / "report.csv"
+        path.write_text(body.format(head=head))
+        prefix = re.escape(f"malformed report {path}, line {line}: {why}")
+        with pytest.raises(ConfigParse, match=f"^{prefix}"):
             experiments.read_csv(path)
 
     def test_unreadable_file(self, tmp_path):

@@ -97,6 +97,11 @@ class TestWaterfillFactors:
         h, theta, phi, active, r = waterfill_factors(pt, np.maximum(lt, pt))
         assert np.all(np.abs(h - theta * phi) <= 1e-10)
 
+    def test_nan_profile_is_not_positive(self):
+        # a nan passed every comparison and read as an inactive coordinate
+        with pytest.raises(NotPD, match="profiles must be strictly positive"):
+            waterfill_factors([1.0, np.nan], [2.0, 1.0])
+
     def test_order_violation(self):
         for pi_t, lam_t, error, message in (
             ([2.0, 1.0], [1.5, 1.0], OrderViolation, "pi_tilde exceeds lambda_tilde"),
