@@ -11,7 +11,11 @@ lockstep step (the wall time over the horizon, whatever G).  A kind whose
 block does not divide r runs on block-diagonal copies of the source, so a
 new kind is measured without editing this script.  The D4 dither row gives
 blocks per second for --n blocks, the next row the time of
-``source_model.simulate`` on a p = 1 source for 1e5 steps, and the last the
+``source_model.simulate`` on a p = 1 source for 1e5 steps.  The coded rows
+time one ``coding.run_coding_batch`` of G points of the stable ``example1``
+(scalar quantizer, lowest default D) over 10 x --n steps, loop, counts and
+code; its loops run in S time segments side by side
+(``source_model.time_segments``).  The next row is the
 ``tracemalloc`` peak of one ``coding.run_coding_batch`` (the scalar
 quantizer on the 4-d source at D = 1, G = 4 points) at n = --n and 10 x --n.
 A batch runs its horizon in fixed chunks, so the peak grows only by the
@@ -36,7 +40,7 @@ from zdrd.coding import CHUNK, KINDS, SeedBundle, run_coding_batch
 from zdrd.experiments import default_grid, preset_config
 from zdrd.quantizers import D4_UNIT_SCALE
 from zdrd.realization import channel_matrices
-from zdrd.source_model import source_rows
+from zdrd.source_model import source_rows, time_segments
 
 R4 = 4  # active dimensions of one copy of the source at D = 1
 BATCHES = (1, 4, 20)
@@ -96,6 +100,13 @@ def example1_indices(n):
     return z[..., 0].astype(np.int64)
 
 
+def stable_batch(G):
+    """G points of ``example1`` at the lowest D of its default grid, seeds i, 100 + i."""
+    src = preset_config("example1").source
+    scheme = build_realization(src, nrdf(src, default_grid(src)[0]))
+    return src, [(scheme, SeedBundle(i, 100 + i)) for i in range(G)]
+
+
 def count_and_code(idx):
     """A coded point's work after its loop: counts by chunk, histogram, code, rate."""
     tally = entropy_code.RowCounts(idx.shape[1])
@@ -139,6 +150,14 @@ def main():
     print(f"{'simulate p=1':<14} {SIM_STEPS / t_sim:>12.4g} steps/s  {us:>6.2f} us/step  ({t_sim:.3f} s)")
 
     short, long = args.n, 10 * args.n
+    for G in BATCHES:
+        src, points = stable_batch(G)
+        t = timeit(lambda: run_coding_batch(src, long, "sdusq", points), args.repeat)
+        us = 1e6 * t / (long + 1)
+        S = time_segments(src, CHUNK, G)
+        label = f"coded G={G}"
+        print(f"{label:<14} {us:>6.2f} us/step  ({t:.3f} s) [example1 sdusq, n = {long}, S = {S}]")
+
     peaks = [coded_peak(n) / 1e6 for n in (short, long)]
     errors = 8 * PEAK_POINTS * (long - short) / 1e6
     print(

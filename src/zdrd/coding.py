@@ -5,6 +5,12 @@ dithered quantizers (independent scalar quantizers, or a D4 lattice on
 blocks of four coordinates).  Reported numbers are bits per vector per step
 and the end-to-end mean squared error.  The Gaussian test channel
 (:func:`run_awgn_batch`) runs through the same driver, :func:`_run_loops`.
+It runs the horizon in chunks of CHUNK steps and each chunk in time
+segments side by side (``kernels.segmented_loop``): S of them when the
+source is stable and forgets a loop's start well within a chunk
+(``source_model.time_segments``), one otherwise.  Each later segment is
+fixed up from the end of the one before until it coalesces, bit for bit,
+with its first run, so every number is that of the one-step-at-a-time run.
 
 The reported rate is a two-pass empirical Huffman code of each step's joint
 index over the run, with lengths from the run's plug-in histogram; it does
@@ -29,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import entropy_code, kernels
+from . import entropy_code, kernels, source_model
 from .errors import POINT_ERRORS, AlphabetOverflow, DimensionMismatch
 from .quantizers import D4_UNIT_SCALE, G4, SQRT12, d4_nearest_columns, z_nearest
 from .realization import RealizationScheme, channel_matrices
@@ -159,9 +165,11 @@ def _run_loops(src, n, points, kind, block, draw, step, sink=None):
     ``source_model.source_rows(src, seeds.source)``, and its channel rows by
     ``draw(rng, rows, r)`` from a generator seeded with seeds.dither.  The
     horizon runs in chunks (:func:`_chunks`), each from the errors of the
-    chunk before; both streams drawn in pieces equal one draw, and a loop
-    does not depend on the loops beside it (``kernels``), so each result
-    equals its point run alone in one chunk.
+    chunk before and in ``source_model.time_segments`` time segments, its
+    rows drawn straight into the segment layout; both streams drawn in
+    pieces equal one draw, a loop does not depend on the loops beside it
+    and the segments are exact (``kernels``), so each result equals its
+    point run alone in one chunk and one segment.
     ``step(noise, z)`` is a chunk's step on its (rows, rmax, G) channel rows;
     a lattice step writes its coordinates into ``z``, whose (rows, r) part
     of point i goes to ``sink(i, z_i)`` until an error it raises fails i.
@@ -189,22 +197,21 @@ def _run_loops(src, n, points, kind, block, draw, step, sink=None):
     sq = np.empty((G, n + 1))  # squared error of every step, a row per point
     e_prev = np.zeros((p, G))  # the errors before the chunk's first step
     for a, b in _chunks(n):
-        u = np.empty((b - a, p, G))
-        noise = np.zeros((b - a, rmax, G))
+        segments = kernels.TimeSegments(b - a, source_model.time_segments(src, b - a, G), G)
+        u, noise = segments.zeros(p), segments.zeros(rmax)
         for col, r in enumerate(rs):
-            u[:, :, col] = sources[col](b - a)
+            segments.put(u, col, sources[col](b - a))
             if r:
-                noise[:, :r, col] = draw(channels[col], b - a, r)
-        z = np.empty(noise.shape)
-        e = kernels.feedback_loop(src.A, u, e_prev, fe, g, step(noise, z))
+                segments.put(noise, col, draw(channels[col], b - a, r))
+        e, z = kernels.segmented_loop(src.A, u, e_prev, segments, fe, g, noise, step)
         del u, noise
-        e_prev = e[-1].copy()
+        e_prev = segments.last(e).copy()
         for col, (i, r) in enumerate(zip(live, rs)):
-            e_col = e[:, :, col]
+            e_col = segments.get(e, col)
             sq[col, a:b] = np.sum(e_col * e_col, axis=1)
             if r and sink is not None and out[i] is None:
                 try:
-                    sink(i, z[:, :r, col])
+                    sink(i, segments.get(z, col)[:, :r])
                 except POINT_ERRORS as exc:
                     out[i] = exc
         del z, e  # freed before the next chunk is drawn

@@ -1,13 +1,17 @@
 """The closed-loop feedback recursion, run for a batch of loops in lockstep.
 
 Every closed-loop simulation in this package is a per-step feedback
-recursion that cannot be vectorized over time.  It is vectorized over
-loops instead: :func:`feedback_loop` advances G loops of one source (the
-grid points of a sweep) side by side on arrays of shape ``(p, G)`` and
-``(r, G)``, one step at a time.  All randomness is passed in as arrays, one
-stream per loop.  The package's one driver, ``coding._run_loops``, draws the
-streams of both channels, runs the horizon in chunks and forms the squared
-errors; :func:`awgn_loop`, :func:`sdusq_loop` and :func:`d4_loop` run one
+recursion that cannot be vectorized over time directly.  It is vectorized
+over loops instead: :func:`feedback_loop` advances G loops of one source
+(the grid points of a sweep) side by side on arrays of shape ``(p, G)`` and
+``(r, G)``, one step at a time, and :func:`segmented_loop` also spends that
+width on pieces of the horizon (time segments, below).  All randomness is
+passed in as arrays, one stream per loop.  ``coding._run_loops``, through
+which every coded and Gaussian-channel run goes, draws the streams of both
+channels, runs the horizon in chunks, each in time segments, and forms the
+squared errors;
+``source_model.simulate`` runs the loop without a channel in time segments
+too.  :func:`awgn_loop`, :func:`sdusq_loop` and :func:`d4_loop` run one
 loop over a horizon, for tests that compare them with scalar references.
 Each returns the k and alpha its steps saw, the beta they returned and the
 errors e; the lattice loops return their lattice coordinates first.
@@ -53,6 +57,22 @@ and k starts from -0.0, the exact additive identity, so that k is u plus
 the terms even when all of them are -0.0.
 ``tests/test_kernels.py::TestReductionOrder`` pins these facts.
 
+A horizon can also run in time segments (Lions, Maday & Turinici 2001,
+"parareal", made exact): :func:`segmented_loop` cuts it into S segments
+(:class:`TimeSegments`), runs them side by side as S G lockstep columns,
+segment 0 from the true error and the others from zero, and then fixes up
+each later segment from the end of the one before until its error has the
+same bits as the first run's.  While two runs of the same rows emit the
+same quantizer indices, the difference of their errors evolves by A alone.
+For a stable A it falls below half an ulp, and the runs coalesce, after
+about -53 ln 2 / ln rho(A) steps, so the fixups are short and m steps
+take about m / S plus a few times that many sequential steps.  For an
+unstable A the difference grows, a fixup never ends early, and S = 1
+(``source_model.time_segments``).  The results are bit-identical for
+every S, because a loop's state is its last error and its result does not
+depend on the columns beside it (the reductions above); S only sets the
+cost.
+
 The quantizer is a step function ``step(t, k, alpha) -> beta``; k (p, G)
 and alpha (r, G) are views of buffers the loop reuses, so a step that keeps
 them copies them.  Without a channel no step is called, and k is e.
@@ -66,6 +86,8 @@ buffer it reuses: the loop reads it before the next step.
 import numpy as np
 
 from .quantizers import d4_nearest, d4_nearest_columns, dithered_decode, dithered_encode, z_nearest
+
+FIXUP_BLOCK = 16  # steps in the first block of a segment's fixup; later blocks double
 
 
 def get_backend():
@@ -117,6 +139,112 @@ def feedback_loop(A, u, e_prev, fe=None, g=None, step=None):
         np.multiply(g_t, beta[:, None], out=g_terms)
         np.subtract.reduce(e_stack, axis=0, out=e[t + 1])
     return e[1:]
+
+
+class TimeSegments:
+    """Steps 0..m-1 of G loops cut into S time segments of L steps, side by side.
+
+    Segment s holds steps sL .. sL + L - 1; only the last may be shorter,
+    and its padding rows are zeros.  A buffer of rows of width w has shape
+    (L, w, S G), row t of segment s of loop j at [t, :, s G + j], so the S G
+    segments run as lockstep columns (:func:`segmented_loop`).  ``count`` is
+    the S that covers m steps in segments of ``length`` L, at most the S asked.
+    """
+
+    def __init__(self, steps, segments, loops):
+        self.steps, self.loops = steps, loops
+        self.length = -(-steps // segments)
+        self.count = -(-steps // self.length)
+
+    def _split(self, buf):
+        return buf.reshape(self.length, buf.shape[1], self.count, self.loops)
+
+    def zeros(self, width):
+        """A buffer of zeros for rows of width w."""
+        return np.zeros((self.length, width, self.count * self.loops))
+
+    def put(self, buf, j, rows):
+        """Write the rows (m, w) of loop j into the first w columns of buf's rows."""
+        (L, full), w = (self.length, self.steps // self.length), rows.shape[1]
+        seg = self._split(buf)[:, :w, :, j]
+        seg[:, :, :full] = rows[: full * L].reshape(full, L, w).transpose(1, 2, 0)
+        if full < self.count:
+            seg[: self.steps - full * L, :, full] = rows[full * L :]
+
+    def get(self, buf, j):
+        """The rows (m, w) of loop j in buf, in time order."""
+        seg = self._split(buf)[:, :, :, j].transpose(2, 0, 1)
+        return seg.reshape(-1, buf.shape[1])[: self.steps]
+
+    def last(self, buf):
+        """Row m - 1 of every loop, (w, G)."""
+        s, t = divmod(self.steps - 1, self.length)
+        return buf[t, :, s * self.loops : (s + 1) * self.loops]
+
+
+def segmented_loop(A, u, e_prev, segments, fe=None, g=None, noise=None, step=None):
+    """The errors of G loops over m steps, as :func:`feedback_loop` gives
+    them, computed in S time segments side by side.
+
+    u (L, p, S G) and noise (L, r, S G) are laid out by ``segments``
+    (:class:`TimeSegments`); e_prev (p, G), fe (r, p, G) and g (p, r, G)
+    are per loop.  ``step(noise, z)`` builds the step of any piece of the
+    channel rows in that layout, writing its lattice coordinates into z.
+    Returns e (L, p, S G) and z (L, r, S G; None without a channel) in the
+    same layout.
+
+    A first run takes segment 0 from e_prev and every other one from zero.
+    Then each later segment is fixed up: rerun from the end of the one
+    before in blocks of FIXUP_BLOCK, 2 FIXUP_BLOCK, ... steps, each block's
+    rows replacing the first run's.  The fixup ends with the block in which
+    its error first has the same bits as the first run's (compared as
+    int64: signed zeros and nans count).  A loop's state is its last error,
+    so from that step on both runs are one, and the rest of the block is
+    the first run's rows again.  So a segment whose fixup started from the
+    exact end of the one before is exact; if the fixup ended early, its end
+    is the first run's, from which the next fixup started, so that one is
+    exact too.  The segments after a fixup that ran to its segment's end
+    are fixed up again, from the new ends.  Every result is thus exact for
+    any S.
+    """
+    S, G, L = segments.count, segments.loops, segments.length
+    p = e_prev.shape[0]
+    if fe is None:
+        fe, g = np.zeros((0, p, G)), np.zeros((p, 0, G))
+    r = fe.shape[0]
+
+    def loop(u, e0, lanes, noise):
+        z = np.empty(noise.shape) if r else None
+        cols = lanes % G  # column s G + j runs loop j
+        e = feedback_loop(A, u, e0, fe[:, :, cols], g[:, :, cols], step(noise, z) if r else None)
+        return e, z
+
+    e0 = np.zeros((p, S * G))
+    e0[:, :G] = e_prev
+    e, z = loop(u, e0, np.arange(S * G), noise)
+    first = np.ones(G, int)  # per loop, its first segment not yet known exact
+    while np.any(first < S):
+        lanes = np.flatnonzero(np.arange(S)[:, None] >= first)  # pending s G + j
+        e0 = e[L - 1][:, lanes - G]
+        coalesced = np.zeros(S * G, bool)
+        a, block = 0, FIXUP_BLOCK
+        while lanes.size and a < L:
+            b = min(a + block, L)
+            e_fix, z_fix = loop(u[a:b, :, lanes], e0, lanes, noise[a:b, :, lanes] if r else None)
+            same = np.all(e_fix.view(np.int64) == e[a:b, :, lanes].view(np.int64), axis=1)
+            done = np.any(same, axis=0)
+            e[a:b, :, lanes] = e_fix
+            if r:
+                z[a:b, :, lanes] = z_fix
+            coalesced[lanes[done]] = True
+            lanes, e0 = lanes[~done], e_fix[-1][:, ~done]
+            a, block = b, 2 * block
+        for j in range(G):
+            s = first[j]
+            while s < S - 1 and coalesced[s * G + j]:
+                s += 1
+            first[j] = s + 1
+    return e, z
 
 
 def awgn_step(noise):

@@ -9,6 +9,7 @@ with ziggurat Gaussian sampling, so a seed pins a run's input rows
 (:func:`source_rows`) bit-for-bit across runs of the same build.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +23,10 @@ from .linalg import as_matrix, check_psd, discrete_lyapunov, sorted_eig, symmetr
 # circle: eig returns |mu| = 1 - 1e-16 for a rotation, whose Lyapunov system
 # S = A S A^T + B B^T is singular
 MARGINAL_TOL = 1e-9
+# loops run in time segments only when the steps two runs take to coalesce
+# are at most 1/SEGMENT_SPAN of a run, and as at most SEGMENT_WIDTH columns
+SEGMENT_SPAN = 5
+SEGMENT_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,10 @@ class GaussMarkovSource:
     q: int = field(init=False)
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
+        # copies, so that freezing them leaves the caller's arrays writable
+        # (check_psd returns a new sigma_x0)
+        A = as_matrix(self.A, "A").copy()
+        B = as_matrix(self.B, "B").copy()
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         p = A.shape[0]
@@ -181,16 +188,38 @@ def source_rows(src: GaussMarkovSource, seed: int):
     return rows
 
 
+def time_segments(src: GaussMarkovSource, steps: int, loops: int) -> int:
+    """The number S of time segments in which ``loops`` closed loops of
+    ``src`` run ``steps`` steps side by side (``kernels.segmented_loop``).
+
+    Two runs of the same streams from different errors agree to the last
+    bit once rho(A)^t has shrunk their difference below half an ulp, after
+    about -53 ln 2 / ln rho(A) steps.  S = 1 unless the source is stable and
+    that is at most 1/SEGMENT_SPAN of the steps; then S G is at most
+    SEGMENT_WIDTH columns, and a segment at least ``kernels.FIXUP_BLOCK`` steps.
+    """
+    report = stability_report(src)
+    rho = float(np.abs(report.eigenvalues[0]))
+    slow = rho > 0.0 and SEGMENT_SPAN * 53 * math.log(2) > steps * -math.log(rho)
+    if not report.is_stable or slow:
+        return 1
+    return max(1, min(SEGMENT_WIDTH // loops, steps // kernels.FIXUP_BLOCK))
+
+
 def simulate(src: GaussMarkovSource, n: int, seed: int) -> np.ndarray:
     """The states x_0..x_n (n + 1, p) of a run from ``seed``: the feedback
     loop without a channel, which is the state recursion, over
-    ``source_rows(src, seed)``.  For unstable sources the raw state grows
-    geometrically and leaves float64 range after enough steps."""
+    ``source_rows(src, seed)``, run in :func:`time_segments` segments.  For
+    unstable sources the raw state grows geometrically and leaves float64
+    range after enough steps."""
     if n < 0:
         raise DimensionMismatch(f"n must be >= 0, got {n}")
-    u = source_rows(src, seed)(n + 1)
+    segments = kernels.TimeSegments(n + 1, time_segments(src, n + 1, 1), 1)
+    u = segments.zeros(src.p)
+    segments.put(u, 0, source_rows(src, seed)(n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        return kernels.feedback_loop(src.A, u[..., None], np.zeros((src.p, 1)))[..., 0]
+        e, _ = kernels.segmented_loop(src.A, u, np.zeros((src.p, 1)), segments)
+    return segments.get(e, 0)
 
 
 def source_from_dict(doc) -> GaussMarkovSource:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import zdrd
-from zdrd import coding, entropy_code, kernels
+from zdrd import coding, entropy_code, kernels, source_model
 from zdrd.coding import (
     HALF_LOG2_PIE6,
     KINDS,
@@ -502,10 +502,21 @@ def chunk_case(stability, kind):
     return src, [(s, SeedBundle(90 + i, 95 + i)) for i, s in enumerate(schemes)]
 
 
+DERIVED_SEGMENTS = source_model.time_segments
+
+
+def use_segments(monkeypatch, count):
+    """Make coding._run_loops and simulate run every loop in ``count`` time
+    segments, or in the count the source derives when ``count`` is None."""
+    rule = DERIVED_SEGMENTS if count is None else lambda src, steps, loops: count
+    monkeypatch.setattr(source_model, "time_segments", rule)
+
+
 class TestHorizonChunks:
-    # a batch runs its horizon in chunks of coding.CHUNK steps; every result
-    # and trace must equal those of the same run in one chunk, whatever the
-    # chunk length and wherever the horizon ends
+    # a batch runs its horizon in chunks of coding.CHUNK steps, each in time
+    # segments; every result and trace must equal those of the same run in
+    # one chunk and one segment, whatever the chunk length, the segment
+    # count and wherever the horizon ends
     @pytest.mark.parametrize("chunk", [1, 2, 3, 97])
     @pytest.mark.parametrize("kind", ["sdusq", "d4", "awgn"])
     @pytest.mark.parametrize("stability", ["stable", "unstable"])
@@ -518,16 +529,20 @@ class TestHorizonChunks:
         for n in (chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1):
             assert n < default  # one chunk at the default length
             runs = []
-            for length in (default, chunk):
+            # the derived segment count (1 at these horizons) first, then forced ones
+            settings = ((default, None), (chunk, None), (default, 4), (chunk, 2), (default, 33))
+            for length, count in settings:
                 monkeypatch.setattr(coding, "CHUNK", length)
+                use_segments(monkeypatch, count)
                 if kind == "awgn":
                     runs.append((coding.run_awgn_batch(src, n, points), None))
                     continue
-                paths = [tmp_path / f"{length}-{i}.csv" for i in range(len(points))]
+                paths = [tmp_path / f"{length}-{count}-{i}.csv" for i in range(len(points))]
                 results = run_coding_batch(src, n, kind, points, paths)
                 traces = [p.read_bytes() if p.exists() else None for p in paths]
                 runs.append((results, traces))
             assert runs[0] == runs[1]
+            assert all(run == runs[0] for run in runs[2:])
             results, traces = runs[0]
             if kind == "awgn":
                 assert all(isinstance(mse, float) and np.isfinite(mse) for mse in results)
@@ -575,6 +590,149 @@ class TestHorizonChunks:
         growth = 8 * len(points) * (large - small)
         slack = 2**20
         assert peak(large) - peak(small) <= growth + slack
+
+
+def same_bits(a, b):
+    """Equal shapes and bits, signed zeros and nan payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@functools.cache
+def segment_case(name):
+    """(src, kind, points) of a time-segment case; kind "awgn" is the
+    Gaussian test channel.  "slow" mixes slowly (rho = 0.995).  "noiseless"
+    has B = 0 with no noise inputs, so its input rows after x_0 are -0.0 and
+    its states 0.5^t x_0 reach zero only by underflow, after ~1075 steps,
+    and then stay zeros of the sign of x_0; a run from zero keeps +0.0.  Its
+    first two points have x_0 < 0."""
+    seeds = [SeedBundle(40 + i, 50 + i) for i in range(3)]
+    if name == "noiseless":
+        # B = 0 has no realization: the zero-rate scheme of its twin with B = 1
+        twin = zdrd.new_source([[0.5]], [[1.0]], [[1.0]])
+        scheme = build_realization(twin, nrdf(twin, zdrd.d_max(twin)))
+        src = zdrd.new_source([[0.5]], np.zeros((1, 0)), [[1.0]])
+        return src, "sdusq", [(scheme, s) for s in seeds]
+    if name == "slow":
+        src, kind = dense_b_source(0.995, p=2), "sdusq"
+    else:
+        preset, kind = name.split("-")
+        src = preset_config(preset).source
+    dm = zdrd.d_max(src)
+    grid = (0.1, 0.5) if math.isinf(dm) else (0.05 * dm, 0.3 * dm, dm)
+    points = [(build_realization(src, nrdf(src, d)), s) for d, s in zip(grid, seeds)]
+    assert points[0][0].r > 0
+    return src, kind, points
+
+
+SEGMENT_CASES = [
+    "example1-sdusq",
+    "example1-awgn",
+    "example2-sdusq",
+    "slow",
+    "noiseless",
+    "example3-d4",
+]
+
+
+def draw_and_step(kind):
+    """The channel draw and step factory coding._run_loops takes for a kind."""
+    if kind == "awgn":
+        draw = lambda rng, rows, r: rng.standard_normal((rows, r))  # noqa: E731
+        return draw, lambda noise, z: kernels.awgn_step(noise)
+    q = KINDS[kind]
+    return q.dither, lambda noise, z: kernels.lattice_step(noise, q.scale, q.nearest, z)
+
+
+class TestTimeSegments:
+    # a stable source's loops run in time segments side by side, each later
+    # segment fixed up from the end of the one before until it coalesces
+    # bit for bit with its first run; every result must equal the one-segment
+    # run to the last bit, signed zeros included, whatever the count
+    def test_derived_counts(self):
+        counts = {
+            name: source_model.time_segments(preset_config(name).source, coding.CHUNK, 4)
+            for name in ("example1", "example2", "example3", "example4")
+        }
+        assert counts["example1"] > 1 and counts["example2"] > 1
+        assert counts["example3"] == counts["example4"] == 1  # unstable
+        src, _, _ = segment_case("slow")
+        assert source_model.time_segments(src, coding.CHUNK, 4) == 1  # forgets too slowly
+        src, width = preset_config("example1").source, source_model.SEGMENT_WIDTH
+        for G in (1, 4, 20, width):
+            assert 1 <= G * source_model.time_segments(src, coding.CHUNK, G) <= max(G, width)
+
+    @pytest.mark.parametrize("name", SEGMENT_CASES)
+    def test_runner_equals_one_segment(self, name):
+        # e and z of kernels.segmented_loop against kernels.feedback_loop on
+        # the rows coding._run_loops draws for one horizon
+        src, kind, points = segment_case(name)
+        draw, step = draw_and_step(kind)
+        m, p, G = 1500, src.p, len(points)
+        rmax = max(scheme.r for scheme, _ in points)
+        u, noise = np.empty((m, p, G)), np.zeros((m, rmax, G))
+        fe, g = np.zeros((rmax, p, G)), np.zeros((p, rmax, G))
+        for col, (scheme, seeds) in enumerate(points):
+            u[:, :, col] = source_rows(src, seeds.source)(m)
+            if scheme.r:
+                rng = np.random.default_rng(seeds.dither)
+                noise[:, : scheme.r, col] = draw(rng, m, scheme.r)
+                fe[: scheme.r, :, col], g[:, : scheme.r, col] = channel_matrices(scheme)
+        z = np.empty(noise.shape)
+        with np.errstate(all="ignore"):
+            e = kernels.feedback_loop(src.A, u, np.zeros((p, G)), fe, g, step(noise, z))
+        for count in (2, 7, 40):
+            segments = kernels.TimeSegments(m, count, G)
+            u_seg, noise_seg = segments.zeros(p), segments.zeros(rmax)
+            for col in range(G):
+                segments.put(u_seg, col, u[:, :, col])
+                segments.put(noise_seg, col, noise[:, :, col])
+            with np.errstate(all="ignore"):
+                e_seg, z_seg = kernels.segmented_loop(
+                    src.A, u_seg, np.zeros((p, G)), segments, fe, g, noise_seg, step
+                )
+            for col, (scheme, _) in enumerate(points):
+                assert same_bits(segments.get(e_seg, col), e[:, :, col]), (count, col)
+                if scheme.r and kind != "awgn":  # the Gaussian channel writes no z
+                    z_col = segments.get(z_seg, col)[:, : scheme.r]
+                    assert same_bits(z_col, z[:, : scheme.r, col]), (count, col)
+
+    @pytest.mark.parametrize("name", SEGMENT_CASES)
+    def test_batch_equals_one_segment(self, monkeypatch, tmp_path, name):
+        # the squared errors and lattice coordinates coding._run_loops gives,
+        # and the results and traces of the batch, over two horizon chunks
+        src, kind, points = segment_case(name)
+        draw, step = draw_and_step(kind)
+        block = 1 if kind == "awgn" else KINDS[kind].block
+        n = coding.CHUNK + 500
+        runs = []
+        for count in (1, 3, 16, None):
+            use_segments(monkeypatch, count)
+            zs = []  # the lattice coordinates of every chunk and point
+            sink = None if kind == "awgn" else lambda i, z: zs.append(z.copy())
+            sq = coding._run_loops(src, n, points, kind, block, draw, step, sink)
+            run = [np.concatenate(sq), np.concatenate([z.ravel() for z in zs] + [[]])]
+            if kind == "awgn":
+                run.append(coding.run_awgn_batch(src, n, points))
+            else:
+                paths = [tmp_path / f"{count}-{i}.csv" for i in range(len(points))]
+                run.append(run_coding_batch(src, n, kind, points, paths))
+                run.append([path.read_bytes() for path in paths])
+            runs.append(run)
+        for run in runs[1:]:
+            assert same_bits(run[0], runs[0][0]) and same_bits(run[1], runs[0][1])
+            assert run[2:] == runs[0][2:]
+
+    @pytest.mark.parametrize("name", ["example1-sdusq", "slow", "noiseless", "example3-d4"])
+    def test_simulate_equals_one_segment(self, monkeypatch, name):
+        src, _, points = segment_case(name)
+        runs = []
+        for count in (1, 5, 64, None):
+            use_segments(monkeypatch, count)
+            runs.append(zdrd.simulate(src, 3000, seed=points[0][1].source))
+        assert all(same_bits(x, runs[0]) for x in runs[1:])
+        if name == "noiseless":  # ends in -0.0, where a run from zero has +0.0
+            assert np.all(runs[0][-1000:] == 0.0) and np.all(np.signbit(runs[0][-1000:]))
 
 
 class TestStreamChunks:

@@ -54,6 +54,17 @@ class TestNewSource:
         with pytest.raises(ValueError):
             stable4.A[0, 0] = 9.0
 
+    def test_callers_arrays_stay_writable(self):
+        A, B, sigma = 0.5 * np.eye(2), np.eye(2), np.eye(2)
+        src = zdrd.new_source(A, B, sigma)
+        A[0, 0], B[0, 1], sigma[1, 1] = 0.1, 2.0, 3.0
+        for own, given in ((src.A, A), (src.B, B), (src.sigma_x0, sigma)):
+            assert not np.shares_memory(own, given)
+            assert not own.flags.writeable
+        assert src.A[0, 0] == 0.5 and src.B[0, 1] == 0.0 and src.sigma_x0[1, 1] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            src.A[0, 0] = 0.1
+
 
 class TestStabilityReport:
     def test_stable_4d_eigenvalues(self, stable4):
