@@ -23,7 +23,12 @@ per-step squared errors it keeps, 8 bytes per step and point.  The last row
 times what a coded point does with its indices after the loop, over 10 x --n
 steps (1e5 by default) of the scalar quantizer at ``example1``'s lowest
 default D: counting them chunk by chunk (``entropy_code.RowCounts``), the
-histogram, the Huffman code and the rate.
+histogram, the Huffman code and the rate.  The "solve grid" rows time the
+6-point default grid of a seeded stable source (spectral radius 0.9, B = I,
+seed 3) at p in {2, 4, 6, 8}: solved as one grid (``solver.nrdf_grid``,
+its barrier points in lockstep) and as six grids of one (``nrdf`` per
+point), in ms per point, with the mean Newton steps per point; both give
+the same bits.
 
 Usage: python benchmarks/bench_kernels.py [--n 10000] [--repeat 3]
 """
@@ -35,7 +40,7 @@ import tracemalloc
 
 import numpy as np
 
-from zdrd import build_realization, entropy_code, kernels, new_source, nrdf, simulate
+from zdrd import build_realization, entropy_code, kernels, new_source, nrdf, nrdf_grid, simulate
 from zdrd.coding import CHUNK, KINDS, SeedBundle, run_coding_batch
 from zdrd.experiments import default_grid, preset_config
 from zdrd.quantizers import D4_UNIT_SCALE
@@ -46,6 +51,8 @@ R4 = 4  # active dimensions of one copy of the source at D = 1
 BATCHES = (1, 4, 20)
 SIM_STEPS = 100_000
 PEAK_POINTS = 4
+SOLVE_DIMS = (2, 4, 6, 8)
+SOLVE_POINTS = 6
 
 
 def timeit(fn, repeat):
@@ -107,6 +114,13 @@ def stable_batch(G):
     return src, [(scheme, SeedBundle(i, 100 + i)) for i in range(G)]
 
 
+def seeded_source(p, seed=3, rho=0.9):
+    """A stable p-dimensional source: a seeded normal A scaled to spectral radius rho, B = I."""
+    A = np.random.default_rng(seed).normal(size=(p, p))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    return new_source(A, np.eye(p), np.eye(p))
+
+
 def count_and_code(idx):
     """A coded point's work after its loop: counts by chunk, histogram, code, rate."""
     tally = entropy_code.RowCounts(idx.shape[1])
@@ -164,6 +178,18 @@ def main():
         f"{'coded peak':<14} {peaks[0]:.2f} MB at n = {short}, {peaks[1]:.2f} MB at n = {long}"
         f" (squared errors: +{errors:.2f} MB)"
     )
+
+    for p in SOLVE_DIMS:
+        src = seeded_source(p)
+        grid = default_grid(src, SOLVE_POINTS)
+        t_grid = timeit(lambda: nrdf_grid(src, grid), args.repeat)
+        t_alone = timeit(lambda: [nrdf(src, D) for D in grid], args.repeat)
+        steps = sum(sol.stats.newton_steps for sol in nrdf_grid(src, grid)) / len(grid)
+        label = f"solve grid p={p}"
+        print(
+            f"{label:<14} {1e3 * t_grid / len(grid):>8.2f} ms/point as one grid,"
+            f" {1e3 * t_alone / len(grid):>8.2f} ms/point alone, {steps:.1f} Newton steps/point"
+        )
 
     idx = example1_indices(long)
     t_code = timeit(lambda: count_and_code(idx), args.repeat)

@@ -4,7 +4,8 @@ The package computes, for a source x_{t+1} = A x_t + B w_t under a
 mean-squared-error target D:
 
 * the minimal causal information rate (bits/vector/step) and its optimizing
-  covariance pair, via determinant maximization (:func:`zdrd.solver.nrdf`);
+  covariance pair, via determinant maximization (:func:`zdrd.solver.nrdf`,
+  or :func:`zdrd.solver.nrdf_grid` for a whole distortion grid);
 * a feedback test-channel realization with per-dimension rate allocation
   (:mod:`zdrd.realization`);
 * achievable operational rates from subtractive-dithered quantization with
@@ -45,7 +46,7 @@ from .realization import (
     joint_diagonalize,
     waterfill_factors,
 )
-from .solver import NrdfSolution, nrdf, scalar_ar1_nrdf
+from .solver import NrdfSolution, nrdf, nrdf_grid, scalar_ar1_nrdf
 from .source_model import (
     GaussMarkovSource,
     StabilityReport,
@@ -86,6 +87,7 @@ __all__ = [
     "list_presets",
     "new_source",
     "nrdf",
+    "nrdf_grid",
     "preset_config",
     "run_coding_experiment",
     "run_experiment",

@@ -21,7 +21,8 @@ from .coding import KINDS, SeedBundle, run_coding_batch, theoretical_upper_bound
 from .coding import run_coding_experiment  # noqa: F401  (looked up here by perfbench/spans.py)
 from .errors import POINT_ERRORS, ConfigParse, config_mapping, failure_status
 from .realization import build_realization
-from .solver import nrdf
+from .solver import nrdf  # noqa: F401  (looked up here by perfbench/spans.py)
+from .solver import nrdf_grid
 from .source_model import GaussMarkovSource, augment_ar, d_max, new_source, source_from_dict
 
 # the report CSV's columns in ExperimentRow field order: (header, parse of a
@@ -212,10 +213,12 @@ def config_from_json(path) -> ExperimentConfig:
 
 
 @np.errstate(all="ignore")  # a bound that overflows fails its row in _finite_row
-def _solve_point(src, d, quantizer, seeds, row_index):
-    """Bounds of one grid point, and its coding job (scheme, seeds) or None."""
+def _realize_point(src, d, sol, quantizer, seeds, row_index):
+    """Bounds of one grid point from its solution (or its solve's error), and
+    its coding job (scheme, seeds) or None."""
+    if isinstance(sol, BaseException):
+        return _failed_row(d, sol), None
     try:
-        sol = nrdf(src, d)
         scheme = build_realization(src, sol)
         r = scheme.r
         upper = theoretical_upper_bound(sol.rate_bits, r, quantizer or "sdusq")
@@ -248,16 +251,21 @@ def _finite_row(row):
 def run_experiment(config: ExperimentConfig, per_dim=False) -> ExperimentReport:
     """Evaluate every grid point; writes the CSV when the config names one.
 
-    The points are solved one after another; the coded ones then run their
-    loops together in one :func:`coding.run_coding_batch` with the config's
-    quantizer.  The rows depend on the config alone, and come in grid order.
+    The grid is solved with one :func:`solver.nrdf_grid` call, its barrier
+    points in lockstep, each bit for bit as it would be alone; a point that
+    fails fails only its row.  Each point is then realized, and the coded
+    ones run their loops together in one :func:`coding.run_coding_batch`
+    with the config's quantizer.  The rows depend on the config alone, and
+    come in grid order.
     """
     t0 = time.perf_counter()
     src = config.source
+    with np.errstate(all="ignore"):  # as in _realize_point
+        sols = nrdf_grid(src, config.d_grid)
     rows = []
     jobs = {}
-    for i, d in enumerate(config.d_grid):
-        row, job = _solve_point(src, d, config.quantizer, config.seeds, i)
+    for i, (d, sol) in enumerate(zip(config.d_grid, sols)):
+        row, job = _realize_point(src, d, sol, config.quantizer, config.seeds, i)
         rows.append(row)
         if job is not None:
             jobs[i] = job

@@ -77,17 +77,70 @@ of the W_j, which the traces sum, also give the line search's d_i.  This costs
 O(n S^3 + n^2 S^2) per step instead of the O(n S^4) of contracting explicit
 inverses, and H is exactly symmetric.
 
+Lockstep grids: the points of a source's distortion grid are one grid
+problem, built from the array of their targets D.  The basis stacks are
+shared, and only fused_C's D entry differs between points, so fused_C
+carries a leading point axis.  Phase 1's eigenvalues and Lyapunov solve
+(``_phase1_start``) are also done once per grid; each point keeps its
+scaling c, its Schur bound on Q and its feasibility halvings.
+:func:`solve_grid` solves all points together.  The path follower of one
+point is written once, as a generator (``_path``) that yields requests: a
+point to factor, or a Newton system to form and solve at its factors and
+t.  Each point keeps its own t, stage, centres, stop tests, Armijo test,
+skip certificate and :class:`SolverStats`.  One driver (``_lockstep``)
+serves each round's pending requests of all live points with one call on
+a stack with a leading point axis.  ``_factors``, ``_newton_system`` and
+``_newton_step`` are written over leading axes, so a lone request, and a
+path left alone, is served by the same functions without the axis.
+:func:`solve_maxdet` is the grid of one.  Every point's iterates are bit
+for bit those of its solve alone, because each stacked call runs the same
+BLAS/LAPACK kernels on each point's data as the unstacked one:
+
+* the affine maps are ``np.matmul(x[..., None, :], dA)`` with dA
+  flattened to (n, S^2): one product per point.  The 2-D product of a
+  (points, n) stack with dA is a single larger product and rounds
+  differently;
+* ``np.linalg.cholesky``, ``inv`` and ``solve`` work matrix by matrix on
+  a stack, and ``solve(L, g[..., None])`` equals ``solve(L, g)``;
+* whitening is ``Li[..., None, :, :] @ dA @ Li^T[..., None, :, :]``: per
+  point, the (S, S) products of its solve alone.  The two-product form,
+  ``Li @ [dA_0 | ... | dA_{n-1}]`` and then the stacked blocks ``@ Li^T``,
+  issues fewer and larger products.  With numpy 2.4's OpenBLAS its second
+  product rounded differently at S = 33 (p = 8), and a contiguous copy of
+  Li^T did too, so neither is used;
+* sums along the last axis, Gram products (one per point, exactly
+  symmetric) and log-diagonal sums are per point, and the scalar products
+  g dx and dx diag are taken in each point's path.
+
+A stacked Cholesky raises when any matrix of the stack fails, so such a
+stack is factored again matrix by matrix, and each point sees its own
+success or failure.  A stacked call that raises one of
+``errors.POINT_ERRORS`` is served again request by request, and each error
+is raised inside the path of the point it belongs to.
+
+BATCH_BYTES = 256 KiB bounds the whitened rows of a batch, 8 n (S^2 + m^2)
+bytes per point (form_b): 4 KB at p = 2, 49 KB at p = 4, 112 KB at p = 5
+and 222 KB at p = 6.  So a batch holds up to 64 points at p = 2, 5 at
+p = 4 and 2 at p = 5, and grids from p = 6 run one point at a time.
+Lockstep saves the per-call overhead of the ~40 small numpy calls of a
+step, which dominates only at small p.  On a 2-core Xeon (2 MB L2 per
+core, one BLAS thread), solving 10 barrier points in batches of 5
+instead of 1 cut the time per point by 25% at p = 3, 23% at p = 4 and 4%
+at p = 5, while at p = 6 and 8 batches of 2 to 10 took from as long to
+1.7 times as long.
+
 Every BLAS/LAPACK call, phase 1's Lyapunov solve included
 (``linalg.discrete_lyapunov``), goes through numpy (``@`` and
 ``np.linalg``).
 """
 
+import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InfeasibleModel, SolverDivergence
+from .errors import POINT_ERRORS, InfeasibleModel, SolverDivergence
 from .linalg import discrete_lyapunov, symmetrize
 
 GAP_TARGET = 1e-10  # nats; |rate error| <= gap/ln 2 bits
@@ -97,6 +150,9 @@ MAX_INNER = 50
 INNER_TOL = 1e-5  # half squared Newton decrement, intermediate stages
 INNER_TOL_FINAL = 1e-9
 SKIP_MARGIN = 1e-2  # delta of the line search's infeasibility test (module docstring)
+BATCH_BYTES = 256 << 10  # bound on a lockstep batch's whitened rows (module docstring)
+
+_FACTOR, _NEWTON = "factor", "newton"  # the requests a point's path yields
 
 
 def sym_basis(p):
@@ -145,14 +201,19 @@ class SolverStats:
 
 @dataclass
 class MaxdetProblem:
-    """Affine problem data: one fused unit-weight LMI group plus the Q block."""
+    """Affine problem data: one fused unit-weight LMI group plus the Q block.
+
+    A grid problem, built from an array of targets D, carries one point per
+    target: D is then that array and fused_C the (G, S, S) stack of the
+    points' constants, which differ only in their D entry.
+    """
 
     A: np.ndarray
     B: np.ndarray
-    D: float
+    D: float  # or the (G,) targets of a grid
     top: Callable  # (Pi, Q) stacks -> linear part of the form's top LMI
     top_C: np.ndarray  # constant part of the top LMI; Q sits in its leading m x m block
-    fused_C: np.ndarray  # (S, S)
+    fused_C: np.ndarray  # (S, S), or (G, S, S) for a grid
     fused_dA: np.ndarray  # (n, S, S)
     q_dA: np.ndarray  # (n, m, m); the Q block value is sum x_j q_dA[j]
     nb_pi: int
@@ -165,7 +226,13 @@ class MaxdetProblem:
 
     @property
     def nu(self):
-        return self.fused_C.shape[0] + self.m
+        return self.fused_C.shape[-1] + self.m
+
+    def points(self):
+        """The one-point problems of a grid, which share its basis stacks; [self] for one point."""
+        if self.fused_C.ndim == 2:
+            return [self]
+        return [replace(self, D=float(D), fused_C=C) for D, C in zip(self.D, self.fused_C)]
 
 
 def _problem(A, B, D, m, top, top_C):
@@ -180,12 +247,12 @@ def _problem(A, B, D, m, top, top_C):
     Q = np.concatenate([np.zeros((len(Epi), m, m)), Eq])
     tr = -np.trace(P, axis1=1, axis2=2)[:, None, None]
     dA = _blockdiag(top(P, Q), A @ P @ A.T - P, P, tr)
-    C = _blockdiag(top_C, B @ B.T, np.zeros((p, p)), np.array([[D]], float))
+    C = _blockdiag(top_C, B @ B.T, np.zeros((p, p)), np.asarray(D, float)[..., None, None])
     return MaxdetProblem(A, B, D, top, top_C, C, dA, Q, len(Epi), p, m)
 
 
 def form_b_problem(A, B, D) -> MaxdetProblem:
-    """Blocks for the representation that needs BB^T invertible."""
+    """Blocks for the representation that needs BB^T invertible; D a target or a grid's."""
     p = A.shape[0]
 
     def top(P, Q):
@@ -195,7 +262,7 @@ def form_b_problem(A, B, D) -> MaxdetProblem:
 
 
 def form_a_problem(A, B, D) -> MaxdetProblem:
-    """Blocks for the representation that needs A invertible (B may be singular)."""
+    """Blocks for the representation that needs A invertible (B may be singular); D as above."""
 
     def top(P, Q):
         return _blockdiag(-Q, A @ P @ A.T)
@@ -204,32 +271,70 @@ def form_a_problem(A, B, D) -> MaxdetProblem:
     return _problem(A, B, D, B.shape[1], top, top_C)
 
 
-def _factors(prob: MaxdetProblem, x):
-    """Cholesky factors (Lg, Lq) of G(x) and Q(x), or None outside the cone.
+def _cholesky(M):
+    """Cholesky factors of the matrices M[..., :, :] and where they exist.
 
-    The affine maps are the one BLAS product ``np.tensordot(x, dA, 1)``
-    makes, without its argument handling; another product (matmul, einsum)
-    would round differently.
+    The second value is True when every matrix has a factor.  A stacked
+    factorization raises when any matrix of the stack fails, so a failed
+    stack is factored again matrix by matrix: the second value is then
+    False for a lone matrix, or a bool array over the stack, and a matrix
+    that has no factor gets the identity in its place.
     """
-    n, S = prob.n, prob.fused_C.shape[0]
-    G = prob.fused_C + np.dot(x[None], prob.fused_dA.reshape(n, -1)).reshape(S, S)
-    Q = np.dot(x[None], prob.q_dA.reshape(n, -1)).reshape(prob.m, prob.m)
     try:
-        return np.linalg.cholesky(G), np.linalg.cholesky(Q)
+        return np.linalg.cholesky(M), True
     except np.linalg.LinAlgError:
-        return None
+        if M.ndim == 2:
+            return np.eye(M.shape[-1]), False
+        L, ok = np.empty(M.shape), np.empty(M.shape[:-2], bool)
+        for k, Mk in enumerate(M):
+            L[k], ok[k] = _cholesky(Mk)
+        return L, ok
+
+
+def _factors(prob: MaxdetProblem, x):
+    """Factors of G(x) and Q(x) over the leading axes of x, and where they exist.
+
+    Returns ((Lg, Lq, logdet G, logdet Q), ok): the Cholesky factors, twice
+    their log-diagonal sums, and whether x lies inside the cone, True when
+    every point does or else a bool over the leading axes (the factors of a
+    point outside are placeholders).  ``prob.fused_C`` broadcasts against the
+    leading axes.  The affine maps are ``np.matmul(x[..., None, :], dA)``
+    with the basis flattened to (n, S^2): one BLAS product per point, the
+    one ``np.tensordot(x, dA, 1)`` makes.  The 2-D product of a stack of x
+    with dA is a single larger product and rounds differently.
+    """
+    n, S, m = prob.n, prob.fused_C.shape[-1], prob.m
+    lead, row = x.shape[:-1], x[..., None, :]
+    G = prob.fused_C + np.matmul(row, prob.fused_dA.reshape(n, -1)).reshape(lead + (S, S))
+    Q = np.matmul(row, prob.q_dA.reshape(n, -1)).reshape(lead + (m, m))
+    (Lg, ok_g), (Lq, ok_q) = _cholesky(G), _cholesky(Q)
+    logdets = [2.0 * np.log(L.diagonal(0, -2, -1)).sum(axis=-1) for L in (Lg, Lq)]
+    return (Lg, Lq, *logdets), ok_g & ok_q
 
 
 def _potential(factors, t):
     """Barrier potential psi_t from the factors of a strictly feasible point."""
-    Lg, Lq = factors
-    ld_f = 2.0 * float(np.sum(np.log(np.diag(Lg))))
-    ld_q = 2.0 * float(np.sum(np.log(np.diag(Lq))))
-    return -ld_f - (1.0 + 0.5 * t) * ld_q
+    return -factors[2] - (1.0 + 0.5 * t) * factors[3]
+
+
+def _phase1_start(A, B):
+    """Phase 1's point of departure for a source: (P, trace P), P the solution of
+    the contracted stationarity equation (see :func:`phase1_point`)."""
+    rho = max(1.0, float(np.max(np.abs(np.linalg.eigvals(A)))))
+    s = 1.0 / (2.0 * rho * rho)
+    try:
+        Pstar = discrete_lyapunov(np.sqrt(s) * A, s * (B @ B.T))
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleModel(f"phase-1 stationarity solve failed: {exc}") from exc
+    Pstar = symmetrize(Pstar)
+    tr = float(np.trace(Pstar))
+    if not np.isfinite(tr) or tr <= 0:
+        raise InfeasibleModel("phase-1 produced a degenerate candidate")
+    return Pstar, tr
 
 
 def phase1_point(prob: MaxdetProblem):
-    """A strictly feasible x, its factors and the Cholesky attempts: (x, (Lg, Lq), k).
+    """A strictly feasible x, its factors and the Cholesky attempts: (x, factors, k).
 
     Pi0 is a scaled solution of the contracted stationarity equation
     P = s A P A^T + s BB^T with s = 1/(2 max(1, rho(A))^2): such P
@@ -238,19 +343,17 @@ def phase1_point(prob: MaxdetProblem):
     0.99 of its Schur-complement bound T11 - T12 T22^-1 T21 in the top LMI
     T = top(Pi0, 0) + top_C, whose leading m x m block carries -Q.
     """
-    A, B, D, m = prob.A, prob.B, prob.D, prob.m
-    BBt = B @ B.T
-    rho = max(1.0, float(np.max(np.abs(np.linalg.eigvals(A)))))
-    s = 1.0 / (2.0 * rho * rho)
-    try:
-        Pstar = discrete_lyapunov(np.sqrt(s) * A, s * BBt)
-    except np.linalg.LinAlgError as exc:
-        raise InfeasibleModel(f"phase-1 stationarity solve failed: {exc}") from exc
-    Pstar = symmetrize(Pstar)
-    tr = float(np.trace(Pstar))
-    if not np.isfinite(tr) or tr <= 0:
-        raise InfeasibleModel("phase-1 produced a degenerate candidate")
-    c = min(0.9 * D / tr, 0.95)
+    result = _run_alone(prob, _phase1(prob, _phase1_start(prob.A, prob.B)))
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def _phase1(prob: MaxdetProblem, start):
+    """:func:`phase1_point` of one point from its source's ``_phase1_start``, as a path."""
+    Pstar, tr = start
+    m = prob.m
+    c = min(0.9 * prob.D / tr, 0.95)
     attempts = 0
     for _ in range(8):
         Pi0 = c * Pstar
@@ -262,7 +365,7 @@ def phase1_point(prob: MaxdetProblem):
             continue
         Q0 = 0.99 * symmetrize(Sb)
         x = np.concatenate([vech(Pi0), vech(Q0)])
-        factors = _factors(prob, x)
+        factors = yield _FACTOR, x
         attempts += 1
         if factors is not None:
             return x, factors, attempts
@@ -271,33 +374,56 @@ def phase1_point(prob: MaxdetProblem):
 
 
 def _whitened(L, dA):
-    """Rows W_j = vec(L^-1 dA_j L^-T) of the basis whitened by the factor L."""
-    Li = np.linalg.inv(L)
-    return (Li @ dA @ Li.T).reshape(dA.shape[0], -1)
+    """Rows W_j = vec(L^-1 dA_j L^-T) of the basis whitened by the factors L[..., :, :].
+
+    Each point's blocks are the (S, S) products of its solve alone, in both
+    factors' order.
+    """
+    Li = np.linalg.inv(L)[..., None, :, :]
+    return (Li @ dA @ Li.swapaxes(-1, -2)).reshape(L.shape[:-2] + (dA.shape[0], -1))
 
 
 def _newton_system(prob: MaxdetProblem, factors, t):
-    """Gradient, Hessian and whitened diagonals of psi_t at the point with factors (Lg, Lq).
+    """Gradient, Hessian and whitened diagonals of psi_t at points with factors (Lg, Lq, ...).
 
     With G = L L^T and W_j = L^-1 F_j L^-T, the barrier -logdet G has
     gradient -tr W_j and Hessian <W_j, W_l>, so H is one Gram product and
     exactly symmetric.  The third value holds the diagonals of the W_j,
     the G block's then the Q block's, one row per variable: dx times it is
-    the diagonal of the whitened step, which the line search reads.
+    the diagonal of the whitened step, which the line search reads.  For
+    points stacked along leading axes, t has those axes and one more of
+    length 1.
     """
-    Lg, Lq = factors
-    S, m = Lg.shape[0], prob.m
-    w = 1.0 + 0.5 * t
+    Lg, Lq = factors[:2]
+    S, m = Lg.shape[-1], prob.m
+    w = np.array(1.0 + 0.5 * t, ndmin=1)
     Wg = _whitened(Lg, prob.fused_dA)
     Wq = _whitened(Lq, prob.q_dA)
-    dg, dq = Wg[:, :: S + 1], Wq[:, :: m + 1]
-    g = -dg.sum(axis=1) - w * dq.sum(axis=1)
-    H = Wg @ Wg.T + w * (Wq @ Wq.T)
-    return g, H, np.concatenate([dg, dq], axis=1)
+    dg, dq = Wg[..., :: S + 1], Wq[..., :: m + 1]
+    g = -dg.sum(axis=-1) - w * dq.sum(axis=-1)
+    H = Wg @ Wg.swapaxes(-1, -2) + w[..., None] * (Wq @ Wq.swapaxes(-1, -2))
+    return g, H, np.concatenate([dg, dq], axis=-1)
+
+
+def _newton_step(H, g):
+    """The Newton steps -H^-1 g over leading axes, by Cholesky.
+
+    A stack whose factorization fails is solved matrix by matrix, and a
+    matrix with no factor takes a ridge of 1e-10 times its mean diagonal.
+    """
+    try:
+        L = np.linalg.cholesky(H)
+        return -np.linalg.solve(L.swapaxes(-1, -2), np.linalg.solve(L, g[..., None]))[..., 0]
+    except np.linalg.LinAlgError:
+        if H.ndim > 2:
+            return np.stack([_newton_step(Hk, gk) for Hk, gk in zip(H, g)])
+        n = len(g)
+        ridge = 1e-10 * np.trace(H) / n
+        return -np.linalg.solve(H + ridge * np.eye(n), g)
 
 
 def _line_search(prob: MaxdetProblem, x, dx, dmin, t, base, gdx):
-    """Armijo backtracking along dx from step 1, halving the step.
+    """Armijo backtracking along dx from step 1, halving the step, as a path.
 
     ``dmin`` is the least diagonal entry of the whitened step
     sum_j dx_j W_j over both blocks.  A step s with
@@ -315,7 +441,7 @@ def _line_search(prob: MaxdetProblem, x, dx, dmin, t, base, gdx):
     while step > 1e-16:
         if 1.0 + step * dmin > -SKIP_MARGIN:
             x_cand = x + step * dx
-            f_cand = _factors(prob, x_cand)
+            f_cand = yield _FACTOR, x_cand
             factorizations += 1
             if f_cand is not None:
                 cand = _potential(f_cand, t)
@@ -326,16 +452,9 @@ def _line_search(prob: MaxdetProblem, x, dx, dmin, t, base, gdx):
     return halvings, factorizations, None
 
 
-def solve_maxdet(prob: MaxdetProblem):
-    """Run the barrier path follower; returns (Pi, kkt_residual_nats, stats).
-
-    Pi is exactly symmetric (:func:`unvech` writes both triangles).  The
-    residual is the duality-gap bound nu/t at the final stage plus the
-    centering slack; all LMI blocks of the returned point are strictly
-    positive definite.  ``stats`` is the solve's :class:`SolverStats`.
-    """
-    x, factors, factorizations = phase1_point(prob)
-    n = prob.n
+def _path(prob: MaxdetProblem, start):
+    """The barrier path follower of one point, as a path; returns (Pi, kkt, stats)."""
+    x, factors, factorizations = yield from _phase1(prob, start)
     nu = float(prob.nu)
     t = 1.0
     last_lam2 = np.inf
@@ -348,28 +467,23 @@ def solve_maxdet(prob: MaxdetProblem):
             # x(t) = a + b/t through the last two centres, evaluated at t
             x_start = x + (x - centres[0]) / T_GROWTH
             if not np.array_equal(x_start, x):  # else the last stage took no step
-                f_start = _factors(prob, x_start)
+                f_start = yield _FACTOR, x_start
                 factorizations += 1
                 if f_start is not None:
                     x, factors = x_start, f_start
         base = _potential(factors, t)
         for _ in range(MAX_INNER):
-            g, H, diag = _newton_system(prob, factors, t)
+            g, dx, diag = yield _NEWTON, factors, t
             newton_steps += 1
-            try:
-                L = np.linalg.cholesky(H)
-                dx = -np.linalg.solve(L.T, np.linalg.solve(L, g))
-            except np.linalg.LinAlgError:
-                ridge = 1e-10 * np.trace(H) / n
-                dx = -np.linalg.solve(H + ridge * np.eye(n), g)
-            lam2 = float(-g @ dx)
-            if not np.isfinite(lam2) or lam2 < 0.0:
+            gdx = float(g @ dx)
+            lam2 = -gdx  # the products and their sum change sign exactly
+            if not math.isfinite(lam2) or lam2 < 0.0:
                 break
             last_lam2 = lam2
             if 0.5 * lam2 <= tol:
                 break
-            dmin = float(np.min(dx @ diag))
-            halvings, tried, accepted = _line_search(prob, x, dx, dmin, t, base, float(g @ dx))
+            dmin = float((dx @ diag).min())
+            halvings, tried, accepted = yield from _line_search(prob, x, dx, dmin, t, base, gdx)
             backtracks += halvings
             factorizations += tried
             if accepted is None:
@@ -388,3 +502,155 @@ def solve_maxdet(prob: MaxdetProblem):
     raise SolverDivergence(
         f"barrier path following exceeded {MAX_OUTER} stages (gap target {GAP_TARGET})"
     )
+
+
+def _serve(prob: MaxdetProblem, request):
+    """The reply to one point's request, computed without a point axis, or its error."""
+    try:
+        if request[0] is _FACTOR:
+            (Lg, Lq, ld_g, ld_q), ok = _factors(prob, request[1])
+            return (Lg, Lq, float(ld_g), float(ld_q)) if ok else None
+        g, H, diag = _newton_system(prob, *request[1:])
+        return g, _newton_step(H, g), diag
+    except POINT_ERRORS as exc:
+        return exc
+
+
+def _serve_factors(points, C, asks, replies):
+    """Reply to the requests [(i, (_FACTOR, x))] with one ``_factors`` call on
+    their stack; C[i] is the constant of ``points[i]``."""
+    idx = [i for i, _ in asks]
+    rows = replace(points[idx[0]], D=np.array([points[i].D for i in idx]), fused_C=C[idx])
+    try:
+        (Lg, Lq, ld_g, ld_q), ok = _factors(rows, np.array([req[1] for _, req in asks]))
+    except POINT_ERRORS:  # each point alone, where it meets its own error
+        for i, req in asks:
+            replies[i] = _serve(points[i], req)
+        return
+    ld_g, ld_q = ld_g.tolist(), ld_q.tolist()
+    ok = [ok] * len(idx) if ok is True else ok.tolist()
+    for k, i in enumerate(idx):
+        replies[i] = (Lg[k], Lq[k], ld_g[k], ld_q[k]) if ok[k] else None
+
+
+def _serve_newton(points, asks, replies):
+    """Reply to the requests [(i, (_NEWTON, factors, t))] with one ``_newton_system``
+    and one ``_newton_step`` call on their stack."""
+    Lg = np.array([req[1][0] for _, req in asks])
+    Lq = np.array([req[1][1] for _, req in asks])
+    t = np.array([[req[2]] for _, req in asks])
+    try:
+        g, H, diag = _newton_system(points[asks[0][0]], (Lg, Lq), t)
+        dx = _newton_step(H, g)
+    except POINT_ERRORS:  # each point alone, where it meets its own error
+        for i, req in asks:
+            replies[i] = _serve(points[i], req)
+        return
+    for k, (i, _) in enumerate(asks):
+        replies[i] = g[k], dx[k], diag[k]
+
+
+def _serve_group(points, C, asks, replies):
+    """Reply to requests [(i, request)] of one kind: a lone one alone, more on a stack."""
+    if len(asks) == 1:
+        i, request = asks[0]
+        replies[i] = _serve(points[i], request)
+    elif asks[0][1][0] is _FACTOR:
+        _serve_factors(points, C, asks, replies)
+    else:
+        _serve_newton(points, asks, replies)
+
+
+def _advance(path, reply):
+    """The path's next request after ``reply``; an error reply is raised inside the path."""
+    if isinstance(reply, BaseException):
+        return path.throw(reply)
+    return path.send(reply)
+
+
+def _run_alone(prob: MaxdetProblem, path, reply=None):
+    """Run one path to its end from the reply it awaits, serving each request alone.
+
+    Returns the path's value, or the error (one of ``POINT_ERRORS``) that ended it.
+    """
+    try:
+        while True:
+            reply = _serve(prob, _advance(path, reply))
+    except StopIteration as stop:
+        return stop.value
+    except POINT_ERRORS as exc:
+        return exc
+
+
+def _lockstep(points, paths):
+    """Run the paths of ``points`` side by side.
+
+    Returns each path's value, or the error (one of ``POINT_ERRORS``) that
+    ended it.  Each round serves the pending requests of all live paths:
+    the points to factor in one ``_factors`` call, the Newton systems in
+    one ``_newton_system`` and one ``_newton_step`` call, each on a stack
+    with a leading point axis.  A lone request is served on its point's
+    arrays, without the axis, and once one path is left it runs on alone.
+    """
+    results = [None] * len(paths)
+    replies = [None] * len(paths)
+    live = list(range(len(paths)))
+    C = np.array([point.fused_C for point in points]) if len(live) > 1 else None
+    while len(live) > 1:
+        asks = []
+        for i in live:
+            try:
+                asks.append((i, _advance(paths[i], replies[i])))
+            except StopIteration as stop:
+                results[i] = stop.value
+            except POINT_ERRORS as exc:
+                results[i] = exc
+        live = [i for i, _ in asks]
+        for kind in (_FACTOR, _NEWTON):
+            group = [ask for ask in asks if ask[1][0] is kind]
+            if group:
+                _serve_group(points, C, group, replies)
+    for i in live:
+        results[i] = _run_alone(points[i], paths[i], replies[i])
+    return results
+
+
+def batch_width(prob: MaxdetProblem):
+    """Points solved side by side: as many as BATCH_BYTES of whitened rows hold, at least one."""
+    S, m = prob.fused_C.shape[-1], prob.m
+    return max(1, BATCH_BYTES // (8 * prob.n * (S * S + m * m)))
+
+
+def solve_grid(prob: MaxdetProblem):
+    """Solve every point of ``prob`` in lockstep batches of :func:`batch_width` points.
+
+    Returns, in grid order, each point's (Pi, kkt_residual_nats, stats) as
+    :func:`solve_maxdet` gives it, or the error (one of ``POINT_ERRORS``)
+    that its solve alone raises.
+    """
+    points = prob.points()
+    try:
+        start = _phase1_start(prob.A, prob.B)
+    except InfeasibleModel as exc:
+        return [exc] * len(points)
+    width = batch_width(prob)
+    results = []
+    for a in range(0, len(points), width):
+        batch = points[a : a + width]
+        results += _lockstep(batch, [_path(point, start) for point in batch])
+    return results
+
+
+def solve_maxdet(prob: MaxdetProblem):
+    """Run the barrier path follower on one point; returns (Pi, kkt_residual_nats, stats).
+
+    Pi is exactly symmetric (:func:`unvech` writes both triangles).  The
+    residual is the duality-gap bound nu/t at the final stage plus the
+    centering slack; all LMI blocks of the returned point are strictly
+    positive definite.  ``stats`` is the solve's :class:`SolverStats`.
+    It is the grid of one: :func:`solve_grid` on a one-point problem.
+    """
+    (result,) = solve_grid(prob)
+    if isinstance(result, BaseException):
+        raise result
+    return result

@@ -13,6 +13,16 @@ representations in :mod:`zdrd.maxdet` (form_b when BB^T is invertible,
 form_a when only A is).  ``dispatch_form`` checks a forced form's condition
 before the zero-rate exit, so it holds at every D.  Whether a source is
 stable, and its d_max, are decided in :mod:`zdrd.source_model` alone.
+
+Grids: ``nrdf_grid(src, Ds, form)`` solves a source's whole distortion grid
+at once and returns each point's solution or the error it raises.  It
+checks the targets, dispatches the form once, and takes the zero-rate and
+closed-form points first.  The other points make one grid problem, which
+:func:`maxdet.solve_grid` solves in lockstep: every factorization, Newton
+system and line-search round of the live points is one call on a stack,
+and each point's iterates, rate, residual and stats are bit for bit those
+of its solve alone (the :mod:`zdrd.maxdet` docstring gives the rules that
+keep them so).  ``nrdf`` is the grid of one.
 """
 
 import math
@@ -21,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import maxdet
-from .errors import BadDistortion, InfeasibleModel
+from .errors import POINT_ERRORS, BadDistortion, InfeasibleModel
 from .linalg import symmetrize
 from .source_model import GaussMarkovSource, d_max, stationary_covariance
 
@@ -133,28 +143,69 @@ def dispatch_form(src: GaussMarkovSource, form: str | None = None) -> str:
     return form
 
 
-def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolution:
-    """Rate (bits/vector/step) and optimizing pair at distortion target D.
-
-    ``form`` forces a representation ("form_b" or "form_a"); the default is
-    :func:`dispatch_form`'s choice.  Stable sources at D >= d_max return the
-    exact zero-rate stationary solution, whatever their dimension or form;
-    a singular stationary covariance there raises InfeasibleModel.
-    """
+def _target(D):
+    """D as a float; BadDistortion unless it is a positive real."""
     try:
         D = float(D)
     except (TypeError, ValueError) as exc:
         raise BadDistortion(f"D must be a positive real, got {D!r}") from exc
     if not (np.isfinite(D) and D > 0):
         raise BadDistortion(f"D must be a positive real, got {D!r}")
-    form = dispatch_form(src, form)
-    if D >= d_max(src):
-        return _zero_rate_solution(src, D, form)
-    if form == SCALAR_CLOSED_FORM:
-        return _scalar_solution(src, D)
+    return D
 
+
+def nrdf_grid(src: GaussMarkovSource, Ds, form: str | None = None) -> list:
+    """:func:`nrdf` at every distortion target of ``Ds``, solved together.
+
+    Entry k is the solution at ``Ds[k]``, or the error (one of
+    ``errors.POINT_ERRORS``) that ``nrdf(src, Ds[k], form)`` raises; any
+    other error propagates.  Each point meets nrdf's checks and exits in
+    its order: the target, the form's existence condition, the zero-rate
+    exit, the closed form.  The remaining points build one grid problem and
+    run in lockstep (:func:`maxdet.solve_grid`), each bit for bit as it
+    would alone.
+    """
+    out = []
+    for D in Ds:
+        try:
+            out.append(_target(D))
+        except BadDistortion as exc:
+            out.append(exc)
+    todo = [k for k, D in enumerate(out) if isinstance(D, float)]
+    if not todo:
+        return out
+    try:
+        form = dispatch_form(src, form)
+    except InfeasibleModel as exc:
+        return [exc if k in todo else err for k, err in enumerate(out)]
+    dm = d_max(src)
+    barrier = []
+    for k in todo:
+        D = out[k]
+        try:
+            if D >= dm:
+                out[k] = _zero_rate_solution(src, D, form)
+            elif form == SCALAR_CLOSED_FORM:
+                out[k] = _scalar_solution(src, D)
+            else:
+                barrier.append(k)
+        except POINT_ERRORS as exc:
+            out[k] = exc
+    if not barrier:
+        return out
     build = maxdet.form_b_problem if form == FORM_B else maxdet.form_a_problem
-    pi, kkt, stats = maxdet.solve_maxdet(build(src.A, src.B, D))
+    prob = build(src.A, src.B, np.array([out[k] for k in barrier]))
+    for k, solved in zip(barrier, maxdet.solve_grid(prob)):
+        try:
+            if isinstance(solved, BaseException):
+                raise solved
+            out[k] = _barrier_solution(src, out[k], form, *solved)
+        except POINT_ERRORS as exc:
+            out[k] = exc
+    return out
+
+
+def _barrier_solution(src, D, form, pi, kkt, stats):
     lam = symmetrize(src.A @ pi @ src.A.T + src.B @ src.B.T)
     return NrdfSolution(
         distortion_target=D,
@@ -166,3 +217,17 @@ def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolut
         stats=stats,
     )
 
+
+def nrdf(src: GaussMarkovSource, D: float, form: str | None = None) -> NrdfSolution:
+    """Rate (bits/vector/step) and optimizing pair at distortion target D.
+
+    ``form`` forces a representation ("form_b" or "form_a"); the default is
+    :func:`dispatch_form`'s choice.  Stable sources at D >= d_max return the
+    exact zero-rate stationary solution, whatever their dimension or form;
+    a singular stationary covariance there raises InfeasibleModel.  It is
+    the grid of one: :func:`nrdf_grid` at the one target D.
+    """
+    (sol,) = nrdf_grid(src, [D], form)
+    if isinstance(sol, BaseException):
+        raise sol
+    return sol

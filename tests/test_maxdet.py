@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 import zdrd
 from zdrd import experiments, maxdet
 from zdrd.errors import InfeasibleModel
-from zdrd.solver import FORM_A, FORM_B, nrdf, scalar_ar1_nrdf
+from zdrd.solver import FORM_A, FORM_B, nrdf, nrdf_grid, scalar_ar1_nrdf
 
 from conftest import random_source
 
@@ -265,6 +265,32 @@ class TestFactorOnce:
         assert len(set(seen)) == len(seen)
         assert stats.factorizations == len(seen)
 
+    @pytest.mark.parametrize("form", [FORM_A, FORM_B])
+    def test_each_grid_point_factored_once(self, form, stable4, monkeypatch):
+        # in lockstep, each point's visited x is factored once across rounds;
+        # a row's point is read from the D entry of its constant
+        seen, rows = {}, []
+        factors = maxdet._factors
+
+        def recording(prob, x):
+            D = np.broadcast_to(prob.fused_C[..., -1, -1], x.shape[:-1])
+            for d, row in zip(D.reshape(-1), x.reshape(-1, x.shape[-1])):
+                seen.setdefault(float(d), []).append(row.tobytes())
+            rows.append(x.reshape(-1, x.shape[-1]).shape[0])
+            return factors(prob, x)
+
+        monkeypatch.setattr(maxdet, "_factors", recording)
+        grid = experiments.default_grid(stable4, 6)
+        sols = nrdf_grid(stable4, grid, form)
+        barrier = [sol for sol in sols if sol.stats.factorizations]
+        assert len(barrier) == 5 and max(rows) == 5
+        assert sorted(seen) == sorted(sol.distortion_target for sol in barrier)
+        for sol in barrier:
+            xs = seen[sol.distortion_target]
+            assert len(xs) > 20
+            assert len(set(xs)) == len(xs)
+            assert sol.stats.factorizations == len(xs)
+
     def test_scipy_stays_out_of_the_newton_loop(self):
         # scipy is a test dependency only: the library binds none of its names,
         # and importing zdrd loads none of it (half the import time it cost)
@@ -316,6 +342,34 @@ class TestSolverStats:
             stages=18, newton_steps=46, backtracks=12, factorizations=56
         )
 
+    def test_grid_newton_steps_are_the_systems_formed(self, unstable_ar2, monkeypatch):
+        # in lockstep, each point's newton_steps counts the rows of the Newton
+        # systems formed for it; a row's point is that of the factorization
+        # whose factor it carries
+        point_of, systems = {}, {}
+        factors, newton_system = maxdet._factors, maxdet._newton_system
+
+        def recording_factors(prob, x):
+            f, ok = factors(prob, x)
+            D = np.broadcast_to(prob.fused_C[..., -1, -1], x.shape[:-1]).reshape(-1)
+            S = f[0].shape[-1]
+            for d, Lg in zip(D, f[0].reshape(-1, S, S)):
+                point_of[Lg.tobytes()] = float(d)
+            return f, ok
+
+        def recording_system(prob, f, t):
+            S = f[0].shape[-1]
+            for Lg in f[0].reshape(-1, S, S):
+                D = point_of[Lg.tobytes()]
+                systems[D] = systems.get(D, 0) + 1
+            return newton_system(prob, f, t)
+
+        monkeypatch.setattr(maxdet, "_factors", recording_factors)
+        monkeypatch.setattr(maxdet, "_newton_system", recording_system)
+        sols = nrdf_grid(unstable_ar2, experiments.default_grid(unstable_ar2, 6))
+        assert systems == {sol.distortion_target: sol.stats.newton_steps for sol in sols}
+        assert all(sol.stats.newton_steps > 20 for sol in sols)
+
     def test_closed_form_and_zero_rate_report_zeros(self, scalar_half, stable4):
         for sol in (nrdf(scalar_half, 0.5), nrdf(stable4, zdrd.d_max(stable4))):
             assert sol.stats == maxdet.SolverStats(0, 0, 0, 0)
@@ -327,13 +381,29 @@ class TestSolverStats:
             }
 
 
+def same_solution(a, b):
+    """Whether two solutions have the same bits: Pi and Lambda as int64, rate, residual, stats."""
+    return (
+        np.array_equal(a.pi.view(np.int64), b.pi.view(np.int64))
+        and np.array_equal(a.lam.view(np.int64), b.lam.view(np.int64))
+        and repr(a.rate_bits) == repr(b.rate_bits)
+        and repr(a.kkt_residual) == repr(b.kkt_residual)
+        and (a.stats, a.form_used, a.distortion_target) == (b.stats, b.form_used, b.distortion_target)
+    )
+
+
 @pytest.fixture(scope="module")
 def grid_solves():
     """Every default-grid point of the four presets and of random_source(p,
-    seed=3), p in (6, 8), solved while each line-search step that the
-    certificate skips is factored after all.
+    seed=3), p in (6, 8), solved alone and in its grid, while each
+    line-search step that the certificate skips is factored after all; and
+    forced form_a grids of example1 and example3, solved alone and in their
+    grid without that check (three steps it skips on example1 lie inside
+    the cone).  Each grid runs as one batch, p = 6 and 8 included, whose
+    grids run one point at a time under the default BATCH_BYTES.
 
-    Returns (solutions by source, skipped steps, skipped steps that factored).
+    Returns (solutions alone by grid, solutions in the grid by grid,
+    skipped steps, skipped steps that factored).
     """
     skipped, factored = [], []
     line_search = maxdet._line_search
@@ -342,35 +412,118 @@ def grid_solves():
         step = 1.0
         while step > 1e-16 and 1.0 + step * dmin <= -maxdet.SKIP_MARGIN:
             skipped.append(step)
-            if maxdet._factors(prob, x + step * dx) is not None:
+            if maxdet._factors(prob, x + step * dx)[1]:
                 factored.append((t, step, dmin))
             step *= 0.5
         return line_search(prob, x, dx, dmin, t, base, gdx)
 
-    sources = {name: experiments.preset_config(name).source for name in experiments.list_presets()}
-    sources.update({f"random{p}": random_source(p, seed=3) for p in (6, 8)})
+    grids = {
+        name: (experiments.preset_config(name).source, None) for name in experiments.list_presets()
+    }
+    grids.update({f"random{p}": (random_source(p, seed=3), None) for p in (6, 8)})
+    forced = {f"{name}.form_a": (grids[name][0], FORM_A) for name in ("example1", "example3")}
+    alone, together = {}, {}
+
+    def solve(grids):
+        for name, (src, form) in grids.items():
+            grid = experiments.default_grid(src)
+            alone[name] = [nrdf(src, D, form) for D in grid]
+            together[name] = nrdf_grid(src, grid, form)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maxdet, "_line_search", checking)
-        sols = {
-            name: [nrdf(src, D) for D in experiments.default_grid(src)]
-            for name, src in sources.items()
-        }
-    return sols, skipped, factored
+        mp.setattr(maxdet, "BATCH_BYTES", 64 << 20)
+        with pytest.MonkeyPatch.context() as checked:
+            checked.setattr(maxdet, "_line_search", checking)
+            solve(grids)
+        solve(forced)
+    return alone, together, skipped, factored
 
 
 class TestGridSolves:
     def test_skipped_steps_lie_outside_the_cone(self, grid_solves):
-        # a false skip would silently discard a feasible step
-        _, skipped, factored = grid_solves
+        # a false skip would silently discard a feasible step; the steps
+        # skipped in lockstep grids are checked as well as those alone
+        _, _, skipped, factored = grid_solves
         assert len(skipped) > 1000
         assert factored == []
 
     def test_preset_points_are_centred(self, grid_solves):
-        sols, _, _ = grid_solves
+        sols, _, _, _ = grid_solves
         for name in experiments.list_presets():
             assert len(sols[name]) == experiments.GRID_POINTS
             for sol in sols[name]:
                 assert sol.kkt_residual <= maxdet.GAP_TARGET, (name, sol.distortion_target)
+
+    def test_grid_points_equal_solves_alone(self, grid_solves):
+        # lockstep batches change no bit of any point: Pi, Lambda, rate,
+        # residual and SolverStats; nrdf is itself the grid of one
+        alone, together, _, _ = grid_solves
+        differ = [
+            (name, a.distortion_target)
+            for name in alone
+            for a, b in zip(alone[name], together[name], strict=True)
+            if not same_solution(a, b)
+        ]
+        assert differ == []
+        barrier = sum(sol.stats.newton_steps > 0 for sols in together.values() for sol in sols)
+        assert barrier >= 150
+
+
+class TestLockstep:
+    def test_batch_width_bounds_the_whitened_rows(self):
+        widths = {}
+        for p in (2, 4, 6, 8, 12, 16):
+            src = random_source(p, seed=3)
+            prob = maxdet.form_b_problem(src.A, src.B, np.array([0.5, 1.0]))
+            S, m = prob.fused_C.shape[-1], prob.m
+            widths[p] = maxdet.batch_width(prob)
+            row = 8 * prob.n * (S * S + m * m)
+            assert widths[p] * row <= max(maxdet.BATCH_BYTES, row)
+            assert (widths[p] + 1) * row > maxdet.BATCH_BYTES
+        assert widths[2] > widths[4] == 5 and widths[6] == widths[16] == 1
+
+    def test_p16_grid_runs_one_point_at_a_time(self, monkeypatch):
+        # two barrier points whose whitened rows (9.8 MB each) exceed the
+        # batch bound: every factorization and Newton system is one point's
+        shapes = []
+        factors, newton_system = maxdet._factors, maxdet._newton_system
+
+        def recording_factors(prob, x):
+            shapes.append(x.shape)
+            return factors(prob, x)
+
+        def recording_system(prob, f, t):
+            shapes.append(f[0].shape)
+            return newton_system(prob, f, t)
+
+        monkeypatch.setattr(maxdet, "_factors", recording_factors)
+        monkeypatch.setattr(maxdet, "_newton_system", recording_system)
+        src = random_source(16, seed=3)
+        sols = nrdf_grid(src, experiments.default_grid(src, 3)[:2])
+        assert [sol.stats.stages for sol in sols] == [7, 7]
+        n, S = 16 * 17, 4 * 16 + 1
+        assert set(shapes) == {(n,), (S, S)}
+
+    def test_error_in_a_batched_call_reaches_only_its_point(self, stable4, monkeypatch):
+        # a stacked call that raises is served again point by point, so only
+        # the point whose own call raises fails, and the others keep their bits
+        grid = experiments.default_grid(stable4, 6)[:5]
+        bad = grid[2]
+        calls = []
+        factors = maxdet._factors
+
+        def failing(prob, x):
+            calls.append(x.ndim)
+            if np.any(prob.fused_C[..., -1, -1] == bad):
+                raise FloatingPointError("injected")
+            return factors(prob, x)
+
+        alone = [nrdf(stable4, D) for D in grid]
+        monkeypatch.setattr(maxdet, "_factors", failing)
+        sols = nrdf_grid(stable4, grid)
+        assert isinstance(sols[2], FloatingPointError) and str(sols[2]) == "injected"
+        assert all(same_solution(a, b) for k, (a, b) in enumerate(zip(alone, sols)) if k != 2)
+        assert 2 in calls  # the other points ran in lockstep
 
 
 class TestBruteForceOracle:

@@ -13,7 +13,7 @@ from zdrd.experiments import (
     preset_config,
     run_experiment,
 )
-from zdrd.solver import FORM_A, FORM_B, dispatch_form, nrdf, scalar_ar1_nrdf
+from zdrd.solver import FORM_A, FORM_B, dispatch_form, nrdf, nrdf_grid, scalar_ar1_nrdf
 from zdrd.source_model import stationary_covariance
 
 from conftest import random_source
@@ -213,6 +213,33 @@ class TestNrdf:
             lam = (d2 - d1) / (d3 - d1)
             assert r2 <= (1 - lam) * r1 + lam * r3 + 1e-6
 
+    def test_grid_entries_are_the_points_alone(self, stable4, unstable_ar2):
+        # each entry is what nrdf returns or raises at its D: bad targets,
+        # a refused form, zero-rate and closed-form points among barrier ones
+        dm = zdrd.d_max(stable4)
+        cases = [
+            (stable4, [0.3, float("nan"), -1.0, "x", 1.0, dm, 2 * dm], None),
+            (stable4, [0.3, 1.0], FORM_A),
+            (unstable_ar2, [0.5, 0.0, 2.0], None),
+            (preset_config("example2").source, [0.5, "y", 3.0], FORM_B),
+            (zdrd.new_source([[0.5]], [[1.0]], [[1.0]]), [0.5, 0.0, 4.0], None),
+        ]
+        for src, grid, form in cases:
+            entries = nrdf_grid(src, grid, form)
+            assert len(entries) == len(grid)
+            for D, got in zip(grid, entries):
+                try:
+                    want = nrdf(src, D, form)
+                except (BadDistortion, InfeasibleModel) as exc:
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                    continue
+                assert np.array_equal(got.pi.view(np.int64), want.pi.view(np.int64))
+                assert np.array_equal(got.lam.view(np.int64), want.lam.view(np.int64))
+                got_values = (repr(got.rate_bits), repr(got.kkt_residual), got.stats, got.form_used)
+                assert got_values == (
+                    repr(want.rate_bits), repr(want.kkt_residual), want.stats, want.form_used
+                )
+
     def test_kalman_fixed_point_identities(self, stable4, unstable_ar2, unstable4):
         for src, d in [(stable4, 1.0), (unstable_ar2, 0.7), (unstable4, 1.5)]:
             sol = nrdf(src, d)
@@ -347,6 +374,17 @@ class TestRdCurve:
         assert all("degenerate candidate" in row.status for row in rows)
         assert all(row.rate_lower_bits is None and row.rate_upper_bits is None for row in rows)
         assert all(row.r_active is None for row in rows)
+
+    def test_failed_point_fails_only_its_row(self, stable4):
+        # a barrier point whose realization fails (D = 1e-320 leaves no
+        # usable pair) among barrier points and the zero-rate point at d_max:
+        # every row is the row of its point swept alone
+        grid = [1e-320, 0.3, 1.0, zdrd.d_max(stable4)]
+        rows = self.sweep(stable4, grid)
+        assert rows == tuple(self.sweep(stable4, [d])[0] for d in grid)
+        assert rows[0].status.startswith("failed:") and rows[0].rate_lower_bits is None
+        assert [row.status for row in rows[1:]] == ["ok"] * 3
+        assert (rows[3].rate_lower_bits, rows[3].r_active) == (0.0, 0)
 
     def test_grid_validation(self, scalar_half):
         for grid in ([], [0.5, 0.4], [-0.1, 0.5]):
