@@ -58,8 +58,12 @@ M = sum_j dx_j W_j the whitened step (below), so a diagonal entry
 1 + s d_i of I + s M at or below 0 proves the candidate infeasible.  A step
 with 1 + s min_i d_i <= -SKIP_MARGIN (delta = 1e-2, over the G and Q
 blocks) is skipped without being factored and counts as a halving; the
-margin absorbs the rounding of the whitened diagonals.  The skip never
-changes the accepted step, only the factorizations spent to find it.
+margin absorbs the rounding of the whitened diagonals.  Those diagonals are
+accurate only while L is well conditioned, and only then does the skip
+leave the accepted step as it is, saving factorizations alone.  Under
+forced form_a on example1 (|det A| = 1.8e-6) it skips steps that factor:
+two solves of that default grid took 41 and 40 Newton steps with the skip
+against 37 and 39 without it, the second rate 7e-14 bits apart.
 
 Each visited point is assembled and Cholesky-factored once (``_factors``);
 a point outside the cone has no factors.  The factors give psi_t (twice
@@ -89,12 +93,11 @@ point to factor, or a Newton system to form and solve at its factors and
 t.  Each point keeps its own t, stage, centres, stop tests, Armijo test,
 skip certificate and :class:`SolverStats`.  One driver (``_lockstep``)
 serves each round's pending requests of all live points with one call on
-a stack with a leading point axis.  ``_factors``, ``_newton_system`` and
-``_newton_step`` are written over leading axes, so a lone request, and a
-path left alone, is served by the same functions without the axis.
-:func:`solve_maxdet` is the grid of one.  Every point's iterates are bit
-for bit those of its solve alone, because each stacked call runs the same
-BLAS/LAPACK kernels on each point's data as the unstacked one:
+a stack with a leading point axis.  A lone point is a stack of one: a
+round of one request, a path left alone and :func:`solve_maxdet`, the
+grid of one, take the same calls.  Every point's iterates are bit for bit
+those of its solve alone, because each stacked call runs the same
+BLAS/LAPACK kernels on each point's data whatever the stack's length:
 
 * the affine maps are ``np.matmul(x[..., None, :], dA)`` with dA
   flattened to (n, S^2): one product per point.  The 2-D product of a
@@ -115,8 +118,8 @@ BLAS/LAPACK kernels on each point's data as the unstacked one:
 A stacked Cholesky raises when any matrix of the stack fails, so such a
 stack is factored again matrix by matrix, and each point sees its own
 success or failure.  A stacked call that raises one of
-``errors.POINT_ERRORS`` is served again request by request, and each error
-is raised inside the path of the point it belongs to.
+``errors.POINT_ERRORS`` is served again as stacks of one request, and the
+error of a stack of one is raised inside the path of its point.
 
 BATCH_BYTES = 256 KiB bounds the whitened rows of a batch, 8 n (S^2 + m^2)
 bytes per point (form_b): 4 KB at p = 2, 49 KB at p = 4, 112 KB at p = 5
@@ -343,7 +346,7 @@ def phase1_point(prob: MaxdetProblem):
     0.99 of its Schur-complement bound T11 - T12 T22^-1 T21 in the top LMI
     T = top(Pi0, 0) + top_C, whose leading m x m block carries -Q.
     """
-    result = _run_alone(prob, _phase1(prob, _phase1_start(prob.A, prob.B)))
+    (result,) = _lockstep([prob], [_phase1(prob, _phase1_start(prob.A, prob.B))])
     if isinstance(result, BaseException):
         raise result
     return result
@@ -396,7 +399,7 @@ def _newton_system(prob: MaxdetProblem, factors, t):
     """
     Lg, Lq = factors[:2]
     S, m = Lg.shape[-1], prob.m
-    w = np.array(1.0 + 0.5 * t, ndmin=1)
+    w = np.asarray(1.0 + 0.5 * t)
     Wg = _whitened(Lg, prob.fused_dA)
     Wq = _whitened(Lq, prob.q_dA)
     dg, dq = Wg[..., :: S + 1], Wq[..., :: m + 1]
@@ -494,71 +497,50 @@ def _path(prob: MaxdetProblem, start):
             base = cand  # same factors and t: the next iterate's potential
         centres = [*centres[-1:], x]
         if final:
-            Pi = unvech(x[: prob.nb_pi], prob.p)
-            slack = np.sqrt(max(last_lam2, 0.0)) * np.sqrt(nu) / t
+            kkt = nu / t + np.sqrt(max(last_lam2, 0.0)) * np.sqrt(nu) / t
+            if not math.isfinite(kkt):
+                raise SolverDivergence(f"barrier path following ended with kkt residual {kkt} nats")
             stats = SolverStats(stage, newton_steps, backtracks, factorizations)
-            return Pi, nu / t + slack, stats
+            return unvech(x[: prob.nb_pi], prob.p), kkt, stats
         t *= T_GROWTH
     raise SolverDivergence(
         f"barrier path following exceeded {MAX_OUTER} stages (gap target {GAP_TARGET})"
     )
 
 
-def _serve(prob: MaxdetProblem, request):
-    """The reply to one point's request, computed without a point axis, or its error."""
-    try:
-        if request[0] is _FACTOR:
-            (Lg, Lq, ld_g, ld_q), ok = _factors(prob, request[1])
-            return (Lg, Lq, float(ld_g), float(ld_q)) if ok else None
-        g, H, diag = _newton_system(prob, *request[1:])
-        return g, _newton_step(H, g), diag
-    except POINT_ERRORS as exc:
-        return exc
+def _serve(batch: MaxdetProblem, asks, replies):
+    """Reply to the requests [(i, request)] of one kind with one call on their stack.
 
-
-def _serve_factors(points, C, asks, replies):
-    """Reply to the requests [(i, (_FACTOR, x))] with one ``_factors`` call on
-    their stack; C[i] is the constant of ``points[i]``."""
+    i indexes the points of ``batch``, whose fused_C has the point axis.
+    Points to factor take one ``_factors`` call, Newton systems one
+    ``_newton_system`` and one ``_newton_step`` call.  A stack that raises
+    one of ``POINT_ERRORS`` is served again as stacks of one request, and
+    the error of a stack of one is its point's reply.
+    """
     idx = [i for i, _ in asks]
-    rows = replace(points[idx[0]], D=np.array([points[i].D for i in idx]), fused_C=C[idx])
     try:
-        (Lg, Lq, ld_g, ld_q), ok = _factors(rows, np.array([req[1] for _, req in asks]))
-    except POINT_ERRORS:  # each point alone, where it meets its own error
-        for i, req in asks:
-            replies[i] = _serve(points[i], req)
+        if asks[0][1][0] is _FACTOR:
+            rows = batch
+            if len(idx) < len(batch.D):
+                rows = replace(batch, D=batch.D[idx], fused_C=batch.fused_C[idx])
+            (Lg, Lq, ld_g, ld_q), ok = _factors(rows, np.array([req[1] for _, req in asks]))
+            out = zip(Lg, Lq, ld_g.tolist(), ld_q.tolist())
+            if ok is not True:
+                out = [f if inside else None for f, inside in zip(out, ok.tolist())]
+        else:
+            Lg = np.array([req[1][0] for _, req in asks])
+            Lq = np.array([req[1][1] for _, req in asks])
+            g, H, diag = _newton_system(batch, (Lg, Lq), np.array([[req[2]] for _, req in asks]))
+            out = zip(g, _newton_step(H, g), diag)
+    except POINT_ERRORS as exc:
+        if len(asks) == 1:
+            replies[idx[0]] = exc
+        else:  # each point alone, where it meets its own error
+            for ask in asks:
+                _serve(batch, [ask], replies)
         return
-    ld_g, ld_q = ld_g.tolist(), ld_q.tolist()
-    ok = [ok] * len(idx) if ok is True else ok.tolist()
-    for k, i in enumerate(idx):
-        replies[i] = (Lg[k], Lq[k], ld_g[k], ld_q[k]) if ok[k] else None
-
-
-def _serve_newton(points, asks, replies):
-    """Reply to the requests [(i, (_NEWTON, factors, t))] with one ``_newton_system``
-    and one ``_newton_step`` call on their stack."""
-    Lg = np.array([req[1][0] for _, req in asks])
-    Lq = np.array([req[1][1] for _, req in asks])
-    t = np.array([[req[2]] for _, req in asks])
-    try:
-        g, H, diag = _newton_system(points[asks[0][0]], (Lg, Lq), t)
-        dx = _newton_step(H, g)
-    except POINT_ERRORS:  # each point alone, where it meets its own error
-        for i, req in asks:
-            replies[i] = _serve(points[i], req)
-        return
-    for k, (i, _) in enumerate(asks):
-        replies[i] = g[k], dx[k], diag[k]
-
-
-def _serve_group(points, C, asks, replies):
-    """Reply to requests [(i, request)] of one kind: a lone one alone, more on a stack."""
-    if len(asks) == 1:
-        i, request = asks[0]
-        replies[i] = _serve(points[i], request)
-    elif asks[0][1][0] is _FACTOR:
-        _serve_factors(points, C, asks, replies)
-    else:
-        _serve_newton(points, asks, replies)
+    for i, reply in zip(idx, out):
+        replies[i] = reply
 
 
 def _advance(path, reply):
@@ -568,20 +550,6 @@ def _advance(path, reply):
     return path.send(reply)
 
 
-def _run_alone(prob: MaxdetProblem, path, reply=None):
-    """Run one path to its end from the reply it awaits, serving each request alone.
-
-    Returns the path's value, or the error (one of ``POINT_ERRORS``) that ended it.
-    """
-    try:
-        while True:
-            reply = _serve(prob, _advance(path, reply))
-    except StopIteration as stop:
-        return stop.value
-    except POINT_ERRORS as exc:
-        return exc
-
-
 def _lockstep(points, paths):
     """Run the paths of ``points`` side by side.
 
@@ -589,29 +557,31 @@ def _lockstep(points, paths):
     ended it.  Each round serves the pending requests of all live paths:
     the points to factor in one ``_factors`` call, the Newton systems in
     one ``_newton_system`` and one ``_newton_step`` call, each on a stack
-    with a leading point axis.  A lone request is served on its point's
-    arrays, without the axis, and once one path is left it runs on alone.
+    with a leading point axis, however few points ask.
     """
+    batch = replace(
+        points[0],
+        D=np.array([point.D for point in points]),
+        fused_C=np.array([point.fused_C for point in points]),
+    )
     results = [None] * len(paths)
     replies = [None] * len(paths)
-    live = list(range(len(paths)))
-    C = np.array([point.fused_C for point in points]) if len(live) > 1 else None
-    while len(live) > 1:
-        asks = []
+    live = range(len(paths))
+    while live:
+        factor, newton = [], []
         for i in live:
             try:
-                asks.append((i, _advance(paths[i], replies[i])))
+                request = _advance(paths[i], replies[i])
             except StopIteration as stop:
                 results[i] = stop.value
             except POINT_ERRORS as exc:
                 results[i] = exc
-        live = [i for i, _ in asks]
-        for kind in (_FACTOR, _NEWTON):
-            group = [ask for ask in asks if ask[1][0] is kind]
-            if group:
-                _serve_group(points, C, group, replies)
-    for i in live:
-        results[i] = _run_alone(points[i], paths[i], replies[i])
+            else:
+                (factor if request[0] is _FACTOR else newton).append((i, request))
+        live = sorted(i for i, _ in factor + newton)
+        for asks in (factor, newton):
+            if asks:
+                _serve(batch, asks, replies)
     return results
 
 

@@ -13,7 +13,7 @@ from scipy.optimize import minimize
 
 import zdrd
 from zdrd import experiments, maxdet
-from zdrd.errors import InfeasibleModel
+from zdrd.errors import InfeasibleModel, SolverDivergence
 from zdrd.solver import FORM_A, FORM_B, nrdf, nrdf_grid, scalar_ar1_nrdf
 
 from conftest import random_source
@@ -484,7 +484,8 @@ class TestLockstep:
 
     def test_p16_grid_runs_one_point_at_a_time(self, monkeypatch):
         # two barrier points whose whitened rows (9.8 MB each) exceed the
-        # batch bound: every factorization and Newton system is one point's
+        # batch bound: every factorization and Newton system is one point's,
+        # served as a stack of one
         shapes = []
         factors, newton_system = maxdet._factors, maxdet._newton_system
 
@@ -502,28 +503,45 @@ class TestLockstep:
         sols = nrdf_grid(src, experiments.default_grid(src, 3)[:2])
         assert [sol.stats.stages for sol in sols] == [7, 7]
         n, S = 16 * 17, 4 * 16 + 1
-        assert set(shapes) == {(n,), (S, S)}
+        assert set(shapes) == {(1, n), (1, S, S)}
 
     def test_error_in_a_batched_call_reaches_only_its_point(self, stable4, monkeypatch):
         # a stacked call that raises is served again point by point, so only
-        # the point whose own call raises fails, and the others keep their bits
+        # the point whose own call raises fails, and the others keep their
+        # bits; a lone point is a stack of one, whose error is not served again
         grid = experiments.default_grid(stable4, 6)[:5]
-        bad = grid[2]
-        calls = []
+        bad = grid[3]
+        calls, raised = [], []
         factors = maxdet._factors
 
-        def failing(prob, x):
-            calls.append(x.ndim)
-            if np.any(prob.fused_C[..., -1, -1] == bad):
-                raise FloatingPointError("injected")
-            return factors(prob, x)
+        def failing_on(stacks):
+            def failing(prob, x):
+                calls.append(len(x))
+                if len(x) in stacks and np.any(prob.fused_C[..., -1, -1] == bad):
+                    raised.append(len(x))
+                    raise FloatingPointError("injected")
+                return factors(prob, x)
+
+            return failing
 
         alone = [nrdf(stable4, D) for D in grid]
-        monkeypatch.setattr(maxdet, "_factors", failing)
-        sols = nrdf_grid(stable4, grid)
-        assert isinstance(sols[2], FloatingPointError) and str(sols[2]) == "injected"
-        assert all(same_solution(a, b) for k, (a, b) in enumerate(zip(alone, sols)) if k != 2)
-        assert 2 in calls  # the other points ran in lockstep
+        # first in the opening round of all five points, then in a later
+        # stack of a strict subset of them, points 3 and 4
+        for stacks, first in ((range(1, 6), 5), (range(1, 5), 2)):
+            calls.clear()
+            raised.clear()
+            monkeypatch.setattr(maxdet, "_factors", failing_on(stacks))
+            sols = nrdf_grid(stable4, grid)
+            assert isinstance(sols[3], FloatingPointError) and str(sols[3]) == "injected"
+            assert all(same_solution(a, b) for k, (a, b) in enumerate(zip(alone, sols)) if k != 3)
+            assert max(calls) == 5  # the other points ran in lockstep
+            assert raised == [first, 1]
+        calls.clear()
+        (sol,) = nrdf_grid(stable4, [bad])
+        assert isinstance(sol, FloatingPointError) and str(sol) == "injected"
+        with pytest.raises(FloatingPointError, match="injected"):
+            nrdf(stable4, bad)
+        assert calls == [1, 1]  # one stack of one per solve
 
 
 class TestBruteForceOracle:
@@ -553,6 +571,18 @@ class TestPhase1AndErrors:
             Q = np.tensordot(x, prob.q_dA, axes=1)
             assert np.linalg.eigvalsh(G)[0] > 0
             assert np.linalg.eigvalsh(Q)[0] > 0
+
+    def test_non_finite_residual_is_a_divergence(self, stable4):
+        # at these targets every stage ends on a NaN Newton system, so the
+        # residual is inf; a sweep fails the row in the solver
+        src8 = random_source(8, seed=3)
+        for src, D in ((stable4, 1e-320), (src8, 1e-300 * zdrd.d_max(src8))):
+            with np.errstate(all="ignore"), pytest.raises(SolverDivergence, match="residual inf"):
+                nrdf(src, D)
+        config = experiments.ExperimentConfig(stable4, [1e-320, 1.0], quantizer=None)
+        rows = experiments.run_experiment(config).rows
+        assert rows[0].status.startswith("failed:SolverDivergence: ")
+        assert "kkt residual inf" in rows[0].status and rows[1].status == "ok"
 
     def test_runtime_budget_scalar_batch(self):
         rng = np.random.default_rng(1)

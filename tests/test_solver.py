@@ -376,8 +376,8 @@ class TestRdCurve:
         assert all(row.r_active is None for row in rows)
 
     def test_failed_point_fails_only_its_row(self, stable4):
-        # a barrier point whose realization fails (D = 1e-320 leaves no
-        # usable pair) among barrier points and the zero-rate point at d_max:
+        # a barrier point whose solve fails (at D = 1e-320 its residual is
+        # not finite) among barrier points and the zero-rate point at d_max:
         # every row is the row of its point swept alone
         grid = [1e-320, 0.3, 1.0, zdrd.d_max(stable4)]
         rows = self.sweep(stable4, grid)
